@@ -11,6 +11,7 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
+    optimality_residual,
     run_ssn,
 )
 from ssnbilinear.pde import Discretization
@@ -34,9 +35,11 @@ def main(argv):
             print(f"{r.j:>3} {r.J:>24.16e} {delta:>13} {r.newton_iters:>7} {cg:>4}")
 
         rep = complementarity_report(spec, mesh, u, y, phi, disc=disc)
+        resid = disc.norm(optimality_residual(spec, u, y, phi))
         print(
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "
-            f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}"
+            f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
+            f"||u - Proj(y*phi/nu)||_h {resid:.2e}"
         )
     return 0
 

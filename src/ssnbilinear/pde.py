@@ -13,7 +13,12 @@ with K the stiffness matrix and w the lumped mass weights:
 
 Q is symmetric, and positive definite whenever da_dy + u > 0 at every
 node, so one sparse direct factorization per (u, y) pair serves every
-right-hand side of an outer iteration.  The nonlinear state equation is
+right-hand side of an outer iteration.  SuperLU factors Q in symmetric
+mode: columns are ordered by multiple minimum degree on the pattern of
+Q^T + Q (MMD_AT_PLUS_A), and the pivots are taken from the diagonal
+(diag_pivot_thresh = 0).  Gaussian elimination on a symmetric positive
+definite matrix is stable without row interchanges, so the symmetric
+fill-reducing ordering is kept intact.  The nonlinear state equation is
 solved by Newton's method with the exact Jacobian Q and residual-halving
 damping; the residual is measured in the lumped L2 norm.
 """
@@ -42,9 +47,13 @@ class LinearizedOperator:
     """Factorized sparse operator K + diag(w*(da_dy(x,y) + u))."""
 
     def __init__(self, matrix: sp.spmatrix):
-        self.matrix = matrix.tocsr()
         try:
-            self._lu = spla.splu(matrix.tocsc())
+            self._lu = spla.splu(
+                matrix.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise SolverError(f"linearized operator is singular: {exc}") from exc
 
@@ -97,9 +106,9 @@ class Discretization:
         ay = nodal(self.spec.a, self.x, y)
         return self.stiffness @ y + self.weights * (ay + u * y) - self.boundary_load
 
-    def linearized_matrix(self, u: np.ndarray, y: np.ndarray) -> sp.csr_matrix:
+    def linearized_matrix(self, u: np.ndarray, y: np.ndarray) -> sp.csc_matrix:
         c = nodal(self.spec.da_dy, self.x, y) + u
-        return self.stiffness + sp.diags(self.weights * c)
+        return (self.stiffness + sp.diags(self.weights * c)).tocsc()
 
     def linearized_operator(self, u: np.ndarray, y: np.ndarray) -> LinearizedOperator:
         return LinearizedOperator(self.linearized_matrix(u, y))

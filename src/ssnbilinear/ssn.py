@@ -17,10 +17,11 @@ The loop stops when the scaled step norm
 
     delta_j = ||v_j|| / max(1, ||u_{j+1}||)
 
-falls below the outer tolerance, or when two consecutive objective values
-agree to machine precision.  Either way a final state solve is performed
-so the last logged row carries the objective at the accepted control, as
-a convergence table should.
+falls below the step floor max(outer_tol, 10*eps*n_nodes).  The second
+term stands for eps times the condition number of Q, which grows like
+h^-2, so the floor is a step size the iteration can actually reach on
+every mesh.  A final state solve then gives the last logged row the
+objective at the accepted control, as a convergence table should.
 """
 
 from dataclasses import dataclass
@@ -79,6 +80,15 @@ class SSNConfig:
             raise ConfigurationError("tolerances must be positive")
         if self.max_outer < 1:
             raise ConfigurationError("max_outer must be at least 1")
+
+    def step_floor(self, n_nodes: int) -> float:
+        """Step size the outer loop stops below: max(outer_tol, 10*eps*n).
+
+        A solve with Q is accurate to about eps times its condition number,
+        which grows like h^-2, i.e. like the node count n; smaller steps
+        are rounding noise and cannot be reached reliably.
+        """
+        return max(self.outer_tol, 10.0 * float(np.finfo(float).eps) * n_nodes)
 
 
 def optimality_residual(
@@ -271,34 +281,18 @@ def run_ssn(
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
     disc = disc if disc is not None else Discretization(spec, mesh)
 
-    eps = float(np.finfo(float).eps)
+    floor = cfg.step_floor(disc.n_nodes)
     u = _initial_control(cfg, disc.n_nodes)
     records: list[IterationRecord] = []
     y_warm: np.ndarray | None = None
-    j_prev: float | None = None
 
     for j in range(cfg.max_outer):
         state = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
-        jval = _objective(disc, u, state.y)
-        if j_prev is not None and abs(jval - j_prev) <= eps * max(1.0, abs(j_prev)):
-            records.append(
-                IterationRecord(
-                    j=j,
-                    J=jval,
-                    delta=None,
-                    newton_iters=state.newton_iters,
-                    cg_iters=None,
-                    measures=None,
-                )
-            )
-            phi = disc.solve_adjoint(u, state.y)
-            return u, state.y, phi, records
-
         result = _step(disc, j, u, cfg, state)
         records.append(result.record)
-        u, y_warm, j_prev = result.u_next, result.y, jval
+        u, y_warm = result.u_next, result.y
 
-        if result.record.delta < cfg.outer_tol:
+        if result.record.delta < floor:
             final = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
             records.append(
                 IterationRecord(

@@ -227,6 +227,22 @@ def test_operator_positive_definite_for_admissible_controls(bench):
     assert eigs[0] > 0.0
 
 
+def test_symmetric_mode_factor_is_sparse_and_accurate(bench):
+    # benchmark Q at level 6 and the zero control; COLAMD with partial
+    # pivoting needs 223,700 nonzeros in L+U here
+    disc = Discretization(bench, build_uniform_mesh(6))
+    u = np.zeros(disc.n_nodes)
+    y = disc.solve_state(u).y
+    q = disc.linearized_matrix(u, y)
+    assert q.format == "csc"
+    op = LinearizedOperator(q)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 140_000
+    rng = np.random.default_rng(11)
+    for b in (rng.standard_normal(disc.n_nodes), disc.weights * y):
+        x = op.solve(b)
+        assert np.linalg.norm(q @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
 def test_module_wrappers_match_methods(bench):
     mesh = build_uniform_mesh(2)
     disc = Discretization(bench, mesh)

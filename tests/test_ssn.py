@@ -275,6 +275,50 @@ def test_run_iteration_budget_carries_history(bench):
     assert exc.value.history[0].j == 0
 
 
+LADDER = (4, 5, 6, 7)
+
+
+@pytest.fixture(scope="module")
+def ladder_runs():
+    """Benchmark runs at levels 4-7 for both tracking forms."""
+    runs = {}
+    for tracking in ("quadratic", "linear"):
+        spec = benchmark_instance(tracking)
+        for level in LADDER:
+            mesh = build_uniform_mesh(level)
+            runs[tracking, level] = (spec, mesh.n_nodes, *run_ssn(spec, mesh))
+    return runs
+
+
+@pytest.mark.parametrize("tracking", ["quadratic", "linear"])
+def test_outer_counts_equal_across_levels(ladder_runs, tracking):
+    counts = {
+        level: sum(1 for r in ladder_runs[tracking, level][-1] if r.delta is not None)
+        for level in LADDER
+    }
+    assert max(counts.values()) == min(counts.values()), counts
+
+
+def test_ladder_runs_satisfy_projection_identity(ladder_runs):
+    for spec, _, u, y, phi, _ in ladder_runs.values():
+        assert np.max(np.abs(optimality_residual(spec, u, y, phi))) <= 1e-13
+
+
+def test_ladder_runs_stop_below_step_floor(ladder_runs):
+    cfg = SSNConfig()
+    for _, n_nodes, _, _, _, records in ladder_runs.values():
+        assert records[-2].delta < cfg.step_floor(n_nodes)
+        assert all(r.delta is not None for r in records[:-1])
+
+
+def test_step_floor_scales_with_node_count():
+    eps = np.finfo(float).eps
+    cfg = SSNConfig()
+    assert cfg.step_floor(1) == cfg.outer_tol
+    assert cfg.step_floor(66049) == 10 * eps * 66049
+    assert SSNConfig(outer_tol=1e-6).step_floor(66049) == 1e-6
+
+
 def test_ssn_config_validation():
     with pytest.raises(ConfigurationError):
         SSNConfig(outer_tol=0.0)
