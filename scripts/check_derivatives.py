@@ -3,19 +3,22 @@
 product on the benchmark.
 
 Usage: python3 scripts/check_derivatives.py [level [directions [seed]]]
+(defaults: those of the config file's [verify] section)
 """
 
 import sys
 
 from ssnbilinear import benchmark_instance, format_verification, verify_derivatives
+from ssnbilinear.verification import VerifySettings
 
 
 def main(argv):
-    level = int(argv[0]) if len(argv) > 0 else 4
-    directions = int(argv[1]) if len(argv) > 1 else 5
-    seed = int(argv[2]) if len(argv) > 2 else 1234
+    settings = VerifySettings(*(int(tok) for tok in argv))
     result = verify_derivatives(
-        benchmark_instance(), level=level, directions=directions, seed=seed
+        benchmark_instance(),
+        level=settings.level,
+        directions=settings.directions,
+        seed=settings.seed,
     )
     print(format_verification(result))
     return 0 if result.passed else 3

@@ -8,33 +8,32 @@ import sys
 import time
 
 from ssnbilinear import (
+    Discretization,
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
     optimality_residual,
     run_ssn,
 )
-from ssnbilinear.pde import Discretization
 
 
 def main(argv):
     levels = [int(tok) for tok in argv] or [5, 6, 7]
     spec = benchmark_instance()
     for level in levels:
-        mesh = build_uniform_mesh(level)
-        disc = Discretization(spec, mesh)
+        disc = Discretization(spec, build_uniform_mesh(level))
         t0 = time.perf_counter()
-        u, y, phi, records = run_ssn(spec, mesh, disc=disc)
+        u, y, phi, records = run_ssn(disc)
         elapsed = time.perf_counter() - t0
 
-        print(f"\nlevel {level}  (h = 2^-{level}, {mesh.n_nodes} nodes, {elapsed:.2f}s)")
+        print(f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, {elapsed:.2f}s)")
         print(f"{'j':>3} {'J':>24} {'delta':>13} {'newton':>7} {'cg':>4}")
         for r in records:
             delta = f"{r.delta:.6e}" if r.delta is not None else ""
             cg = str(r.cg_iters) if r.cg_iters is not None else ""
             print(f"{r.j:>3} {r.J:>24.16e} {delta:>13} {r.newton_iters:>7} {cg:>4}")
 
-        rep = complementarity_report(spec, mesh, u, y, phi, disc=disc)
+        rep = complementarity_report(disc, u, y, phi)
         resid = disc.norm(optimality_residual(spec, u, y, phi))
         print(
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "

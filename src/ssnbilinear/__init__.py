@@ -6,111 +6,42 @@ square, and the control is box constrained.  The package discretizes
 with P1 finite elements and lumped mass, and solves the first-order
 optimality system with a semismooth Newton method whose inner quadratic
 problems run a matrix-free conjugate gradient on the inactive set.
+
+Every computation goes through one Discretization (a problem assembled on
+a mesh); the lower-level operations live in the submodules.
 """
 
-from .assembly import (
-    assemble_boundary_load,
-    assemble_lumped_mass,
-    assemble_reaction_diagonal,
-    assemble_stiffness,
-    lumped_inner,
-    lumped_norm,
-    measure_of,
-)
-from .config import RunConfig, VerifySettings, parse_config
+from .config import parse_config
 from .errors import ConfigurationError, NegativeCurvatureError, SolverError
-from .mesh import TriMesh, build_uniform_mesh, node_coordinates
-from .objective import (
-    ReducedEval,
-    evaluate_reduced,
-    fd_curvature_oracle,
-    fd_gradient_oracle,
-    fit_decay_order,
-    gradient,
-    hessian_vec,
-    objective,
-)
-from .pde import (
-    Discretization,
-    LinearizedOperator,
-    StateSolveReport,
-    solve_adjoint,
-    solve_linearized_adjoint,
-    solve_linearized_state,
-    solve_state,
-)
-from .problem import (
-    ControlBounds,
-    ProblemSpec,
-    benchmark_instance,
-    desired_state,
-    validate,
-)
+from .mesh import build_uniform_mesh
+from .pde import Discretization
+from .problem import ProblemSpec, benchmark_instance, validate
 from .ssn import (
-    ActiveSets,
-    ComplementarityReport,
     IterationRecord,
     SSNConfig,
-    apply_Mj,
-    cg_solve,
-    classify,
     complementarity_report,
     optimality_residual,
     run_ssn,
-    ssn_step,
 )
 from .verification import format_verification, verify_derivatives
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSets",
-    "ComplementarityReport",
     "ConfigurationError",
-    "ControlBounds",
     "Discretization",
     "IterationRecord",
-    "LinearizedOperator",
     "NegativeCurvatureError",
     "ProblemSpec",
-    "ReducedEval",
-    "RunConfig",
     "SSNConfig",
     "SolverError",
-    "StateSolveReport",
-    "TriMesh",
-    "VerifySettings",
-    "apply_Mj",
-    "assemble_boundary_load",
-    "assemble_lumped_mass",
-    "assemble_reaction_diagonal",
-    "assemble_stiffness",
     "benchmark_instance",
     "build_uniform_mesh",
-    "cg_solve",
-    "classify",
     "complementarity_report",
-    "desired_state",
-    "evaluate_reduced",
-    "fd_curvature_oracle",
-    "fd_gradient_oracle",
-    "fit_decay_order",
     "format_verification",
-    "gradient",
-    "hessian_vec",
-    "lumped_inner",
-    "lumped_norm",
-    "measure_of",
-    "node_coordinates",
-    "objective",
     "optimality_residual",
     "parse_config",
     "run_ssn",
-    "solve_adjoint",
-    "solve_linearized_adjoint",
-    "solve_linearized_state",
-    "solve_state",
-    "ssn_step",
     "validate",
     "verify_derivatives",
 ]

@@ -72,20 +72,6 @@ def assemble_lumped_mass(mesh: TriMesh) -> np.ndarray:
     return w
 
 
-def assemble_reaction_diagonal(
-    mesh: TriMesh, coeff: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Diagonal of the lumped reaction operator for c(x)*y: w_i * coeff_i."""
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"coeff must have one value per node ({mesh.n_nodes}), got {coeff.shape}"
-        )
-    if weights is None:
-        weights = assemble_lumped_mass(mesh)
-    return weights * coeff
-
-
 def assemble_boundary_load(mesh: TriMesh, g) -> np.ndarray:
     """Boundary flux load: per-edge trapezoidal rule applied to nodal g.
 
@@ -102,40 +88,3 @@ def assemble_boundary_load(mesh: TriMesh, g) -> np.ndarray:
     np.add.at(b, edges[:, 0], 0.5 * length * ga)
     np.add.at(b, edges[:, 1], 0.5 * length * gb)
     return b
-
-
-def lumped_inner(mesh: TriMesh, f: np.ndarray, g: np.ndarray) -> float:
-    """Discrete L2 inner product sum_i w_i f_i g_i."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (mesh.n_nodes,) or g.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"fields must have one value per node ({mesh.n_nodes}), "
-            f"got {f.shape} and {g.shape}"
-        )
-    return float(np.sum(assemble_lumped_mass(mesh) * f * g))
-
-
-def lumped_norm(mesh: TriMesh, f: np.ndarray) -> float:
-    """Discrete L2 norm induced by lumped_inner."""
-    return float(np.sqrt(lumped_inner(mesh, f, f)))
-
-
-def measure_of(mesh: TriMesh, node_set) -> float:
-    """Discrete measure of a node set: the sum of its lumped weights.
-
-    Accepts a boolean mask over nodes or an iterable of node indices
-    (duplicates are counted once).
-    """
-    w = assemble_lumped_mass(mesh)
-    idx = np.asarray(node_set if not isinstance(node_set, set) else sorted(node_set))
-    if idx.size == 0:
-        return 0.0
-    if idx.dtype == bool:
-        if idx.shape != (mesh.n_nodes,):
-            raise ValueError("boolean mask must have one entry per node")
-        return float(np.sum(w[idx]))
-    idx = np.unique(idx.astype(np.int64))
-    if idx[0] < 0 or idx[-1] >= mesh.n_nodes:
-        raise ValueError("node index out of range")
-    return float(np.sum(w[idx]))

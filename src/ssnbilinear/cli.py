@@ -41,7 +41,7 @@ def _cmd_run(config: RunConfig) -> int:
         out_dir = os.path.join(config.output_dir, f"level_{level}")
         os.makedirs(out_dir, exist_ok=True)
         try:
-            u, y, phi, records = run_ssn(config.spec, mesh, config.ssn, disc=disc)
+            u, y, phi, records = run_ssn(disc, config.ssn)
         except SolverError as exc:
             if exc.history:
                 write_convergence_csv(
@@ -55,9 +55,7 @@ def _cmd_run(config: RunConfig) -> int:
             write_structured_vtk(os.path.join(out_dir, "control.vtk"), mesh, "control", u)
             write_structured_vtk(os.path.join(out_dir, "state.vtk"), mesh, "state", y)
             write_structured_vtk(os.path.join(out_dir, "adjoint.vtk"), mesh, "adjoint", phi)
-        report = complementarity_report(
-            config.spec, mesh, u, y, phi, tol_sigma=1e-8, disc=disc
-        )
+        report = complementarity_report(disc, u, y, phi, tol_sigma=1e-8)
         write_complementarity(os.path.join(out_dir, "complementarity.txt"), report)
         outer = sum(1 for r in records if r.delta is not None)
         print(

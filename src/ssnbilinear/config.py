@@ -16,7 +16,7 @@ round trip.
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,10 @@ from .expressions import compile_expression
 from .mesh import MAX_LEVEL
 from .problem import ProblemSpec, benchmark_instance, validate
 from .ssn import SSNConfig
+from .verification import VerifySettings
 
 _PROBLEM_FUNCS = ("a", "da_dy", "d2a_dy2", "L", "dL_dy", "d2L_dy2")
 _PROBLEM_REALS = ("alpha", "beta", "nu", "a0")
-
-
-@dataclass(frozen=True)
-class VerifySettings:
-    """Parameters of the finite-difference verification run."""
-
-    level: int = 4
-    directions: int = 5
-    seed: int = 1234
 
 
 @dataclass(frozen=True)
@@ -46,10 +38,9 @@ class RunConfig:
     spec: ProblemSpec
     levels: tuple[int, ...]
     ssn: SSNConfig
-    output_dir: str = "out"
-    write_fields: bool = True
-    tracking: str = "quadratic"
-    verify: VerifySettings = field(default_factory=VerifySettings)
+    output_dir: str
+    write_fields: bool
+    verify: VerifySettings
 
 
 def _parse_bool(raw: str, key: str, errors: list[str]) -> bool:
@@ -62,12 +53,11 @@ def _parse_bool(raw: str, key: str, errors: list[str]) -> bool:
     return True
 
 
-def _parse_real(section, key: str, default, errors: list[str]):
+def _parse_real(section, key: str, errors: list[str]) -> float | None:
     raw = section.get(key)
     if raw is None:
-        if default is None:
-            errors.append(f"[problem] missing required key {key!r}")
-        return default
+        errors.append(f"[problem] missing required key {key!r}")
+        return None
     raw = raw.strip()
     try:
         if raw.lower() in ("inf", "+inf") and key == "beta":
@@ -75,18 +65,22 @@ def _parse_real(section, key: str, default, errors: list[str]):
         return float(raw)
     except ValueError:
         errors.append(f"[problem] {key} must be a real number, got {raw!r}")
-        return default
+        return None
 
 
-def _parse_int(section, key: str, default, errors: list[str], label: str):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw.strip())
-    except ValueError:
-        errors.append(f"[{label}] {key} must be an integer, got {raw!r}")
-        return default
+def _parse_numbers(section, keys, cast, errors: list[str], label: str) -> dict:
+    """The values of those keys that section sets, converted by cast."""
+    kind = "an integer" if cast is int else "a real number"
+    values = {}
+    for key in keys:
+        raw = section.get(key)
+        if raw is None:
+            continue
+        try:
+            values[key] = cast(raw.strip())
+        except ValueError:
+            errors.append(f"[{label}] {key} must be {kind}, got {raw!r}")
+    return values
 
 
 def _parse_levels(raw: str | None, errors: list[str]) -> tuple[int, ...]:
@@ -107,7 +101,7 @@ def _parse_levels(raw: str | None, errors: list[str]) -> tuple[int, ...]:
     return tuple(levels)
 
 
-def _problem_from_section(section, errors: list[str]):
+def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
     preset = section.get("preset")
     tracking = section.get("tracking", "quadratic").strip()
     if tracking not in ("quadratic", "linear"):
@@ -119,8 +113,8 @@ def _problem_from_section(section, errors: list[str]):
     if preset is not None:
         if preset.strip() != "benchmark":
             errors.append(f"[problem] unknown preset {preset!r}")
-            return None, tracking
-        return benchmark_instance(tracking), tracking
+            return None
+        return benchmark_instance(tracking)
 
     funcs = {}
     for key in _PROBLEM_FUNCS:
@@ -139,11 +133,11 @@ def _problem_from_section(section, errors: list[str]):
         errors.append(f"[problem] g: {exc}")
         flux = None
 
-    reals = {key: _parse_real(section, key, None, errors) for key in _PROBLEM_REALS}
+    reals = {key: _parse_real(section, key, errors) for key in _PROBLEM_REALS}
 
     if len(funcs) < len(_PROBLEM_FUNCS) or flux is None or None in reals.values():
-        return None, tracking
-    spec = ProblemSpec(
+        return None
+    return ProblemSpec(
         a=funcs["a"],
         da_dy=funcs["da_dy"],
         d2a_dy2=funcs["d2a_dy2"],
@@ -157,7 +151,6 @@ def _problem_from_section(section, errors: list[str]):
         a0=reals["a0"],
         diffusion=np.eye(2),
     )
-    return spec, tracking
 
 
 def parse_config(path: str) -> RunConfig:
@@ -176,61 +169,44 @@ def parse_config(path: str) -> RunConfig:
 
     if not parser.has_section("problem"):
         errors.append("missing [problem] section")
-        spec, tracking = None, "quadratic"
+        spec = None
     else:
-        spec, tracking = _problem_from_section(parser["problem"], errors)
+        spec = _problem_from_section(parser["problem"], errors)
 
     mesh_section = parser["mesh"] if parser.has_section("mesh") else {}
-    levels = _parse_levels(
-        mesh_section.get("levels") if mesh_section else None, errors
-    )
+    levels = _parse_levels(mesh_section.get("levels"), errors)
 
+    # Keys left out of the file keep the SSNConfig and VerifySettings defaults.
     ssn_section = parser["ssn"] if parser.has_section("ssn") else {}
-    outer_tol = 5e-14
-    inner_tol = 5e-14
-    max_outer = 30
-    max_cg = None
-    u0 = None
-    if ssn_section:
-        for key, cast in (("outer_tol", float), ("inner_tol", float), ("u0", float)):
-            raw = ssn_section.get(key)
-            if raw is None:
-                continue
-            try:
-                val = cast(raw.strip())
-            except ValueError:
-                errors.append(f"[ssn] {key} must be a real number, got {raw!r}")
-                continue
-            if key == "outer_tol":
-                outer_tol = val
-            elif key == "inner_tol":
-                inner_tol = val
-            else:
-                u0 = val
-        max_outer = _parse_int(ssn_section, "max_outer", 30, errors, "ssn")
-        max_cg = _parse_int(ssn_section, "max_cg", None, errors, "ssn")
-    if outer_tol <= 0 or inner_tol <= 0:
-        errors.append("[ssn] tolerances must be positive")
-    if max_outer is not None and max_outer < 1:
-        errors.append("[ssn] max_outer must be at least 1")
+    ssn_values = _parse_numbers(
+        ssn_section, ("outer_tol", "inner_tol", "u0"), float, errors, "ssn"
+    )
+    ssn_values.update(
+        _parse_numbers(ssn_section, ("max_outer", "max_cg"), int, errors, "ssn")
+    )
+    try:
+        ssn = SSNConfig(**ssn_values)
+    except ConfigurationError as exc:
+        errors.append(f"[ssn] {exc}")
+        ssn = None
 
     out_section = parser["output"] if parser.has_section("output") else {}
-    output_dir = out_section.get("directory", "out") if out_section else "out"
+    output_dir = out_section.get("directory", "out")
     write_fields = True
-    if out_section and out_section.get("write_fields") is not None:
+    if out_section.get("write_fields") is not None:
         write_fields = _parse_bool(
             out_section.get("write_fields"), "output] write_fields", errors
         )
 
     ver_section = parser["verify"] if parser.has_section("verify") else {}
-    v_level = _parse_int(ver_section, "level", 4, errors, "verify") if ver_section else 4
-    v_dirs = (
-        _parse_int(ver_section, "directions", 5, errors, "verify") if ver_section else 5
+    verify = VerifySettings(
+        **_parse_numbers(
+            ver_section, ("level", "directions", "seed"), int, errors, "verify"
+        )
     )
-    v_seed = _parse_int(ver_section, "seed", 1234, errors, "verify") if ver_section else 1234
-    if not 1 <= v_level <= MAX_LEVEL:
-        errors.append(f"[verify] level {v_level} outside [1, {MAX_LEVEL}]")
-    if v_dirs < 1:
+    if not 1 <= verify.level <= MAX_LEVEL:
+        errors.append(f"[verify] level {verify.level} outside [1, {MAX_LEVEL}]")
+    if verify.directions < 1:
         errors.append("[verify] directions must be at least 1")
 
     fd_checks = True
@@ -248,15 +224,8 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(
         spec=spec,
         levels=levels,
-        ssn=SSNConfig(
-            outer_tol=outer_tol,
-            inner_tol=inner_tol,
-            max_outer=max_outer,
-            max_cg=max_cg,
-            u0=u0,
-        ),
+        ssn=ssn,
         output_dir=output_dir,
         write_fields=write_fields,
-        tracking=tracking,
-        verify=VerifySettings(level=v_level, directions=v_dirs, seed=v_seed),
+        verify=verify,
     )

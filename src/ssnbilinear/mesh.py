@@ -85,13 +85,6 @@ def build_uniform_mesh(level: int) -> TriMesh:
     )
 
 
-def node_coordinates(mesh: TriMesh, i: int) -> np.ndarray:
-    """Coordinate of node i as used by assembly and evaluation."""
-    if not 0 <= i < mesh.n_nodes:
-        raise IndexError(f"node index {i} out of range [0, {mesh.n_nodes})")
-    return mesh.nodes[i].copy()
-
-
 def triangle_areas(mesh: TriMesh) -> np.ndarray:
     """Signed areas of all triangles (positive for counterclockwise)."""
     p = mesh.nodes[mesh.triangles]

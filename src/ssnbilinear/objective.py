@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TriMesh
 from .pde import DEFAULT_TOL, Discretization, LinearizedOperator
-from .problem import ProblemSpec, nodal
+from .problem import nodal
 
 
 @dataclass
@@ -44,64 +43,42 @@ def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(disc.weights * integrand))
 
 
-def objective(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    y: np.ndarray,
-    disc: Discretization | None = None,
-) -> float:
-    """J evaluated at a control u and its (already solved) state y."""
-    disc = disc if disc is not None else Discretization(spec, mesh)
-    return _objective(disc, u, y)
-
-
-def gradient(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    y: np.ndarray,
-    phi: np.ndarray,
-) -> np.ndarray:
-    """Pointwise gradient field nu*u - y*phi (no solve involved)."""
-    if u.shape != (mesh.n_nodes,):
-        raise ValueError("u must have one value per node")
-    return spec.nu * u - y * phi
-
-
-def hessian_vec(
-    spec: ProblemSpec,
-    mesh: TriMesh,
+def _hessian_term(
+    disc: Discretization,
     u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     v: np.ndarray,
-    disc: Discretization | None = None,
-    operator: LinearizedOperator | None = None,
+    operator: LinearizedOperator,
+) -> np.ndarray:
+    """phi*z_v + y*eta_v: the linearized state and adjoint solves for v."""
+    z = disc.solve_linearized_state(u, y, v, operator=operator)
+    eta = disc.solve_linearized_adjoint(u, y, phi, z, v, operator=operator)
+    return phi * z + y * eta
+
+
+def hessian_vec(
+    disc: Discretization,
+    u: np.ndarray,
+    y: np.ndarray,
+    phi: np.ndarray,
+    v: np.ndarray,
+    operator: LinearizedOperator,
 ) -> np.ndarray:
     """Apply the reduced Hessian at u to a direction v."""
-    disc = disc if disc is not None else Discretization(spec, mesh)
-    op = operator if operator is not None else disc.linearized_operator(u, y)
-    z = disc.solve_linearized_state(u, y, v, operator=op)
-    eta = disc.solve_linearized_adjoint(u, y, phi, z, v, operator=op)
-    return spec.nu * v - (phi * z + y * eta)
+    return disc.spec.nu * v - _hessian_term(disc, u, y, phi, v, operator)
 
 
 def evaluate_reduced(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    disc: Discretization | None = None,
-    tol: float = DEFAULT_TOL,
+    disc: Discretization, u: np.ndarray, tol: float = DEFAULT_TOL
 ) -> ReducedEval:
     """Solve state and adjoint at u and package J with its gradient."""
-    disc = disc if disc is not None else Discretization(spec, mesh)
     report = disc.solve_state(u, tol=tol)
     y = report.y
     op = disc.linearized_operator(u, y)
     phi = disc.solve_adjoint(u, y, operator=op)
     return ReducedEval(
-        u=u, y=y, phi=phi, J=_objective(disc, u, y), grad=spec.nu * u - y * phi
+        u=u, y=y, phi=phi, J=_objective(disc, u, y), grad=disc.spec.nu * u - y * phi
     )
 
 
@@ -111,32 +88,26 @@ def _fresh_objective(disc: Discretization, u: np.ndarray, tol: float) -> float:
 
 
 def fd_gradient_oracle(
-    spec: ProblemSpec,
-    mesh: TriMesh,
+    disc: Discretization,
     u: np.ndarray,
     v: np.ndarray,
     t: float,
-    disc: Discretization | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Central difference (J(u+tv) - J(u-tv)) / (2t), fresh solves each."""
-    disc = disc if disc is not None else Discretization(spec, mesh)
     return (
         _fresh_objective(disc, u + t * v, tol) - _fresh_objective(disc, u - t * v, tol)
     ) / (2.0 * t)
 
 
 def fd_curvature_oracle(
-    spec: ProblemSpec,
-    mesh: TriMesh,
+    disc: Discretization,
     u: np.ndarray,
     v: np.ndarray,
     t: float,
-    disc: Discretization | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Second central difference (J(u+tv) - 2J(u) + J(u-tv)) / t^2."""
-    disc = disc if disc is not None else Discretization(spec, mesh)
     jp = _fresh_objective(disc, u + t * v, tol)
     j0 = _fresh_objective(disc, u, tol)
     jm = _fresh_objective(disc, u - t * v, tol)

@@ -74,8 +74,8 @@ class Discretization:
     """Assembled operators for one problem on one mesh.
 
     Building one of these is the expensive, reusable part of every solve;
-    the module-level functions construct a transient instance, and the
-    outer optimization loop keeps one alive for its whole run.
+    every solve, objective evaluation and outer loop goes through one
+    instance, which the outer loop keeps alive for its whole run.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -174,10 +174,9 @@ class Discretization:
         u: np.ndarray,
         y: np.ndarray,
         v: np.ndarray,
-        operator: LinearizedOperator | None = None,
+        operator: LinearizedOperator,
     ) -> np.ndarray:
-        op = operator if operator is not None else self.linearized_operator(u, y)
-        return op.solve(-(self.weights * y * v))
+        return operator.solve(-(self.weights * y * v))
 
     def solve_linearized_adjoint(
         self,
@@ -186,45 +185,9 @@ class Discretization:
         phi: np.ndarray,
         z: np.ndarray,
         v: np.ndarray,
-        operator: LinearizedOperator | None = None,
+        operator: LinearizedOperator,
     ) -> np.ndarray:
-        op = operator if operator is not None else self.linearized_operator(u, y)
         curv = nodal(self.spec.d2L_dy2, self.x, y) - phi * nodal(
             self.spec.d2a_dy2, self.x, y
         )
-        return op.solve(self.weights * (curv * z - phi * v))
-
-
-def solve_state(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    y_init: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    max_newton: int = MAX_NEWTON,
-) -> StateSolveReport:
-    return Discretization(spec, mesh).solve_state(u, y_init, tol, max_newton)
-
-
-def solve_adjoint(
-    spec: ProblemSpec, mesh: TriMesh, u: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    return Discretization(spec, mesh).solve_adjoint(u, y)
-
-
-def solve_linearized_state(
-    spec: ProblemSpec, mesh: TriMesh, u: np.ndarray, y: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    return Discretization(spec, mesh).solve_linearized_state(u, y, v)
-
-
-def solve_linearized_adjoint(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    y: np.ndarray,
-    phi: np.ndarray,
-    z: np.ndarray,
-    v: np.ndarray,
-) -> np.ndarray:
-    return Discretization(spec, mesh).solve_linearized_adjoint(u, y, phi, z, v)
+        return operator.solve(self.weights * (curv * z - phi * v))

@@ -36,26 +36,6 @@ def nodal(fn: Callable, x: np.ndarray, y=None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ControlBounds:
-    """Box constraints alpha <= u <= beta; beta may be +inf."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ConfigurationError("lower control bound must be finite")
-        if not self.alpha < self.beta:
-            raise ConfigurationError(
-                f"control bounds must satisfy alpha < beta, got "
-                f"[{self.alpha}, {self.beta}]"
-            )
-
-    def clamp(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, self.alpha, self.beta)
-
-
-@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """All continuous data of one control problem instance."""
 
@@ -71,10 +51,6 @@ class ProblemSpec:
     nu: float
     a0: float
     diffusion: np.ndarray = field(default_factory=lambda: np.eye(2))
-
-    @property
-    def bounds(self) -> ControlBounds:
-        return ControlBounds(self.alpha, self.beta)
 
 
 def desired_state(x: np.ndarray) -> np.ndarray:

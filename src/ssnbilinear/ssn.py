@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NegativeCurvatureError, SolverError
-from .mesh import TriMesh
-from .objective import _objective
-from .pde import Discretization, LinearizedOperator, StateSolveReport
+from .objective import _hessian_term, _objective
+from .pde import DEFAULT_TOL, Discretization, LinearizedOperator, StateSolveReport
 from .problem import ProblemSpec, validate
 
 
@@ -70,7 +69,7 @@ class SSNConfig:
     """
 
     outer_tol: float = 5e-14
-    inner_tol: float = 5e-14
+    inner_tol: float = DEFAULT_TOL
     max_outer: int = 30
     max_cg: int | None = None
     u0: np.ndarray | float | None = None
@@ -107,27 +106,22 @@ def classify(spec: ProblemSpec, y: np.ndarray, phi: np.ndarray) -> ActiveSets:
 
 
 def apply_Mj(
-    spec: ProblemSpec,
-    mesh: TriMesh,
+    disc: Discretization,
     u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     sets: ActiveSets,
     v: np.ndarray,
-    disc: Discretization | None = None,
-    operator: LinearizedOperator | None = None,
+    operator: LinearizedOperator,
 ) -> np.ndarray:
     """CG operator: (1/nu) * reduced Hessian restricted to the inactive set.
 
     v is masked to the inactive set, z and eta are solved with load
     chi_I*v, and the result chi_I*(v - (phi*z + eta*y)/nu) is returned.
     """
-    disc = disc if disc is not None else Discretization(spec, mesh)
-    op = operator if operator is not None else disc.linearized_operator(u, y)
     vi = np.where(sets.inactive, v, 0.0)
-    z = disc.solve_linearized_state(u, y, vi, operator=op)
-    eta = disc.solve_linearized_adjoint(u, y, phi, z, vi, operator=op)
-    return np.where(sets.inactive, vi - (phi * z + eta * y) / spec.nu, 0.0)
+    term = _hessian_term(disc, u, y, phi, vi, operator)
+    return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
 def cg_solve(
@@ -203,12 +197,11 @@ def _step(
     w[sets.lower] = spec.alpha - u[sets.lower]
 
     w_active = np.where(sets.inactive, 0.0, w)
-    z_a = disc.solve_linearized_state(u, y, w_active, operator=op)
-    eta_a = disc.solve_linearized_adjoint(u, y, phi, z_a, w_active, operator=op)
-    rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / spec.nu, 0.0)
+    term = _hessian_term(disc, u, y, phi, w_active, op)
+    rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
 
     def apply(v):
-        return apply_Mj(spec, disc.mesh, u, y, phi, sets, v, disc=disc, operator=op)
+        return apply_Mj(disc, u, y, phi, sets, v, op)
 
     max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
     v_inactive, cg_iters = cg_solve(
@@ -246,40 +239,26 @@ def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
     return u0.copy()
 
 
-def ssn_step(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    u: np.ndarray,
-    cfg: SSNConfig | None = None,
-    j: int = 0,
-    y_init: np.ndarray | None = None,
-    disc: Discretization | None = None,
-) -> tuple[np.ndarray, IterationRecord]:
-    """One full outer iteration from the control u."""
-    cfg = cfg if cfg is not None else SSNConfig()
-    disc = disc if disc is not None else Discretization(spec, mesh)
-    state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
-    result = _step(disc, j, u, cfg, state)
-    return result.u_next, result.record
-
-
 def run_ssn(
-    spec: ProblemSpec,
-    mesh: TriMesh,
-    cfg: SSNConfig | None = None,
-    disc: Discretization | None = None,
+    disc: Discretization, cfg: SSNConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
     records holds one full row per outer iteration plus a final row with
     the objective of the accepted control.  Raises SolverError (carrying
     the records accumulated so far) when max_outer is exhausted.
+
+    The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
+    diffusion), which make every linearized operator positive definite,
+    are checked first.  The sampled finite-difference check of the
+    hand-entered derivatives is not repeated here: config files run it
+    at load time unless fd_check = off, and validate(spec) runs it for
+    library callers.
     """
     cfg = cfg if cfg is not None else SSNConfig()
-    violations = validate(spec)
+    violations = validate(disc.spec, derivative_check=False)
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
-    disc = disc if disc is not None else Discretization(spec, mesh)
 
     floor = cfg.step_floor(disc.n_nodes)
     u = _initial_control(cfg, disc.n_nodes)
@@ -330,15 +309,13 @@ class ComplementarityReport:
 
 
 def complementarity_report(
-    spec: ProblemSpec,
-    mesh: TriMesh,
+    disc: Discretization,
     u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     tol_sigma: float = 1e-8,
-    disc: Discretization | None = None,
 ) -> ComplementarityReport:
-    disc = disc if disc is not None else Discretization(spec, mesh)
+    spec = disc.spec
     at_upper = (
         np.abs(u - spec.beta) <= tol_sigma
         if np.isfinite(spec.beta)

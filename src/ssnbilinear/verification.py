@@ -39,6 +39,15 @@ _FLOOR_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
+class VerifySettings:
+    """Parameters of the finite-difference verification run."""
+
+    level: int = 4
+    directions: int = 5
+    seed: int = 1234
+
+
+@dataclass(frozen=True)
 class DirectionReport:
     """FD results for one probe direction."""
 
@@ -63,9 +72,9 @@ class VerificationResult:
 
 def verify_derivatives(
     spec: ProblemSpec,
-    level: int = 4,
-    directions: int = 5,
-    seed: int = 1234,
+    level: int = VerifySettings.level,
+    directions: int = VerifySettings.directions,
+    seed: int = VerifySettings.seed,
     direction_vectors=None,
 ) -> VerificationResult:
     """Run the full FD check suite at one mesh level.
@@ -73,9 +82,8 @@ def verify_derivatives(
     direction_vectors overrides the seeded random directions (used to
     exercise the zero-direction skip path deterministically).
     """
-    mesh = build_uniform_mesh(level)
-    disc = Discretization(spec, mesh)
-    base = evaluate_reduced(spec, mesh, np.zeros(disc.n_nodes), disc=disc)
+    disc = Discretization(spec, build_uniform_mesh(level))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     op = disc.linearized_operator(base.u, base.y)
     jscale = max(1.0, abs(base.J))
     eps = float(np.finfo(float).eps)
@@ -98,17 +106,17 @@ def verify_derivatives(
         grad_errors = []
         grad_floors = []
         for t in GRAD_STEPS:
-            fd = fd_gradient_oracle(spec, mesh, base.u, v, t, disc=disc)
+            fd = fd_gradient_oracle(disc, base.u, v, t)
             grad_errors.append(abs(fd - slope))
             grad_floors.append(_FLOOR_FACTOR * eps * jscale / t)
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
 
-        hv = hessian_vec(spec, mesh, base.u, base.y, base.phi, v, disc=disc, operator=op)
+        hv = hessian_vec(disc, base.u, base.y, base.phi, v, op)
         quad = disc.inner(hv, v)
         curv_errors = []
         curv_floors = []
         for t in CURV_STEPS:
-            fd2 = fd_curvature_oracle(spec, mesh, base.u, v, t, disc=disc)
+            fd2 = fd_curvature_oracle(disc, base.u, v, t)
             curv_errors.append(abs(fd2 - quad))
             curv_floors.append(4.0 * _FLOOR_FACTOR * eps * jscale / (t * t))
         curv_order = fit_decay_order(CURV_STEPS, curv_errors, curv_floors)

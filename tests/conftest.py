@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ssnbilinear import benchmark_instance, build_uniform_mesh, run_ssn
-from ssnbilinear.pde import Discretization
+from ssnbilinear import Discretization, benchmark_instance, build_uniform_mesh, run_ssn
 
 # Solver-backed property tests are not wall-clock uniform; disable deadlines.
 settings.register_profile("suite", deadline=None, max_examples=25)
@@ -23,10 +22,9 @@ def disc3(bench):
 
 
 @pytest.fixture(scope="session")
-def solved3(bench, disc3):
+def solved3(disc3):
     """Converged benchmark solution on the level-3 mesh."""
-    u, y, phi, records = run_ssn(bench, disc3.mesh, disc=disc3)
-    return u, y, phi, records
+    return run_ssn(disc3)
 
 
 @pytest.fixture(scope="session")

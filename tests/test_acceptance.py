@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 from ssnbilinear import (
+    Discretization,
     ProblemSpec,
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
     optimality_residual,
     run_ssn,
-    solve_state,
     verify_derivatives,
 )
 from ssnbilinear.cli import main as cli_main
-from ssnbilinear.pde import Discretization
 from ssnbilinear.verification import _FLOOR_FACTOR, CURV_STEPS, GRAD_STEPS
 
 REF_J0 = 3.9142466314434916
@@ -48,7 +47,7 @@ def bench_runs():
         mesh = build_uniform_mesh(level)
         disc = Discretization(spec, mesh)
         t0 = time.perf_counter()
-        u, y, phi, records = run_ssn(spec, mesh, disc=disc)
+        u, y, phi, records = run_ssn(disc)
         elapsed = time.perf_counter() - t0
         runs[level] = dict(
             spec=spec, mesh=mesh, disc=disc, u=u, y=y, phi=phi,
@@ -115,8 +114,7 @@ def test_mesh_independent_outer_counts(bench_runs):
 def test_bound_attainment_measures(bench_runs):
     run = bench_runs[7]
     rep = complementarity_report(
-        run["spec"], run["mesh"], run["u"], run["y"], run["phi"],
-        tol_sigma=1e-8, disc=run["disc"],
+        run["disc"], run["u"], run["y"], run["phi"], tol_sigma=1e-8
     )
     got = (rep.upper, rep.lower, rep.interior)
     devs = [abs(g - r) for g, r in zip(got, REF_MEASURES)]
@@ -202,12 +200,12 @@ def test_constant_state_solutions():
         nu=0.1,
         a0=1.0,
     )
-    mesh = build_uniform_mesh(4)
-    n = mesh.n_nodes
-    err0 = float(np.max(np.abs(solve_state(spec, mesh, np.zeros(n)).y - 1.0)))
+    disc = Discretization(spec, build_uniform_mesh(4))
+    n = disc.n_nodes
+    err0 = float(np.max(np.abs(disc.solve_state(np.zeros(n)).y - 1.0)))
     worst_c = 0.0
     for c in (0.5, 0.25, -0.5):
-        y = solve_state(spec, mesh, np.full(n, c)).y
+        y = disc.solve_state(np.full(n, c)).y
         worst_c = max(worst_c, float(np.max(np.abs(y - 1.0 / (1.0 + c)))))
     ok = err0 <= 1e-12 and worst_c <= 1e-12
     _report(

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from ssnbilinear import (
     ConfigurationError,
+    Discretization,
+    benchmark_instance,
+    build_uniform_mesh,
+)
+from ssnbilinear.assembly import (
     assemble_boundary_load,
     assemble_lumped_mass,
-    assemble_reaction_diagonal,
     assemble_stiffness,
-    build_uniform_mesh,
-    lumped_inner,
-    lumped_norm,
-    measure_of,
 )
 
 levels = st.integers(min_value=1, max_value=5)
@@ -141,37 +141,6 @@ def test_lumped_mass_against_brute_force_sweep(level):
     )
 
 
-# --- reaction diagonal -------------------------------------------------
-
-
-def test_reaction_diagonal_is_weighted_coefficient():
-    mesh = build_uniform_mesh(2)
-    w = assemble_lumped_mass(mesh)
-    c = np.linspace(-1.0, 3.0, mesh.n_nodes)
-    np.testing.assert_array_equal(assemble_reaction_diagonal(mesh, c), w * c)
-    np.testing.assert_array_equal(
-        assemble_reaction_diagonal(mesh, c, weights=w), w * c
-    )
-
-
-@given(st.floats(-5, 5), st.floats(-5, 5), st.integers(0, 2**31 - 1))
-def test_reaction_diagonal_linear_in_coefficient(a, b, seed):
-    mesh = build_uniform_mesh(2)
-    rng = np.random.default_rng(seed)
-    c1 = rng.standard_normal(mesh.n_nodes)
-    c2 = rng.standard_normal(mesh.n_nodes)
-    lhs = assemble_reaction_diagonal(mesh, a * c1 + b * c2)
-    rhs = a * assemble_reaction_diagonal(mesh, c1) + b * assemble_reaction_diagonal(
-        mesh, c2
-    )
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
-
-
-def test_reaction_diagonal_shape_checked():
-    with pytest.raises(ValueError):
-        assemble_reaction_diagonal(build_uniform_mesh(1), np.ones(4))
-
-
 # --- boundary load -----------------------------------------------------
 
 
@@ -204,50 +173,34 @@ def test_boundary_load_linear_flux_integrates_exactly():
 # --- lumped inner product and measures ---------------------------------
 
 
+def disc_on(level):
+    return Discretization(benchmark_instance(), build_uniform_mesh(level))
+
+
 def test_lumped_inner_constant_field():
-    mesh = build_uniform_mesh(3)
-    ones = np.ones(mesh.n_nodes)
-    assert lumped_inner(mesh, ones, ones) == pytest.approx(1.0, rel=1e-14)
+    disc = disc_on(3)
+    ones = np.ones(disc.n_nodes)
+    assert disc.inner(ones, ones) == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_lumped_integral_of_quadratic(level):
     # nodal quadrature equals the integral of the piecewise-linear
     # interpolant, and for x1^2 that is 1/3 + h^2/6 exactly
-    mesh = build_uniform_mesh(level)
-    x1 = np.ascontiguousarray(mesh.nodes[:, 0])
-    expected = 1.0 / 3.0 + mesh.h**2 / 6.0
-    assert lumped_inner(mesh, x1, x1) == pytest.approx(expected, abs=1e-15)
-    assert lumped_norm(mesh, x1) == pytest.approx(np.sqrt(expected), rel=1e-14)
-
-
-def test_lumped_inner_shape_checked():
-    mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        lumped_inner(mesh, np.ones(4), np.ones(mesh.n_nodes))
+    disc = disc_on(level)
+    x1 = np.ascontiguousarray(disc.x[:, 0])
+    expected = 1.0 / 3.0 + disc.mesh.h**2 / 6.0
+    assert disc.inner(x1, x1) == pytest.approx(expected, abs=1e-15)
+    assert disc.norm(x1) == pytest.approx(np.sqrt(expected), rel=1e-14)
 
 
 def test_measure_of_masks_and_index_lists():
-    mesh = build_uniform_mesh(2)
-    n = mesh.n_nodes
-    assert measure_of(mesh, np.ones(n, dtype=bool)) == pytest.approx(1.0, rel=1e-14)
-    assert measure_of(mesh, np.zeros(n, dtype=bool)) == 0.0
-    assert measure_of(mesh, []) == 0.0
-    w = assemble_lumped_mass(mesh)
-    assert measure_of(mesh, [0, 5]) == pytest.approx(w[0] + w[5], rel=1e-15)
-    # duplicates count once; sets are accepted
-    assert measure_of(mesh, [3, 3, 3]) == measure_of(mesh, [3])
-    assert measure_of(mesh, {1, 2}) == pytest.approx(w[1] + w[2], rel=1e-15)
+    disc = disc_on(2)
+    n = disc.n_nodes
+    assert disc.measure(np.ones(n, dtype=bool)) == pytest.approx(1.0, rel=1e-14)
+    assert disc.measure(np.zeros(n, dtype=bool)) == 0.0
+    w = assemble_lumped_mass(disc.mesh)
+    assert disc.measure(np.array([0, 5])) == pytest.approx(w[0] + w[5], rel=1e-15)
     mask = np.zeros(n, dtype=bool)
     mask[[0, 5]] = True
-    assert measure_of(mesh, mask) == measure_of(mesh, [0, 5])
-
-
-def test_measure_of_rejects_bad_input():
-    mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        measure_of(mesh, [mesh.n_nodes])
-    with pytest.raises(ValueError):
-        measure_of(mesh, [-1])
-    with pytest.raises(ValueError):
-        measure_of(mesh, np.ones(3, dtype=bool))
+    assert disc.measure(mask) == disc.measure(np.array([0, 5]))

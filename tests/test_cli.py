@@ -101,6 +101,47 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
     assert len(rows) == 2  # header plus the single iteration that ran
 
 
+# README expression problem with dL_dy and d2L_dy2 both 1% too large: the
+# state and adjoint stay well posed, only the derivative lint can object.
+MISSCALED = """
+[problem]
+a       = y^3 * abs(y) + 2*y - 100 * sin(2*pi*x1) * sin(pi*x2)
+da_dy   = 4 * y^2 * abs(y) + 2
+d2a_dy2 = 12 * y * abs(y)
+L       = 0.5 * (y + 64 * x1 * (1 - x1) * x2 * (1 - x2))^2
+dL_dy   = 1.01 * (y + 64 * x1 * (1 - x1) * x2 * (1 - x2))
+d2L_dy2 = 1.01
+g       = 0
+alpha   = -1
+beta    = 1
+nu      = 0.05
+a0      = 2
+fd_check = {flag}
+
+[mesh]
+levels = 3
+
+[output]
+directory = {out_dir}
+"""
+
+
+def test_run_honours_fd_check_off(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(tmp_path, MISSCALED.format(flag="off", out_dir=out_dir))
+    assert main(["run", cfg]) == 0
+    assert "level 3: 4 outer iterations" in capsys.readouterr().out
+    assert os.path.isfile(os.path.join(out_dir, "level_3", "convergence.csv"))
+
+
+def test_run_rejects_inconsistent_derivatives_with_fd_check_on(tmp_path, capsys):
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(tmp_path, MISSCALED.format(flag="on", out_dir=out_dir))
+    assert main(["run", cfg]) == 1
+    assert "derivative consistency failed for dL_dy vs L" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_verify_verb(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

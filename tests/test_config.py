@@ -29,7 +29,6 @@ def test_minimal_benchmark_config(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, MINIMAL))
     assert isinstance(cfg, RunConfig)
     assert cfg.levels == (3,)
-    assert cfg.tracking == "quadratic"
     assert cfg.output_dir == "out"
     assert cfg.write_fields is True
     assert cfg.ssn.outer_tol == 5e-14
@@ -191,10 +190,11 @@ def test_inline_comments(tmp_path):
 
 def test_linear_tracking_switch(tmp_path):
     text = MINIMAL.replace("preset = benchmark", "preset = benchmark\ntracking = linear")
-    cfg = parse_config(write_cfg(tmp_path, text))
-    assert cfg.tracking == "linear"
     x = np.array([[0.5, 0.5]])
-    # linear tracking has constant curvature zero
+    # quadratic tracking (the default) has unit curvature, linear has zero
+    default = parse_config(write_cfg(tmp_path, MINIMAL, name="default.cfg"))
+    assert nodal(default.spec.d2L_dy2, x, np.array([3.0]))[0] == 1.0
+    cfg = parse_config(write_cfg(tmp_path, text))
     assert nodal(cfg.spec.d2L_dy2, x, np.array([3.0]))[0] == 0.0
 
 

@@ -1,0 +1,44 @@
+"""The helper scripts and the README's library example run as documented."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_run_benchmark_script():
+    proc = run_script("run_benchmark.py", "3", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("measures:") == 2
+    assert "level 3 " in proc.stdout and "level 4 " in proc.stdout
+
+
+def test_check_derivatives_script():
+    proc = run_script("check_derivatives.py", "3", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "at level 3 (seed 1234)" in proc.stdout
+    assert proc.stdout.rstrip().endswith("verdict: PASS")
+
+
+def test_readme_library_example(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "J* =" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssnbilinear import ConfigurationError, build_uniform_mesh, node_coordinates
+from ssnbilinear import ConfigurationError, build_uniform_mesh
 from ssnbilinear.mesh import MAX_LEVEL, triangle_areas
 
 levels = st.integers(min_value=1, max_value=6)
@@ -49,15 +49,7 @@ def test_nodes_lexicographic():
     for i in (0, 1, 7, 13, 24):
         row, col = divmod(i, side)
         np.testing.assert_allclose(mesh.nodes[i], [col * 0.25, row * 0.25])
-    np.testing.assert_allclose(node_coordinates(mesh, 12), [0.5, 0.5])
-
-
-def test_node_coordinates_range_checked():
-    mesh = build_uniform_mesh(1)
-    with pytest.raises(IndexError):
-        node_coordinates(mesh, mesh.n_nodes)
-    with pytest.raises(IndexError):
-        node_coordinates(mesh, -1)
+    np.testing.assert_allclose(mesh.nodes[12], [0.5, 0.5])
 
 
 @given(levels)

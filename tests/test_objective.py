@@ -5,20 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ssnbilinear import (
-    benchmark_instance,
-    build_uniform_mesh,
-    desired_state,
+from ssnbilinear import Discretization, build_uniform_mesh
+from ssnbilinear.assembly import assemble_lumped_mass
+from ssnbilinear.objective import (
+    _objective,
     evaluate_reduced,
     fd_curvature_oracle,
     fd_gradient_oracle,
     fit_decay_order,
-    gradient,
     hessian_vec,
-    objective,
 )
-from ssnbilinear.assembly import assemble_lumped_mass
-from ssnbilinear.pde import Discretization
+from ssnbilinear.problem import desired_state
 
 EPS = float(np.finfo(float).eps)
 
@@ -31,33 +28,21 @@ def test_objective_matches_direct_quadrature(bench, disc3):
     w = assemble_lumped_mass(disc3.mesh)
     yd = desired_state(disc3.mesh.nodes)
     direct = float(np.sum(w * (0.5 * (y - yd) ** 2 + 0.5 * bench.nu * u * u)))
-    assert objective(bench, disc3.mesh, u, y, disc=disc3) == pytest.approx(
-        direct, rel=1e-14
-    )
+    assert _objective(disc3, u, y) == pytest.approx(direct, rel=1e-14)
 
 
 def test_evaluate_reduced_is_consistent(bench, disc3):
     u = np.zeros(disc3.n_nodes)
-    ev = evaluate_reduced(bench, disc3.mesh, u, disc=disc3)
-    assert ev.J == pytest.approx(objective(bench, disc3.mesh, u, ev.y, disc=disc3))
+    ev = evaluate_reduced(disc3, u)
+    assert ev.J == pytest.approx(_objective(disc3, u, ev.y))
     np.testing.assert_array_equal(ev.grad, bench.nu * u - ev.y * ev.phi)
-    np.testing.assert_array_equal(
-        ev.grad, gradient(bench, disc3.mesh, u, ev.y, ev.phi)
-    )
-
-
-def test_gradient_shape_checked(bench):
-    mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        gradient(bench, mesh, np.zeros(4), np.zeros(9), np.zeros(9))
 
 
 def test_gradient_matches_finite_differences(bench):
     # central differences agree with the adjoint gradient at second order
     # until the difference quotient hits its roundoff floor
-    mesh = build_uniform_mesh(2)
-    disc = Discretization(bench, mesh)
-    base = evaluate_reduced(bench, mesh, np.zeros(disc.n_nodes), disc=disc)
+    disc = Discretization(bench, build_uniform_mesh(2))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     jscale = max(1.0, abs(base.J))
     rng = np.random.default_rng(42)
     for _ in range(3):
@@ -65,7 +50,7 @@ def test_gradient_matches_finite_differences(bench):
         v /= disc.norm(v)
         slope = disc.inner(base.grad, v)
         errs = {
-            t: abs(fd_gradient_oracle(bench, mesh, base.u, v, t, disc=disc) - slope)
+            t: abs(fd_gradient_oracle(disc, base.u, v, t) - slope)
             for t in (1e-2, 1e-3)
         }
         assert errs[1e-2] <= 1e-7 * jscale
@@ -74,18 +59,17 @@ def test_gradient_matches_finite_differences(bench):
 
 
 def test_hessian_quadratic_form_matches_second_differences(bench):
-    mesh = build_uniform_mesh(2)
-    disc = Discretization(bench, mesh)
-    base = evaluate_reduced(bench, mesh, np.zeros(disc.n_nodes), disc=disc)
+    disc = Discretization(bench, build_uniform_mesh(2))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     op = disc.linearized_operator(base.u, base.y)
     jscale = max(1.0, abs(base.J))
     rng = np.random.default_rng(43)
     v = rng.standard_normal(disc.n_nodes)
     v /= disc.norm(v)
-    hv = hessian_vec(bench, mesh, base.u, base.y, base.phi, v, disc=disc, operator=op)
+    hv = hessian_vec(disc, base.u, base.y, base.phi, v, op)
     quad = disc.inner(hv, v)
     errs = {
-        t: abs(fd_curvature_oracle(bench, mesh, base.u, v, t, disc=disc) - quad)
+        t: abs(fd_curvature_oracle(disc, base.u, v, t) - quad)
         for t in (1e-1, 3e-2, 1e-2)
     }
     assert errs[1e-1] <= 1e-6 * jscale
@@ -100,7 +84,7 @@ def test_hessian_linear_in_direction(bench, base_state3, disc3):
     rng = np.random.default_rng(44)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    h = lambda v: hessian_vec(bench, disc3.mesh, u, y, phi, v, disc=disc3, operator=op)
+    h = lambda v: hessian_vec(disc3, u, y, phi, v, op)
     np.testing.assert_allclose(
         h(1.5 * v1 - 2.0 * v2), 1.5 * h(v1) - 2.0 * h(v2), rtol=1e-11, atol=1e-14
     )
@@ -112,8 +96,8 @@ def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
     for _ in range(5):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        hv1 = hessian_vec(bench, disc3.mesh, u, y, phi, v1, disc=disc3, operator=op)
-        hv2 = hessian_vec(bench, disc3.mesh, u, y, phi, v2, disc=disc3, operator=op)
+        hv1 = hessian_vec(disc3, u, y, phi, v1, op)
+        hv2 = hessian_vec(disc3, u, y, phi, v2, op)
         a = disc3.inner(hv1, v2)
         b = disc3.inner(v1, hv2)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
@@ -142,7 +126,7 @@ def test_hessian_positive_at_solution(bench, disc3, solved3):
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         v /= disc3.norm(v)
-        hv = hessian_vec(bench, disc3.mesh, u, y, phi, v, disc=disc3, operator=op)
+        hv = hessian_vec(disc3, u, y, phi, v, op)
         assert disc3.inner(hv, v) > 0.0
 
 

@@ -7,14 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from ssnbilinear import (
+    Discretization,
     ProblemSpec,
     SolverError,
     benchmark_instance,
     build_uniform_mesh,
-    solve_adjoint,
-    solve_state,
 )
-from ssnbilinear.pde import Discretization, LinearizedOperator
+from ssnbilinear.pde import LinearizedOperator
 
 
 def linear_problem(dL=lambda x, y: y, L=lambda x, y: 0.5 * y * y, d2L=lambda x, y: 1.0):
@@ -38,18 +37,16 @@ def linear_problem(dL=lambda x, y: y, L=lambda x, y: 0.5 * y * y, d2L=lambda x, 
 
 
 def test_constant_state_zero_control():
-    spec = linear_problem()
-    mesh = build_uniform_mesh(4)
-    report = solve_state(spec, mesh, np.zeros(mesh.n_nodes))
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    report = disc.solve_state(disc.zeros())
     assert np.max(np.abs(report.y - 1.0)) <= 1e-12
     assert report.newton_iters == 1  # the problem is linear in y
 
 
 @pytest.mark.parametrize("c", [0.5, 0.25, -0.5])
 def test_constant_state_constant_control(c):
-    spec = linear_problem()
-    mesh = build_uniform_mesh(4)
-    report = solve_state(spec, mesh, np.full(mesh.n_nodes, c))
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    report = disc.solve_state(np.full(disc.n_nodes, c))
     assert np.max(np.abs(report.y - 1.0 / (1.0 + c))) <= 1e-12
     assert report.newton_iters == 1
 
@@ -93,27 +90,24 @@ def test_warm_start_skips_converged_solve(disc3):
 
 
 def test_state_solve_iteration_budget():
-    spec = benchmark_instance()
-    mesh = build_uniform_mesh(2)
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
     with pytest.raises(SolverError) as exc:
-        solve_state(spec, mesh, np.zeros(mesh.n_nodes), max_newton=0)
+        disc.solve_state(disc.zeros(), max_newton=0)
     assert len(exc.value.history) == 1
 
 
 def test_state_solve_rejects_bad_tolerance():
-    spec = linear_problem()
-    mesh = build_uniform_mesh(1)
+    disc = Discretization(linear_problem(), build_uniform_mesh(1))
     with pytest.raises(SolverError):
-        solve_state(spec, mesh, np.zeros(mesh.n_nodes), tol=-1.0)
+        disc.solve_state(disc.zeros(), tol=-1.0)
 
 
 def test_state_solve_detects_nonfinite_residual():
-    spec = benchmark_instance()
-    mesh = build_uniform_mesh(2)
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the quartic overflows by design here
         with pytest.raises(SolverError, match="not finite"):
-            solve_state(spec, mesh, np.zeros(mesh.n_nodes), y_init=np.full(mesh.n_nodes, 1e200))
+            disc.solve_state(disc.zeros(), y_init=np.full(disc.n_nodes, 1e200))
 
 
 def test_singular_operator_reported():
@@ -140,8 +134,9 @@ def test_adjoint_constant_solution():
     spec = linear_problem(dL=lambda x, y: r, L=lambda x, y: r * y, d2L=lambda x, y: 0.0)
     mesh = build_uniform_mesh(4)
     u = np.zeros(mesh.n_nodes)
-    y = solve_state(spec, mesh, u).y
-    phi = solve_adjoint(spec, mesh, u, y)
+    disc = Discretization(spec, mesh)
+    y = disc.solve_state(u).y
+    phi = disc.solve_adjoint(u, y)
     assert np.max(np.abs(phi - r)) <= 1e-12
 
 
@@ -242,12 +237,3 @@ def test_symmetric_mode_factor_is_sparse_and_accurate(bench):
         x = op.solve(b)
         assert np.linalg.norm(q @ x - b) <= 1e-13 * np.linalg.norm(b)
 
-
-def test_module_wrappers_match_methods(bench):
-    mesh = build_uniform_mesh(2)
-    disc = Discretization(bench, mesh)
-    u = np.zeros(disc.n_nodes)
-    report = solve_state(bench, mesh, u)
-    np.testing.assert_array_equal(report.y, disc.solve_state(u).y)
-    phi = solve_adjoint(bench, mesh, u, report.y)
-    np.testing.assert_array_equal(phi, disc.solve_adjoint(u, report.y))

@@ -6,14 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ssnbilinear import (
-    ConfigurationError,
-    ControlBounds,
-    benchmark_instance,
-    desired_state,
-    validate,
-)
-from ssnbilinear.problem import nodal
+from ssnbilinear import ConfigurationError, benchmark_instance, validate
+from ssnbilinear.problem import desired_state, nodal
 
 
 def pts(*coords):
@@ -76,26 +70,6 @@ def test_linear_tracking_variant():
 def test_unknown_tracking_rejected():
     with pytest.raises(ConfigurationError):
         benchmark_instance(tracking="cubic")
-
-
-def test_control_bounds():
-    b = ControlBounds(-1.0, 1.0)
-    np.testing.assert_array_equal(
-        b.clamp(np.array([-2.0, 0.5, 3.0])), [-1.0, 0.5, 1.0]
-    )
-    assert ControlBounds(0.0, math.inf).beta == math.inf
-    with pytest.raises(ConfigurationError):
-        ControlBounds(1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        ControlBounds(2.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        ControlBounds(-math.inf, 1.0)
-
-
-def test_bounds_property_roundtrip():
-    spec = benchmark_instance()
-    assert spec.bounds.alpha == spec.alpha
-    assert spec.bounds.beta == spec.beta
 
 
 def test_nodal_broadcasts_scalars():

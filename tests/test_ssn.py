@@ -10,21 +10,19 @@ from hypothesis.extra import numpy as hnp
 
 from ssnbilinear import (
     ConfigurationError,
+    Discretization,
     NegativeCurvatureError,
     SSNConfig,
     SolverError,
-    apply_Mj,
     benchmark_instance,
     build_uniform_mesh,
-    cg_solve,
-    classify,
     complementarity_report,
-    hessian_vec,
     optimality_residual,
     run_ssn,
-    ssn_step,
+    validate,
 )
-from ssnbilinear.pde import Discretization
+from ssnbilinear.objective import hessian_vec
+from ssnbilinear.ssn import _step, apply_Mj, cg_solve, classify
 
 finite_fields = hnp.arrays(
     np.float64,
@@ -131,11 +129,11 @@ def test_apply_Mj_vanishes_on_active_set(bench, base_state3, disc3):
     sets = classify(bench, y, phi)
     rng = np.random.default_rng(21)
     v = rng.standard_normal(disc3.n_nodes)
-    out = apply_Mj(bench, disc3.mesh, u, y, phi, sets, v, disc=disc3, operator=op)
+    out = apply_Mj(disc3, u, y, phi, sets, v, op)
     assert np.max(np.abs(out[~sets.inactive])) == 0.0
     # masking the input first changes nothing
     vi = np.where(sets.inactive, v, 0.0)
-    out2 = apply_Mj(bench, disc3.mesh, u, y, phi, sets, vi, disc=disc3, operator=op)
+    out2 = apply_Mj(disc3, u, y, phi, sets, vi, op)
     np.testing.assert_array_equal(out, out2)
 
 
@@ -146,8 +144,8 @@ def test_apply_Mj_self_adjoint(bench, base_state3, disc3):
     for _ in range(3):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        a1 = apply_Mj(bench, disc3.mesh, u, y, phi, sets, v1, disc=disc3, operator=op)
-        a2 = apply_Mj(bench, disc3.mesh, u, y, phi, sets, v2, disc=disc3, operator=op)
+        a1 = apply_Mj(disc3, u, y, phi, sets, v1, op)
+        a2 = apply_Mj(disc3, u, y, phi, sets, v2, op)
         lhs = disc3.inner(a1, v2)
         rhs = disc3.inner(v1, a2)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
@@ -156,8 +154,7 @@ def test_apply_Mj_self_adjoint(bench, base_state3, disc3):
 def test_apply_Mj_scales_hessian_when_nothing_is_active():
     # with bounds far away the operator is the reduced Hessian over nu
     spec = dataclasses.replace(benchmark_instance(), alpha=-100.0, beta=100.0)
-    mesh = build_uniform_mesh(2)
-    disc = Discretization(spec, mesh)
+    disc = Discretization(spec, build_uniform_mesh(2))
     u = np.zeros(disc.n_nodes)
     y = disc.solve_state(u).y
     op = disc.linearized_operator(u, y)
@@ -166,12 +163,20 @@ def test_apply_Mj_scales_hessian_when_nothing_is_active():
     assert np.all(sets.inactive)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(disc.n_nodes)
-    av = apply_Mj(spec, mesh, u, y, phi, sets, v, disc=disc, operator=op)
-    hv = hessian_vec(spec, mesh, u, y, phi, v, disc=disc, operator=op)
+    av = apply_Mj(disc, u, y, phi, sets, v, op)
+    hv = hessian_vec(disc, u, y, phi, v, op)
     np.testing.assert_allclose(spec.nu * av, hv, atol=1e-13)
 
 
 # --- single step ---------------------------------------------------------
+
+
+def one_step(disc, u, y_init=None):
+    """One outer iteration from u with the default tolerances."""
+    cfg = SSNConfig()
+    state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
+    result = _step(disc, 0, u, cfg, state)
+    return result.u_next, result.record
 
 
 def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
@@ -181,7 +186,7 @@ def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
     w[sets.upper] = bench.beta - u[sets.upper]
     w[sets.lower] = bench.alpha - u[sets.lower]
 
-    u_next, record = ssn_step(bench, disc3.mesh, u, disc=disc3)
+    u_next, record = one_step(disc3, u)
     v = u_next - u  # u = 0, so this is the raw correction
     active = ~sets.inactive
     np.testing.assert_array_equal(v[active], w[active])
@@ -201,15 +206,15 @@ def test_step_solves_reduced_system_to_tolerance(bench, disc3, base_state3):
     eta_a = disc3.solve_linearized_adjoint(u, y, phi, z_a, w_active, operator=op)
     rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / bench.nu, 0.0)
 
-    u_next, _ = ssn_step(bench, disc3.mesh, u, disc=disc3)
+    u_next, _ = one_step(disc3, u)
     vi = np.where(sets.inactive, u_next - u, 0.0)
-    resid = apply_Mj(bench, disc3.mesh, u, y, phi, sets, vi, disc=disc3, operator=op) - rhs
+    resid = apply_Mj(disc3, u, y, phi, sets, vi, op) - rhs
     assert disc3.norm(resid) <= 1e-12 * disc3.norm(rhs)
 
 
 def test_step_from_converged_control_is_a_fixed_point(bench, disc3, solved3):
     u, y, _, _ = solved3
-    u_next, record = ssn_step(bench, disc3.mesh, u, disc=disc3, y_init=y)
+    u_next, record = one_step(disc3, u, y_init=y)
     assert disc3.norm(u_next - u) <= 1e-10
     assert record.delta <= 1e-10
 
@@ -233,8 +238,7 @@ def test_run_records_are_well_formed(solved3):
 
 
 def test_run_is_superlinear_on_the_benchmark(bench):
-    mesh = build_uniform_mesh(4)
-    _, _, _, records = run_ssn(bench, mesh)
+    _, _, _, records = run_ssn(Discretization(bench, build_uniform_mesh(4)))
     deltas = [r.delta for r in records if r.delta is not None]
     for j in range(1, len(deltas) - 1):
         if deltas[j] < 1e-12:
@@ -248,29 +252,41 @@ def test_run_satisfies_projection_formula(bench, disc3, solved3):
 
 
 def test_run_with_scalar_initial_control(bench):
-    mesh = build_uniform_mesh(2)
-    cfg = SSNConfig(u0=0.5)
-    u, _, _, records = run_ssn(bench, mesh, cfg)
+    disc = Discretization(bench, build_uniform_mesh(2))
+    u, _, _, records = run_ssn(disc, SSNConfig(u0=0.5))
     assert len(records) >= 2
     assert np.all(u >= bench.alpha - 1e-12) and np.all(u <= bench.beta + 1e-12)
 
 
 def test_run_rejects_bad_initial_control_shape(bench):
-    mesh = build_uniform_mesh(2)
+    disc = Discretization(bench, build_uniform_mesh(2))
     with pytest.raises(ConfigurationError):
-        run_ssn(bench, mesh, SSNConfig(u0=np.zeros(3)))
+        run_ssn(disc, SSNConfig(u0=np.zeros(3)))
 
 
 def test_run_validates_problem_data():
     spec = dataclasses.replace(benchmark_instance(), nu=0.0)
     with pytest.raises(ConfigurationError, match="nu"):
-        run_ssn(spec, build_uniform_mesh(2))
+        run_ssn(Discretization(spec, build_uniform_mesh(2)))
+
+
+def test_run_checks_structure_but_not_the_derivative_lint():
+    # alpha = -3 < -a0 makes Q indefinite for admissible controls: rejected
+    crossed = dataclasses.replace(benchmark_instance(), alpha=-3.0)
+    with pytest.raises(ConfigurationError, match="-a0"):
+        run_ssn(Discretization(crossed, build_uniform_mesh(2)))
+    # a 1% error in dL_dy fails validate(spec) but is the caller's call
+    bench = benchmark_instance()
+    misscaled = dataclasses.replace(bench, dL_dy=lambda x, y: 1.01 * bench.dL_dy(x, y))
+    assert any("dL_dy vs L" in m for m in validate(misscaled))
+    _, _, _, records = run_ssn(Discretization(misscaled, build_uniform_mesh(2)))
+    assert records[-2].delta < SSNConfig().step_floor(25)
 
 
 def test_run_iteration_budget_carries_history(bench):
-    mesh = build_uniform_mesh(3)
+    disc = Discretization(bench, build_uniform_mesh(3))
     with pytest.raises(SolverError) as exc:
-        run_ssn(bench, mesh, SSNConfig(max_outer=1))
+        run_ssn(disc, SSNConfig(max_outer=1))
     assert len(exc.value.history) == 1
     assert exc.value.history[0].j == 0
 
@@ -285,8 +301,8 @@ def ladder_runs():
     for tracking in ("quadratic", "linear"):
         spec = benchmark_instance(tracking)
         for level in LADDER:
-            mesh = build_uniform_mesh(level)
-            runs[tracking, level] = (spec, mesh.n_nodes, *run_ssn(spec, mesh))
+            disc = Discretization(spec, build_uniform_mesh(level))
+            runs[tracking, level] = (spec, disc.n_nodes, *run_ssn(disc))
     return runs
 
 
@@ -336,7 +352,7 @@ def test_ssn_config_validation():
 
 def test_complementarity_partition(bench, disc3, solved3):
     u, y, phi, _ = solved3
-    report = complementarity_report(bench, disc3.mesh, u, y, phi, disc=disc3)
+    report = complementarity_report(disc3, u, y, phi)
     assert report.upper + report.lower + report.interior == pytest.approx(
         1.0, abs=1e-12
     )
@@ -346,14 +362,15 @@ def test_complementarity_partition(bench, disc3, solved3):
 
 def test_complementarity_strict_on_benchmark(bench, disc3, solved3):
     u, y, phi, _ = solved3
-    report = complementarity_report(bench, disc3.mesh, u, y, phi, disc=disc3)
+    report = complementarity_report(disc3, u, y, phi)
     assert report.sigma == 0.0
     assert report.upper > 0.3 and report.lower > 0.1  # both bounds genuinely bind
 
 
 def test_complementarity_with_infinite_upper_bound(disc3):
     spec = dataclasses.replace(benchmark_instance(), beta=np.inf)
-    n = disc3.n_nodes
+    disc = Discretization(spec, disc3.mesh)
+    n = disc.n_nodes
     u = np.zeros(n)
-    report = complementarity_report(spec, disc3.mesh, u, np.ones(n), np.ones(n), disc=disc3)
+    report = complementarity_report(disc, u, np.ones(n), np.ones(n))
     assert report.upper == 0.0
