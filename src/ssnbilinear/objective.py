@@ -36,6 +36,7 @@ class ReducedEval:
     phi: np.ndarray
     J: float
     grad: np.ndarray
+    operator: LinearizedOperator  # the factorization of Q(u, y)
 
 
 def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
@@ -45,15 +46,14 @@ def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
 
 def _hessian_term(
     disc: Discretization,
-    u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     v: np.ndarray,
     operator: LinearizedOperator,
 ) -> np.ndarray:
     """phi*z_v + y*eta_v: the linearized state and adjoint solves for v."""
-    z = disc.solve_linearized_state(u, y, v, operator=operator)
-    eta = disc.solve_linearized_adjoint(u, y, phi, z, v, operator=operator)
+    z = disc.solve_linearized_state(y, v, operator=operator)
+    eta = disc.solve_linearized_adjoint(y, phi, z, v, operator=operator)
     return phi * z + y * eta
 
 
@@ -66,7 +66,7 @@ def hessian_vec(
     operator: LinearizedOperator,
 ) -> np.ndarray:
     """Apply the reduced Hessian at u to a direction v."""
-    return disc.spec.nu * v - _hessian_term(disc, u, y, phi, v, operator)
+    return disc.spec.nu * v - _hessian_term(disc, y, phi, v, operator)
 
 
 def evaluate_reduced(
@@ -78,7 +78,12 @@ def evaluate_reduced(
     op = disc.linearized_operator(u, y)
     phi = disc.solve_adjoint(u, y, operator=op)
     return ReducedEval(
-        u=u, y=y, phi=phi, J=_objective(disc, u, y), grad=disc.spec.nu * u - y * phi
+        u=u,
+        y=y,
+        phi=phi,
+        J=_objective(disc, u, y),
+        grad=disc.spec.nu * u - y * phi,
+        operator=op,
     )
 
 

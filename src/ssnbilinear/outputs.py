@@ -5,6 +5,8 @@ all writers emit fields in the mesh's lexicographic node order, which is
 the point order of a VTK structured grid (first coordinate fastest).
 """
 
+import weakref
+
 import numpy as np
 
 from .mesh import TriMesh
@@ -27,6 +29,19 @@ def write_convergence_csv(path, records: list[IterationRecord]) -> None:
         handle.write(format_csv(records))
 
 
+# The POINTS block of each mesh, formatted once: every field written on a
+# mesh repeats it, and formatting it is most of a write.
+_POINTS_BLOCKS: "weakref.WeakKeyDictionary[TriMesh, str]" = weakref.WeakKeyDictionary()
+
+
+def _points_block(mesh: TriMesh) -> str:
+    block = _POINTS_BLOCKS.get(mesh)
+    if block is None:
+        block = "\n".join(f"{x1:.16e} {x2:.16e} 0.0" for x1, x2 in mesh.nodes.tolist())
+        _POINTS_BLOCKS[mesh] = block
+    return block
+
+
 def write_structured_vtk(path, mesh: TriMesh, name: str, values: np.ndarray) -> None:
     """One scalar nodal field as a legacy-ASCII VTK structured grid."""
     side = 2 ** mesh.level + 1
@@ -38,14 +53,12 @@ def write_structured_vtk(path, mesh: TriMesh, name: str, values: np.ndarray) -> 
         "DATASET STRUCTURED_GRID",
         f"DIMENSIONS {side} {side} 1",
         f"POINTS {n} double",
+        _points_block(mesh),
+        f"POINT_DATA {n}",
+        f"SCALARS {name} double 1",
+        "LOOKUP_TABLE default",
     ]
-    for x1, x2 in mesh.nodes:
-        lines.append(f"{x1:.16e} {x2:.16e} 0.0")
-    lines.append(f"POINT_DATA {n}")
-    lines.append(f"SCALARS {name} double 1")
-    lines.append("LOOKUP_TABLE default")
-    for v in values:
-        lines.append(f"{v:.16e}")
+    lines.extend(f"{v:.16e}" for v in np.asarray(values).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -12,15 +12,26 @@ with K the stiffness matrix and w the lumped mass weights:
     linearized adjoint Q eta = w * ((d2L_dy2 - phi*d2a_dy2)*z - phi*v)
 
 Q is symmetric, and positive definite whenever da_dy + u > 0 at every
-node, so one sparse direct factorization per (u, y) pair serves every
-right-hand side of an outer iteration.  SuperLU factors Q in symmetric
-mode: columns are ordered by multiple minimum degree on the pattern of
-Q^T + Q (MMD_AT_PLUS_A), and the pivots are taken from the diagonal
-(diag_pivot_thresh = 0).  Gaussian elimination on a symmetric positive
-definite matrix is stable without row interchanges, so the symmetric
-fill-reducing ordering is kept intact.  The nonlinear state equation is
-solved by Newton's method with the exact Jacobian Q and residual-halving
-damping; the residual is measured in the lumped L2 norm.
+node.  A system solved for many right-hand sides with one Q (the outer
+iteration's adjoint and CG solves, the Hessian of `verify`) gets its own
+sparse direct factorization.  A system solved only once (every state
+Newton step, and an adjoint solve without a supplied operator) runs
+preconditioned CG on Q, preconditioned by the most recent factorization
+the Discretization keeps.  Both matrices share K and the lumped diagonal
+c = da_dy + u > 0, so the preconditioned operator's condition number is
+at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  If CG
+has not reached a relative residual of PCG_RTOL within PCG_MAX_ITERS
+steps, or breaks down, Q is factored and solved directly instead, and
+that factor replaces the kept one.
+
+SuperLU factors Q in symmetric mode: columns are ordered by multiple
+minimum degree on the pattern of Q^T + Q (MMD_AT_PLUS_A), and the pivots
+are taken from the diagonal (diag_pivot_thresh = 0).  Gaussian
+elimination on a symmetric positive definite matrix is stable without
+row interchanges, so the symmetric fill-reducing ordering is kept
+intact.  The nonlinear state equation is solved by Newton's method with
+the exact Jacobian Q and residual-halving damping; the residual is
+measured in the lumped L2 norm.
 """
 
 from dataclasses import dataclass
@@ -41,6 +52,11 @@ from .problem import ProblemSpec, nodal
 DEFAULT_TOL = 5e-14
 MAX_NEWTON = 50
 MAX_HALVINGS = 30
+# A factorization of Q costs about 28 (level 6) to 46 (level 8) iterations
+# of preconditioned CG, so a PCG attempt that runs out wastes about one
+# factorization.  The one-off solves of `run` and `verify` take at most 19.
+PCG_MAX_ITERS = 30
+PCG_RTOL = 1e-13
 
 
 class LinearizedOperator:
@@ -61,6 +77,38 @@ class LinearizedOperator:
         return self._lu.solve(rhs)
 
 
+def _pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition) -> np.ndarray | None:
+    """Preconditioned CG from a zero start; None unless it converges.
+
+    Converged means ||rhs - matrix x||_2 <= PCG_RTOL ||rhs||_2 within
+    PCG_MAX_ITERS iterations.  Nonpositive or nonfinite curvature gives
+    up at once: the caller then solves directly.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    target = PCG_RTOL * np.linalg.norm(rhs)
+    if np.linalg.norm(r) <= target:
+        return x
+    z = precondition(r)
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(PCG_MAX_ITERS):
+        qp = matrix @ p
+        pqp = float(p @ qp)
+        if not (np.isfinite(rz) and np.isfinite(pqp) and pqp > 0):
+            return None
+        step = rz / pqp
+        x += step * p
+        r -= step * qp
+        if np.linalg.norm(r) <= target:
+            return x
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return None
+
+
 @dataclass
 class StateSolveReport:
     """Result of one nonlinear state solve."""
@@ -76,6 +124,10 @@ class Discretization:
     Building one of these is the expensive, reusable part of every solve;
     every solve, objective evaluation and outer loop goes through one
     instance, which the outer loop keeps alive for its whole run.
+
+    The instance keeps its most recent factorization as the preconditioner
+    of one-off solves (at most one is kept; release_factorization drops it)
+    and counts the factorizations it makes in factor_count.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -85,6 +137,8 @@ class Discretization:
         self.stiffness = assemble_stiffness(mesh, spec.diffusion)
         self.weights = assemble_lumped_mass(mesh)
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
+        self.factor_count = 0
+        self._last_factor: LinearizedOperator | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -111,7 +165,31 @@ class Discretization:
         return (self.stiffness + sp.diags(self.weights * c)).tocsc()
 
     def linearized_operator(self, u: np.ndarray, y: np.ndarray) -> LinearizedOperator:
-        return LinearizedOperator(self.linearized_matrix(u, y))
+        """A fresh factorization of Q(u, y), kept as the preconditioner."""
+        return self._factor(self.linearized_matrix(u, y))
+
+    def _factor(self, matrix: sp.csc_matrix) -> LinearizedOperator:
+        self._last_factor = None  # let the old LU go before the new one exists
+        self._last_factor = LinearizedOperator(matrix)
+        self.factor_count += 1
+        return self._last_factor
+
+    def release_factorization(self) -> None:
+        """Drop the kept factorization; the next one-off solve factors."""
+        self._last_factor = None
+
+    def _solve_once(self, u: np.ndarray, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Q(u, y) x = rhs for a single right-hand side.
+
+        PCG preconditioned by the kept factorization; a fresh factorization
+        when there is none or PCG does not converge.
+        """
+        matrix = self.linearized_matrix(u, y)
+        if self._last_factor is not None:
+            x = _pcg(matrix, rhs, self._last_factor.solve)
+            if x is not None:
+                return x
+        return self._factor(matrix).solve(rhs)
 
     def solve_state(
         self,
@@ -146,7 +224,7 @@ class Discretization:
                     f"iterations (residual {rnorm:.3e}, tol {tol:.3e})",
                     history=history,
                 )
-            step = self.linearized_operator(u, y).solve(-r)
+            step = self._solve_once(u, y, -r)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 y_new = y + scale * step
@@ -166,12 +244,13 @@ class Discretization:
         y: np.ndarray,
         operator: LinearizedOperator | None = None,
     ) -> np.ndarray:
-        op = operator if operator is not None else self.linearized_operator(u, y)
-        return op.solve(self.weights * nodal(self.spec.dL_dy, self.x, y))
+        rhs = self.weights * nodal(self.spec.dL_dy, self.x, y)
+        if operator is None:
+            return self._solve_once(u, y, rhs)
+        return operator.solve(rhs)
 
     def solve_linearized_state(
         self,
-        u: np.ndarray,
         y: np.ndarray,
         v: np.ndarray,
         operator: LinearizedOperator,
@@ -180,7 +259,6 @@ class Discretization:
 
     def solve_linearized_adjoint(
         self,
-        u: np.ndarray,
         y: np.ndarray,
         phi: np.ndarray,
         z: np.ndarray,

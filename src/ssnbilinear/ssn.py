@@ -11,7 +11,8 @@ on the active sets (w = bound - u there), and solves the reduced
 quadratic problem for the inactive components with a matrix-free
 conjugate gradient method in the lumped L2 inner product.  One CG
 operator application costs two linear PDE solves reusing the outer
-iteration's factorization.
+iteration's factorization, which then preconditions the next state
+solve's Newton steps and the final adjoint solve (see pde).
 
 The loop stops when the scaled step norm
 
@@ -120,7 +121,7 @@ def apply_Mj(
     chi_I*v, and the result chi_I*(v - (phi*z + eta*y)/nu) is returned.
     """
     vi = np.where(sets.inactive, v, 0.0)
-    term = _hessian_term(disc, u, y, phi, vi, operator)
+    term = _hessian_term(disc, y, phi, vi, operator)
     return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
@@ -197,7 +198,7 @@ def _step(
     w[sets.lower] = spec.alpha - u[sets.lower]
 
     w_active = np.where(sets.inactive, 0.0, w)
-    term = _hessian_term(disc, u, y, phi, w_active, op)
+    term = _hessian_term(disc, y, phi, w_active, op)
     rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
 
     def apply(v):
@@ -265,26 +266,30 @@ def run_ssn(
     records: list[IterationRecord] = []
     y_warm: np.ndarray | None = None
 
-    for j in range(cfg.max_outer):
-        state = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
-        result = _step(disc, j, u, cfg, state)
-        records.append(result.record)
-        u, y_warm = result.u_next, result.y
+    try:
+        for j in range(cfg.max_outer):
+            state = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
+            result = _step(disc, j, u, cfg, state)
+            records.append(result.record)
+            u, y_warm = result.u_next, result.y
 
-        if result.record.delta < floor:
-            final = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
-            records.append(
-                IterationRecord(
-                    j=j + 1,
-                    J=_objective(disc, u, final.y),
-                    delta=None,
-                    newton_iters=final.newton_iters,
-                    cg_iters=None,
-                    measures=None,
+            if result.record.delta < floor:
+                final = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
+                records.append(
+                    IterationRecord(
+                        j=j + 1,
+                        J=_objective(disc, u, final.y),
+                        delta=None,
+                        newton_iters=final.newton_iters,
+                        cg_iters=None,
+                        measures=None,
+                    )
                 )
-            )
-            phi = disc.solve_adjoint(u, final.y)
-            return u, final.y, phi, records
+                phi = disc.solve_adjoint(u, final.y)
+                return u, final.y, phi, records
+    finally:
+        # the caller's disc outlives the run; its last LU need not
+        disc.release_factorization()
 
     raise SolverError(
         f"ssn: no convergence in {cfg.max_outer} outer iterations",

@@ -84,7 +84,6 @@ def verify_derivatives(
     """
     disc = Discretization(spec, build_uniform_mesh(level))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
-    op = disc.linearized_operator(base.u, base.y)
     jscale = max(1.0, abs(base.J))
     eps = float(np.finfo(float).eps)
 
@@ -111,7 +110,7 @@ def verify_derivatives(
             grad_floors.append(_FLOOR_FACTOR * eps * jscale / t)
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
 
-        hv = hessian_vec(disc, base.u, base.y, base.phi, v, op)
+        hv = hessian_vec(disc, base.u, base.y, base.phi, v, base.operator)
         quad = disc.inner(hv, v)
         curv_errors = []
         curv_floors = []

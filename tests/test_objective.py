@@ -15,7 +15,7 @@ from ssnbilinear.objective import (
     fit_decay_order,
     hessian_vec,
 )
-from ssnbilinear.problem import desired_state
+from ssnbilinear.problem import desired_state, nodal
 
 EPS = float(np.finfo(float).eps)
 
@@ -36,6 +36,16 @@ def test_evaluate_reduced_is_consistent(bench, disc3):
     ev = evaluate_reduced(disc3, u)
     assert ev.J == pytest.approx(_objective(disc3, u, ev.y))
     np.testing.assert_array_equal(ev.grad, bench.nu * u - ev.y * ev.phi)
+
+
+def test_evaluate_reduced_carries_its_factorization(bench):
+    # a cold start factors at its first Newton step; the adjoint's
+    # factorization at (u, y) is the second and is handed to the caller
+    disc = Discretization(bench, build_uniform_mesh(3))
+    ev = evaluate_reduced(disc, np.zeros(disc.n_nodes))
+    assert disc.factor_count == 2
+    rhs = disc.weights * nodal(bench.dL_dy, disc.x, ev.y)
+    np.testing.assert_array_equal(ev.operator.solve(rhs), ev.phi)
 
 
 def test_gradient_matches_finite_differences(bench):
@@ -61,7 +71,7 @@ def test_gradient_matches_finite_differences(bench):
 def test_hessian_quadratic_form_matches_second_differences(bench):
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
-    op = disc.linearized_operator(base.u, base.y)
+    op = base.operator
     jscale = max(1.0, abs(base.J))
     rng = np.random.default_rng(43)
     v = rng.standard_normal(disc.n_nodes)
@@ -105,15 +115,13 @@ def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
 
 def test_gradient_sensitivity_route(bench, base_state3, disc3):
     # J'(u)v computed through the adjoint equals the linearized-state route
-    from ssnbilinear.problem import nodal
-
     u, y, phi, op = base_state3
     grad = bench.nu * u - y * phi
     dl = nodal(bench.dL_dy, disc3.x, y)
     rng = np.random.default_rng(46)
     for _ in range(4):
         v = rng.standard_normal(disc3.n_nodes)
-        z = disc3.solve_linearized_state(u, y, v, operator=op)
+        z = disc3.solve_linearized_state(y, v, operator=op)
         adjoint_route = disc3.inner(grad, v)
         sensitivity_route = disc3.inner(dl, z) + bench.nu * disc3.inner(u, v)
         assert adjoint_route == pytest.approx(sensitivity_route, rel=1e-11, abs=1e-13)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ssnbilinear import (
     Discretization,
@@ -13,7 +14,7 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
 )
-from ssnbilinear.pde import LinearizedOperator
+from ssnbilinear.pde import PCG_MAX_ITERS, LinearizedOperator, _pcg
 
 
 def linear_problem(dL=lambda x, y: y, L=lambda x, y: 0.5 * y * y, d2L=lambda x, y: 1.0):
@@ -89,6 +90,47 @@ def test_warm_start_skips_converged_solve(disc3):
     np.testing.assert_array_equal(again.y, first.y)
 
 
+# --- one-off solves preconditioned by the kept factorization -----------
+
+
+def test_second_state_solve_reuses_the_kept_factorization():
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    disc.solve_state(disc.zeros())
+    assert disc.factor_count == 1
+    report = disc.solve_state(np.full(disc.n_nodes, 0.25))
+    assert disc.factor_count == 1
+    assert report.newton_iters == 1
+    assert np.max(np.abs(report.y - 1.0 / 1.25)) <= 1e-12
+
+
+def test_pcg_past_the_cap_factors_directly():
+    # the kept factor of Q(0) is a poor preconditioner for a control that
+    # varies over four orders of magnitude: PCG gives up, Q is factored
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    disc.solve_state(disc.zeros())
+    u = np.random.default_rng(3).uniform(0.0, 1e4, disc.n_nodes)
+    q = disc.linearized_matrix(u, disc.zeros())
+    kept = LinearizedOperator(disc.linearized_matrix(disc.zeros(), disc.zeros()))
+    assert _pcg(q, disc.weights, kept.solve) is None
+    report = disc.solve_state(u)
+    assert disc.factor_count == 2
+    assert report.newton_iters == 1
+    direct = spla.spsolve(q, disc.weights)
+    assert np.max(np.abs(report.y - direct)) <= 1e-12
+
+
+def test_pcg_never_returns_an_unconverged_iterate():
+    rhs = np.ones(4)
+    # negative curvature
+    assert _pcg(-sp.identity(4, format="csr"), rhs, lambda r: r) is None
+    # nonfinite preconditioner output
+    assert _pcg(sp.identity(4, format="csr"), rhs, lambda r: np.full_like(r, np.inf)) is None
+    # n distinct eigenvalues need n unpreconditioned iterations
+    n = PCG_MAX_ITERS + 5
+    spread = sp.diags(np.geomspace(1.0, 1e6, n)).tocsr()
+    assert _pcg(spread, np.ones(n), lambda r: r) is None
+
+
 def test_state_solve_iteration_budget():
     disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
     with pytest.raises(SolverError) as exc:
@@ -149,20 +191,20 @@ def test_adjoint_reuses_supplied_factorization(base_state3, disc3):
 
 
 def test_linearized_state_zero_direction(base_state3, disc3):
-    u, y, _, op = base_state3
-    z = disc3.solve_linearized_state(u, y, disc3.zeros(), operator=op)
+    _, y, _, op = base_state3
+    z = disc3.solve_linearized_state(y, disc3.zeros(), operator=op)
     assert np.max(np.abs(z)) == 0.0
 
 
 def test_linearized_state_linear_in_direction(base_state3, disc3):
-    u, y, _, op = base_state3
+    _, y, _, op = base_state3
     rng = np.random.default_rng(2)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    z = disc3.solve_linearized_state(u, y, 2.0 * v1 - 3.0 * v2, operator=op)
+    z = disc3.solve_linearized_state(y, 2.0 * v1 - 3.0 * v2, operator=op)
     z12 = 2.0 * disc3.solve_linearized_state(
-        u, y, v1, operator=op
-    ) - 3.0 * disc3.solve_linearized_state(u, y, v2, operator=op)
+        y, v1, operator=op
+    ) - 3.0 * disc3.solve_linearized_state(y, v2, operator=op)
     np.testing.assert_allclose(z, z12, rtol=1e-12, atol=1e-15)
 
 
@@ -171,7 +213,7 @@ def test_linearized_state_matches_difference_quotient(base_state3, disc3):
     rng = np.random.default_rng(5)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(u, y, v, operator=op)
+    z = disc3.solve_linearized_state(y, v, operator=op)
     errs = []
     for t in (1e-2, 1e-3):
         yp = disc3.solve_state(u + t * v).y
@@ -186,8 +228,8 @@ def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
     rng = np.random.default_rng(6)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(u, y, v, operator=op)
-    eta = disc3.solve_linearized_adjoint(u, y, phi, z, v, operator=op)
+    z = disc3.solve_linearized_state(y, v, operator=op)
+    eta = disc3.solve_linearized_adjoint(y, phi, z, v, operator=op)
     errs = []
     for t in (1e-2, 1e-3):
         php = disc3.solve_adjoint(u + t * v, disc3.solve_state(u + t * v).y)
@@ -199,13 +241,13 @@ def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
 
 def test_linearized_solve_transpose_identity(base_state3, disc3):
     # z_v = Q^{-1}(-W y v) makes (W y w)^T z_v symmetric in v and w
-    u, y, _, op = base_state3
+    _, y, _, op = base_state3
     rng = np.random.default_rng(9)
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         w = rng.standard_normal(disc3.n_nodes)
-        zv = disc3.solve_linearized_state(u, y, v, operator=op)
-        zw = disc3.solve_linearized_state(u, y, w, operator=op)
+        zv = disc3.solve_linearized_state(y, v, operator=op)
+        zw = disc3.solve_linearized_state(y, w, operator=op)
         lhs = float(np.sum(disc3.weights * y * w * zv))
         rhs = float(np.sum(disc3.weights * y * v * zw))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)

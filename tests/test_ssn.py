@@ -1,6 +1,7 @@
 """Outer loop: classification, CG subproblem, convergence, reports."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -202,8 +203,8 @@ def test_step_solves_reduced_system_to_tolerance(bench, disc3, base_state3):
     w[sets.upper] = bench.beta - u[sets.upper]
     w[sets.lower] = bench.alpha - u[sets.lower]
     w_active = np.where(sets.inactive, 0.0, w)
-    z_a = disc3.solve_linearized_state(u, y, w_active, operator=op)
-    eta_a = disc3.solve_linearized_adjoint(u, y, phi, z_a, w_active, operator=op)
+    z_a = disc3.solve_linearized_state(y, w_active, operator=op)
+    eta_a = disc3.solve_linearized_adjoint(y, phi, z_a, w_active, operator=op)
     rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / bench.nu, 0.0)
 
     u_next, _ = one_step(disc3, u)
@@ -313,6 +314,44 @@ def test_outer_counts_equal_across_levels(ladder_runs, tracking):
         for level in LADDER
     }
     assert max(counts.values()) == min(counts.values()), counts
+
+
+@pytest.mark.parametrize("tracking", ["quadratic", "linear"])
+def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
+    # the factorization-preconditioned state solves take exactly as many
+    # Newton steps as direct solves did
+    for level in LADDER:
+        records = ladder_runs[tracking, level][-1]
+        newton = [r.newton_iters for r in records]
+        if tracking == "quadratic" and level == 4:
+            assert newton == [5, 4, 2, 1, 0]
+        else:
+            assert newton == [5, 3, 2, 1, 0], (level, newton)
+        assert [r.cg_iters for r in records[:-1]] == [7, 7, 7, 7]
+
+
+def test_run_factors_once_per_outer_iteration_plus_once(bench):
+    # one factorization per outer iteration (adjoint and CG), plus the
+    # first Newton step of the cold start; every other solve reuses one
+    disc = Discretization(bench, build_uniform_mesh(6))
+    _, _, _, records = run_ssn(disc)
+    assert len(records) - 1 == 4
+    assert disc.factor_count == 5
+
+
+def test_run_releases_its_last_factorization(bench):
+    made = []
+
+    class Recording(Discretization):
+        def _factor(self, matrix):
+            op = super()._factor(matrix)
+            made.append(weakref.ref(op))
+            return op
+
+    disc = Recording(bench, build_uniform_mesh(3))
+    run_ssn(disc)
+    assert len(made) == disc.factor_count >= 2
+    assert all(ref() is None for ref in made)
 
 
 def test_ladder_runs_satisfy_projection_identity(ladder_runs):
