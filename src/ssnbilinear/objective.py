@@ -59,13 +59,12 @@ def _hessian_term(
 
 def hessian_vec(
     disc: Discretization,
-    u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     v: np.ndarray,
     operator: LinearizedOperator,
 ) -> np.ndarray:
-    """Apply the reduced Hessian at u to a direction v."""
+    """Apply the reduced Hessian at the point of (y, phi, operator) to v."""
     return disc.spec.nu * v - _hessian_term(disc, y, phi, v, operator)
 
 
@@ -96,27 +95,35 @@ def fd_gradient_oracle(
     disc: Discretization,
     u: np.ndarray,
     v: np.ndarray,
-    t: float,
+    ts,
     tol: float = DEFAULT_TOL,
-) -> float:
-    """Central difference (J(u+tv) - J(u-tv)) / (2t), fresh solves each."""
-    return (
-        _fresh_objective(disc, u + t * v, tol) - _fresh_objective(disc, u - t * v, tol)
-    ) / (2.0 * t)
+) -> list[float]:
+    """Central differences (J(u+tv) - J(u-tv)) / (2t), one per step t in ts."""
+    return [
+        (_fresh_objective(disc, u + t * v, tol) - _fresh_objective(disc, u - t * v, tol))
+        / (2.0 * t)
+        for t in ts
+    ]
 
 
 def fd_curvature_oracle(
     disc: Discretization,
     u: np.ndarray,
     v: np.ndarray,
-    t: float,
+    ts,
     tol: float = DEFAULT_TOL,
-) -> float:
-    """Second central difference (J(u+tv) - 2J(u) + J(u-tv)) / t^2."""
-    jp = _fresh_objective(disc, u + t * v, tol)
+) -> list[float]:
+    """Second central differences (J(u+tv) - 2J(u) + J(u-tv)) / t^2 per t in ts.
+
+    J(u) is solved once and shared by every step.
+    """
     j0 = _fresh_objective(disc, u, tol)
-    jm = _fresh_objective(disc, u - t * v, tol)
-    return (jp - 2.0 * j0 + jm) / (t * t)
+    out = []
+    for t in ts:
+        jp = _fresh_objective(disc, u + t * v, tol)
+        jm = _fresh_objective(disc, u - t * v, tol)
+        out.append((jp - 2.0 * j0 + jm) / (t * t))
+    return out
 
 
 def fit_decay_order(

@@ -16,12 +16,13 @@ node.  A system solved for many right-hand sides with one Q (the outer
 iteration's adjoint and CG solves, the Hessian of `verify`) gets its own
 sparse direct factorization.  A system solved only once (every state
 Newton step, and an adjoint solve without a supplied operator) runs
-preconditioned CG on Q, preconditioned by the most recent factorization
-the Discretization keeps.  Both matrices share K and the lumped diagonal
+matrix-free preconditioned CG, applying Q as K p + d*p with
+d = w*(da_dy + u), preconditioned by the most recent factorization the
+Discretization keeps.  Both matrices share K and the lumped diagonal
 c = da_dy + u > 0, so the preconditioned operator's condition number is
 at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  If CG
-has not reached a relative residual of PCG_RTOL within PCG_MAX_ITERS
-steps, or breaks down, Q is factored and solved directly instead, and
+has not reached its relative residual within PCG_MAX_ITERS steps, or
+breaks down, Q is assembled, factored and solved directly instead, and
 that factor replaces the kept one.
 
 SuperLU factors Q in symmetric mode: columns are ordered by multiple
@@ -29,9 +30,20 @@ minimum degree on the pattern of Q^T + Q (MMD_AT_PLUS_A), and the pivots
 are taken from the diagonal (diag_pivot_thresh = 0).  Gaussian
 elimination on a symmetric positive definite matrix is stable without
 row interchanges, so the symmetric fill-reducing ordering is kept
-intact.  The nonlinear state equation is solved by Newton's method with
+intact.
+
+The nonlinear state equation is solved by an inexact Newton method with
 the exact Jacobian Q and residual-halving damping; the residual is
-measured in the lumped L2 norm.
+measured in the lumped L2 norm.  Step k solves Q s = -r_k by PCG only to
+the relative 2-norm residual
+
+    eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, (||r_k||_h / ||r_0||_h)^2)),
+
+a forcing term bounded by a multiple of ||r_k||_h, which keeps the local
+q-quadratic rate of exact Newton (Dembo, Eisenstat, Steihaug, SIAM J.
+Numer. Anal. 19 (1982); Eisenstat, Walker, SIAM J. Sci. Comput. 17
+(1996)).  The loop still stops only on ||r||_h <= tol.  The final adjoint
+solve is not a Newton step and runs to PCG_RTOL.
 """
 
 from dataclasses import dataclass
@@ -54,9 +66,12 @@ MAX_NEWTON = 50
 MAX_HALVINGS = 30
 # A factorization of Q costs about 28 (level 6) to 46 (level 8) iterations
 # of preconditioned CG, so a PCG attempt that runs out wastes about one
-# factorization.  The one-off solves of `run` and `verify` take at most 19.
+# factorization.  The one-off solves of `run` and `verify` take at most 17.
 PCG_MAX_ITERS = 30
 PCG_RTOL = 1e-13
+# The loosest relative residual a state Newton step is solved to: the
+# forcing term eta_k = (||r_k|| / ||r_0||)^2 keeps Newton q-quadratic.
+NEWTON_ETA_MAX = 1e-2
 
 
 class LinearizedOperator:
@@ -77,23 +92,25 @@ class LinearizedOperator:
         return self._lu.solve(rhs)
 
 
-def _pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition) -> np.ndarray | None:
-    """Preconditioned CG from a zero start; None unless it converges.
+def _pcg(
+    apply, rhs: np.ndarray, precondition, rtol: float = PCG_RTOL
+) -> np.ndarray | None:
+    """Preconditioned CG for apply(x) = rhs from zero; None unless it converges.
 
-    Converged means ||rhs - matrix x||_2 <= PCG_RTOL ||rhs||_2 within
+    Converged means ||rhs - apply(x)||_2 <= rtol ||rhs||_2 within
     PCG_MAX_ITERS iterations.  Nonpositive or nonfinite curvature gives
     up at once: the caller then solves directly.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    target = PCG_RTOL * np.linalg.norm(rhs)
+    target = rtol * np.linalg.norm(rhs)
     if np.linalg.norm(r) <= target:
         return x
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(PCG_MAX_ITERS):
-        qp = matrix @ p
+        qp = apply(p)
         pqp = float(p @ qp)
         if not (np.isfinite(rz) and np.isfinite(pqp) and pqp > 0):
             return None
@@ -126,8 +143,9 @@ class Discretization:
     instance, which the outer loop keeps alive for its whole run.
 
     The instance keeps its most recent factorization as the preconditioner
-    of one-off solves (at most one is kept; release_factorization drops it)
-    and counts the factorizations it makes in factor_count.
+    of one-off solves (at most one is kept; release_factorization drops it),
+    counts the factorizations it makes in factor_count and the
+    preconditioner applications of its PCG solves in pcg_count.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -138,6 +156,7 @@ class Discretization:
         self.weights = assemble_lumped_mass(mesh)
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
         self.factor_count = 0
+        self.pcg_count = 0
         self._last_factor: LinearizedOperator | None = None
 
     @property
@@ -161,8 +180,14 @@ class Discretization:
         return self.stiffness @ y + self.weights * (ay + u * y) - self.boundary_load
 
     def linearized_matrix(self, u: np.ndarray, y: np.ndarray) -> sp.csc_matrix:
-        c = nodal(self.spec.da_dy, self.x, y) + u
-        return (self.stiffness + sp.diags(self.weights * c)).tocsc()
+        return self._matrix(self._reaction(u, y))
+
+    def _reaction(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The diagonal w*(da_dy(x, y) + u) that Q(u, y) adds to K."""
+        return self.weights * (nodal(self.spec.da_dy, self.x, y) + u)
+
+    def _matrix(self, d: np.ndarray) -> sp.csc_matrix:
+        return (self.stiffness + sp.diags(d)).tocsc()
 
     def linearized_operator(self, u: np.ndarray, y: np.ndarray) -> LinearizedOperator:
         """A fresh factorization of Q(u, y), kept as the preconditioner."""
@@ -178,18 +203,27 @@ class Discretization:
         """Drop the kept factorization; the next one-off solve factors."""
         self._last_factor = None
 
-    def _solve_once(self, u: np.ndarray, y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Q(u, y) x = rhs for a single right-hand side.
+    def _solve_once(
+        self, u: np.ndarray, y: np.ndarray, rhs: np.ndarray, rtol: float = PCG_RTOL
+    ) -> np.ndarray:
+        """Q(u, y) x = rhs for one right-hand side, to relative residual rtol.
 
-        PCG preconditioned by the kept factorization; a fresh factorization
-        when there is none or PCG does not converge.
+        Matrix-free PCG (Q p = K p + d*p) preconditioned by the kept
+        factorization; Q is assembled and factored only when there is no
+        kept factor or PCG does not converge.
         """
-        matrix = self.linearized_matrix(u, y)
-        if self._last_factor is not None:
-            x = _pcg(matrix, rhs, self._last_factor.solve)
+        d = self._reaction(u, y)
+        factor = self._last_factor
+        if factor is not None:
+
+            def precondition(r):
+                self.pcg_count += 1
+                return factor.solve(r)
+
+            x = _pcg(lambda p: self.stiffness @ p + d * p, rhs, precondition, rtol)
             if x is not None:
                 return x
-        return self._factor(matrix).solve(rhs)
+        return self._factor(self._matrix(d)).solve(rhs)
 
     def solve_state(
         self,
@@ -198,9 +232,11 @@ class Discretization:
         tol: float = DEFAULT_TOL,
         max_newton: int = MAX_NEWTON,
     ) -> StateSolveReport:
-        """Damped Newton iteration on the state equation.
+        """Inexact damped Newton iteration on the state equation.
 
-        A full step that fails to reduce the lumped-L2 residual norm is
+        Step k solves Q s = -r_k only to the relative 2-norm residual
+        eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, (||r_k||_h/||r_0||_h)^2)).
+        A step that fails to reduce the lumped-L2 residual norm is
         halved, up to MAX_HALVINGS times; the last candidate is accepted
         if no halving helps, leaving non-convergence to the outer check.
         """
@@ -208,7 +244,7 @@ class Discretization:
             raise SolverError(f"state solve tolerance must be positive, got {tol}")
         y = self.zeros() if y_init is None else np.array(y_init, dtype=float)
         r = self.state_residual(u, y)
-        rnorm = self.norm(r)
+        rnorm = rnorm0 = self.norm(r)
         history = [rnorm]
         iters = 0
         while True:
@@ -224,7 +260,8 @@ class Discretization:
                     f"iterations (residual {rnorm:.3e}, tol {tol:.3e})",
                     history=history,
                 )
-            step = self._solve_once(u, y, -r)
+            eta = max(PCG_RTOL, min(NEWTON_ETA_MAX, (rnorm / rnorm0) ** 2))
+            step = self._solve_once(u, y, -r, eta)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 y_new = y + scale * step

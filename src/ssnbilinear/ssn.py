@@ -108,7 +108,6 @@ def classify(spec: ProblemSpec, y: np.ndarray, phi: np.ndarray) -> ActiveSets:
 
 def apply_Mj(
     disc: Discretization,
-    u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
     sets: ActiveSets,
@@ -202,7 +201,7 @@ def _step(
     rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
 
     def apply(v):
-        return apply_Mj(disc, u, y, phi, sets, v, op)
+        return apply_Mj(disc, y, phi, sets, v, op)
 
     max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
     v_inactive, cg_iters = cg_solve(

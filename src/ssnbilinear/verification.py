@@ -102,22 +102,18 @@ def verify_derivatives(
         v = v / vnorm
 
         slope = disc.inner(base.grad, v)
-        grad_errors = []
-        grad_floors = []
-        for t in GRAD_STEPS:
-            fd = fd_gradient_oracle(disc, base.u, v, t)
-            grad_errors.append(abs(fd - slope))
-            grad_floors.append(_FLOOR_FACTOR * eps * jscale / t)
+        grad_errors = [
+            abs(fd - slope) for fd in fd_gradient_oracle(disc, base.u, v, GRAD_STEPS)
+        ]
+        grad_floors = [_FLOOR_FACTOR * eps * jscale / t for t in GRAD_STEPS]
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
 
-        hv = hessian_vec(disc, base.u, base.y, base.phi, v, base.operator)
+        hv = hessian_vec(disc, base.y, base.phi, v, base.operator)
         quad = disc.inner(hv, v)
-        curv_errors = []
-        curv_floors = []
-        for t in CURV_STEPS:
-            fd2 = fd_curvature_oracle(disc, base.u, v, t)
-            curv_errors.append(abs(fd2 - quad))
-            curv_floors.append(4.0 * _FLOOR_FACTOR * eps * jscale / (t * t))
+        curv_errors = [
+            abs(fd2 - quad) for fd2 in fd_curvature_oracle(disc, base.u, v, CURV_STEPS)
+        ]
+        curv_floors = [4.0 * _FLOOR_FACTOR * eps * jscale / (t * t) for t in CURV_STEPS]
         curv_order = fit_decay_order(CURV_STEPS, curv_errors, curv_floors)
 
         reports.append(

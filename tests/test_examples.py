@@ -27,6 +27,7 @@ def test_run_benchmark_script():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("measures:") == 2
     assert proc.stdout.count("factorizations 5") == 2
+    assert len(re.findall(r", pcg [1-9][0-9]*\n", proc.stdout)) == 2
     assert "level 3 " in proc.stdout and "level 4 " in proc.stdout
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ssnbilinear import Discretization, build_uniform_mesh
+import ssnbilinear.objective as objective_module
 from ssnbilinear.assembly import assemble_lumped_mass
 from ssnbilinear.objective import (
     _objective,
@@ -59,9 +60,10 @@ def test_gradient_matches_finite_differences(bench):
         v = rng.standard_normal(disc.n_nodes)
         v /= disc.norm(v)
         slope = disc.inner(base.grad, v)
+        ts = (1e-2, 1e-3)
         errs = {
-            t: abs(fd_gradient_oracle(disc, base.u, v, t) - slope)
-            for t in (1e-2, 1e-3)
+            t: abs(fd - slope)
+            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, v, ts))
         }
         assert errs[1e-2] <= 1e-7 * jscale
         floor = 2e3 * EPS * jscale / 1e-3
@@ -76,11 +78,12 @@ def test_hessian_quadratic_form_matches_second_differences(bench):
     rng = np.random.default_rng(43)
     v = rng.standard_normal(disc.n_nodes)
     v /= disc.norm(v)
-    hv = hessian_vec(disc, base.u, base.y, base.phi, v, op)
+    hv = hessian_vec(disc, base.y, base.phi, v, op)
     quad = disc.inner(hv, v)
+    ts = (1e-1, 3e-2, 1e-2)
     errs = {
-        t: abs(fd_curvature_oracle(disc, base.u, v, t) - quad)
-        for t in (1e-1, 3e-2, 1e-2)
+        t: abs(fd2 - quad)
+        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, v, ts))
     }
     assert errs[1e-1] <= 1e-6 * jscale
     # second-order decay between steps, up to the 1/t^2 roundoff floor
@@ -89,12 +92,33 @@ def test_hessian_quadratic_form_matches_second_differences(bench):
         assert errs[small] <= max(0.15 * errs[big], floor)
 
 
+def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypatch):
+    disc = Discretization(bench, build_uniform_mesh(2))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
+    v = np.random.default_rng(48).standard_normal(disc.n_nodes)
+    ts = (1e-1, 1e-2, 1e-3)
+    singles = [fd_curvature_oracle(disc, base.u, v, (t,))[0] for t in ts]
+    calls = []
+    fresh = objective_module._fresh_objective
+    monkeypatch.setattr(
+        objective_module,
+        "_fresh_objective",
+        lambda *args: calls.append(args[1]) or fresh(*args),
+    )
+    assert fd_curvature_oracle(disc, base.u, v, ts) == singles
+    assert len(calls) == 2 * len(ts) + 1
+    np.testing.assert_array_equal(calls[0], base.u)
+    calls.clear()
+    assert len(fd_gradient_oracle(disc, base.u, v, ts)) == len(ts)
+    assert len(calls) == 2 * len(ts)
+
+
 def test_hessian_linear_in_direction(bench, base_state3, disc3):
     u, y, phi, op = base_state3
     rng = np.random.default_rng(44)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    h = lambda v: hessian_vec(disc3, u, y, phi, v, op)
+    h = lambda v: hessian_vec(disc3, y, phi, v, op)
     np.testing.assert_allclose(
         h(1.5 * v1 - 2.0 * v2), 1.5 * h(v1) - 2.0 * h(v2), rtol=1e-11, atol=1e-14
     )
@@ -106,8 +130,8 @@ def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
     for _ in range(5):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        hv1 = hessian_vec(disc3, u, y, phi, v1, op)
-        hv2 = hessian_vec(disc3, u, y, phi, v2, op)
+        hv1 = hessian_vec(disc3, y, phi, v1, op)
+        hv2 = hessian_vec(disc3, y, phi, v2, op)
         a = disc3.inner(hv1, v2)
         b = disc3.inner(v1, hv2)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
@@ -134,7 +158,7 @@ def test_hessian_positive_at_solution(bench, disc3, solved3):
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         v /= disc3.norm(v)
-        hv = hessian_vec(disc3, u, y, phi, v, op)
+        hv = hessian_vec(disc3, y, phi, v, op)
         assert disc3.inner(hv, v) > 0.0
 
 

@@ -14,7 +14,13 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
 )
-from ssnbilinear.pde import PCG_MAX_ITERS, LinearizedOperator, _pcg
+from ssnbilinear.pde import (
+    NEWTON_ETA_MAX,
+    PCG_MAX_ITERS,
+    PCG_RTOL,
+    LinearizedOperator,
+    _pcg,
+)
 
 
 def linear_problem(dL=lambda x, y: y, L=lambda x, y: 0.5 * y * y, d2L=lambda x, y: 1.0):
@@ -105,13 +111,15 @@ def test_second_state_solve_reuses_the_kept_factorization():
 
 def test_pcg_past_the_cap_factors_directly():
     # the kept factor of Q(0) is a poor preconditioner for a control that
-    # varies over four orders of magnitude: PCG gives up, Q is factored
+    # varies over six orders of magnitude: PCG gives up even at the first
+    # Newton step's loose target, Q is factored
     disc = Discretization(linear_problem(), build_uniform_mesh(4))
     disc.solve_state(disc.zeros())
-    u = np.random.default_rng(3).uniform(0.0, 1e4, disc.n_nodes)
+    u = np.random.default_rng(3).uniform(0.0, 1e6, disc.n_nodes)
     q = disc.linearized_matrix(u, disc.zeros())
     kept = LinearizedOperator(disc.linearized_matrix(disc.zeros(), disc.zeros()))
-    assert _pcg(q, disc.weights, kept.solve) is None
+    assert _pcg(lambda p: q @ p, disc.weights, kept.solve) is None
+    assert _pcg(lambda p: q @ p, disc.weights, kept.solve, NEWTON_ETA_MAX) is None
     report = disc.solve_state(u)
     assert disc.factor_count == 2
     assert report.newton_iters == 1
@@ -119,16 +127,100 @@ def test_pcg_past_the_cap_factors_directly():
     assert np.max(np.abs(report.y - direct)) <= 1e-12
 
 
+def test_fallback_on_a_later_newton_step():
+    # four orders of magnitude: the first step's PCG reaches its loose
+    # target, the second step's tighter one is out of reach and Q is factored
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    disc.solve_state(disc.zeros())
+    u = np.random.default_rng(3).uniform(0.0, 1e4, disc.n_nodes)
+    q = disc.linearized_matrix(u, disc.zeros())
+    report = disc.solve_state(u)
+    assert disc.factor_count == 2
+    assert report.newton_iters == 2
+    direct = spla.spsolve(q, disc.weights)
+    assert np.max(np.abs(report.y - direct)) <= 1e-12
+
+
+def test_linear_state_solve_without_a_new_factorization():
+    disc = Discretization(linear_problem(), build_uniform_mesh(4))
+    disc.solve_state(disc.zeros())
+    u = np.random.default_rng(4).uniform(0.0, 1.0, disc.n_nodes)
+    report = disc.solve_state(u)
+    assert disc.factor_count == 1
+    direct = spla.spsolve(disc.linearized_matrix(u, disc.zeros()), disc.weights)
+    assert np.max(np.abs(report.y - direct)) <= 1e-12
+
+
+def test_cold_start_newton_steps_are_inexact(bench):
+    # level-6 benchmark from y = 0: the first step factors, the other four
+    # run PCG to their forcing terms (60 applications when each ran to 1e-13)
+    disc = Discretization(bench, build_uniform_mesh(6))
+    report = disc.solve_state(disc.zeros())
+    assert report.newton_iters == 5
+    assert disc.factor_count == 1
+    assert 0 < disc.pcg_count <= 40
+
+
+class RecordingDiscretization(Discretization):
+    """Records every one-off solve and whether it made a factorization."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.solves = []
+
+    def _solve_once(self, u, y, rhs, rtol=PCG_RTOL):
+        factors = self.factor_count
+        x = super()._solve_once(u, y, rhs, rtol)
+        self.solves.append((u, y, rhs, rtol, x, self.factor_count > factors))
+        return x
+
+
+def test_newton_steps_meet_their_forcing_terms(bench):
+    disc = RecordingDiscretization(bench, build_uniform_mesh(5))
+    first = disc.solve_state(disc.zeros())
+    u = np.clip(np.sin(7.0 * disc.x[:, 0]) * disc.x[:, 1], -1.0, 1.0)
+    cold = disc.solves[:]
+    warm = disc.solve_state(u, y_init=first.y)
+    assert first.final_residual <= 5e-14 and warm.final_residual <= 5e-14
+    checked = 0
+    for solves in (cold, disc.solves[len(cold):]):
+        r0 = disc.norm(solves[0][2])
+        for u_k, y_k, rhs, eta, x, factored in solves:
+            expected = max(PCG_RTOL, min(NEWTON_ETA_MAX, (disc.norm(rhs) / r0) ** 2))
+            assert eta == pytest.approx(expected, rel=1e-12)
+            if factored:
+                continue
+            assert eta <= 1e-2
+            q = disc.linearized_matrix(u_k, y_k)
+            assert np.linalg.norm(q @ x - rhs) <= eta * np.linalg.norm(rhs)
+            checked += 1
+    assert checked >= 6
+    assert cold[0][3] == NEWTON_ETA_MAX
+
+
+def test_warm_state_solve_does_not_assemble_q(bench):
+    disc = Discretization(bench, build_uniform_mesh(5))
+    first = disc.solve_state(disc.zeros())
+
+    def refuse(u, y):
+        raise AssertionError("Q was assembled")
+
+    disc.linearized_matrix = refuse
+    report = disc.solve_state(np.full(disc.n_nodes, 0.3), y_init=first.y)
+    assert report.newton_iters >= 2
+    assert disc.factor_count == 1
+
+
 def test_pcg_never_returns_an_unconverged_iterate():
     rhs = np.ones(4)
     # negative curvature
-    assert _pcg(-sp.identity(4, format="csr"), rhs, lambda r: r) is None
+    assert _pcg(lambda p: -p, rhs, lambda r: r) is None
     # nonfinite preconditioner output
-    assert _pcg(sp.identity(4, format="csr"), rhs, lambda r: np.full_like(r, np.inf)) is None
+    assert _pcg(lambda p: p, rhs, lambda r: np.full_like(r, np.inf)) is None
     # n distinct eigenvalues need n unpreconditioned iterations
     n = PCG_MAX_ITERS + 5
     spread = sp.diags(np.geomspace(1.0, 1e6, n)).tocsr()
-    assert _pcg(spread, np.ones(n), lambda r: r) is None
+    assert _pcg(lambda p: spread @ p, np.ones(n), lambda r: r) is None
 
 
 def test_state_solve_iteration_budget():

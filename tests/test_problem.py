@@ -59,6 +59,27 @@ def test_benchmark_passes_validation():
     assert validate(benchmark_instance()) == []
 
 
+def test_validate_evaluates_each_callback_on_the_whole_sample():
+    # one call per finite-difference step, not one per sampled state value
+    spec = benchmark_instance()
+    sizes = []
+
+    def counted(fn):
+        def wrapper(x, y):
+            sizes.append(x.shape[0])
+            return fn(x, y)
+
+        return wrapper
+
+    names = ("a", "da_dy", "d2a_dy2", "L", "dL_dy", "d2L_dy2")
+    counted_spec = dataclasses.replace(
+        spec, **{name: counted(getattr(spec, name)) for name in names}
+    )
+    assert validate(counted_spec) == []
+    assert len(sizes) <= 40
+    assert set(sizes) == {25 * 33}
+
+
 def test_linear_tracking_variant():
     spec = benchmark_instance(tracking="linear")
     x = pts((0.5, 0.5))
