@@ -21,12 +21,16 @@ def main(argv):
     levels = [int(tok) for tok in argv] or [5, 6, 7]
     spec = benchmark_instance()
     for level in levels:
-        disc = Discretization(spec, build_uniform_mesh(level))
         t0 = time.perf_counter()
+        disc = Discretization(spec, build_uniform_mesh(level))
+        t1 = time.perf_counter()
         u, y, phi, records = run_ssn(disc)
-        elapsed = time.perf_counter() - t0
+        t2 = time.perf_counter()
 
-        print(f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, {elapsed:.2f}s)")
+        print(
+            f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, "
+            f"set-up {t1 - t0:.2f}s, solve {t2 - t1:.2f}s)"
+        )
         print(f"{'j':>3} {'J':>24} {'delta':>13} {'newton':>7} {'cg':>4}")
         for r in records:
             delta = f"{r.delta:.6e}" if r.delta is not None else ""

@@ -1,4 +1,4 @@
-"""P1 finite element assembly on triangulations of the unit square.
+"""P1 finite element assembly on the uniform triangulation of the unit square.
 
 The stiffness matrix is assembled exactly (P1 gradients are constant per
 triangle).  Every zeroth-order term is discretized with the lumped nodal
@@ -8,83 +8,93 @@ diagonal matrix diag(w*c), the discrete L2 inner product of nodal fields
 f and g is sum_i w_i f_i g_i, and the measure of a node set is the sum of
 its weights.  Boundary data enters through a per-edge trapezoidal rule,
 which is the boundary analogue of the same lumping.
+
+No triangle list is needed: every grid cell holds the same two triangles
+(see mesh), so each quantity is one cell's contribution summed over the
+cells at each node, in O(n) time and memory.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError
-from .mesh import TriMesh, triangle_areas
+from .mesh import TriMesh
+from .problem import check_spd_2x2, nodal
+
+# (row, col) offsets of a cell's corners ll, lr, ul, ur from its ll node.
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# The cell's two triangles (ll, lr, ur) and (ll, ur, ul) as corner indices,
+# with the gradients of their hat functions on the unit cell.
+_TRIANGLES = (
+    ((0, 1, 3), np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])),
+    ((0, 3, 2), np.array([[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]])),
+)
 
 
-def _check_spd_2x2(diffusion) -> np.ndarray:
-    d = np.asarray(diffusion, dtype=float)
-    if d.shape != (2, 2):
-        raise ConfigurationError(f"diffusion must be 2x2, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise ConfigurationError("diffusion entries must be finite")
-    if d[0, 1] != d[1, 0]:
-        raise ConfigurationError("diffusion must be symmetric")
-    if d[0, 0] <= 0.0 or np.linalg.det(d) <= 0.0:
-        raise ConfigurationError("diffusion must be positive definite")
-    return d
+def _corner_sum(side: int, values) -> np.ndarray:
+    """Per node, the sum over the cells at the node of values[c], c its corner there."""
+    out = np.zeros((side, side))
+    for (row, col), value in zip(_CORNERS, values):
+        out[row : side - 1 + row, col : side - 1 + col] += value
+    return out.ravel()
+
+
+def _cell_stiffness(d: np.ndarray) -> np.ndarray:
+    """4x4 stiffness matrix of one cell over its corners ll, lr, ul, ur.
+
+    A P1 stiffness matrix in 2-D does not depend on the cell size, so the
+    unit cell (triangle area 1/2) gives every level's cell matrix.  Its
+    gradients have entries 0 and +-1, so every product is exact, and each
+    entry and its mirror round the same one or two sums of entries of the
+    symmetric d: the cell matrix is exactly symmetric.
+    """
+    cell = np.zeros((4, 4))
+    for corners, grad in _TRIANGLES:
+        cell[np.ix_(corners, corners)] += 0.5 * (grad @ d @ grad.T)
+    return cell
 
 
 def assemble_stiffness(mesh: TriMesh, diffusion) -> sp.csr_matrix:
     """Exact P1 stiffness matrix of -div(diffusion grad .), natural BCs.
 
-    The returned matrix is exactly symmetric: element matrices are built
-    for i <= j and mirrored, and the assembled sum is symmetrized without
-    rounding via K = (K + K.T)/2.
+    K[i, j] sums the cell matrix entry of the corners of i and j over the
+    cells holding both, so K has one diagonal per corner offset j - i: at
+    most 7 (the ll -> ur diagonal couples ll and ur, never lr and ul).
+    Diagonal j - i and i - j come from one symmetric cell matrix, so K is
+    exactly symmetric.
     """
-    d = _check_spd_2x2(diffusion)
-    tri = mesh.triangles
-    p = mesh.nodes[tri]
-    # Edge opposite vertex i, in counterclockwise order.
-    e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
-    area = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    # grad(lambda_i) = perp(e_i) / (2 area), perp(a, b) = (-b, a)
-    grad = np.empty_like(e)
-    grad[:, :, 0] = -e[:, :, 1]
-    grad[:, :, 1] = e[:, :, 0]
-    grad /= (2.0 * area)[:, None, None]
-
-    dg = grad @ d.T
-    ke = np.empty((tri.shape[0], 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            val = area * (grad[:, i, 0] * dg[:, j, 0] + grad[:, i, 1] * dg[:, j, 1])
-            ke[:, i, j] = val
-            ke[:, j, i] = val
-
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+    cell = _cell_stiffness(check_spd_2x2(diffusion))
+    side = mesh.side
+    shift = [row * side + col for row, col in _CORNERS]
+    # DIA stores K[i, j] at column j, the node in corner q of the cell.
+    diagonals: dict[int, list[float]] = {}
+    for p, q in zip(*np.nonzero(cell)):
+        diagonals.setdefault(shift[q] - shift[p], [0.0] * 4)[q] = cell[p, q]
+    offsets = sorted(diagonals)
+    data = np.array([_corner_sum(side, diagonals[k]) for k in offsets])
     n = mesh.n_nodes
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return ((k + k.T) * 0.5).tocsr()
+    return sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
 
 
 def assemble_lumped_mass(mesh: TriMesh) -> np.ndarray:
-    """Lumped mass diagonal: w_i = (1/3) * total area of triangles at node i."""
-    area = triangle_areas(mesh)
-    w = np.zeros(mesh.n_nodes)
-    np.add.at(w, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-    return w
+    """Lumped mass diagonal: w_i = (1/3) * total area of triangles at node i.
+
+    Every triangle has area h^2/2 and a node lies in 1, 2, 3 or 6 of them;
+    w_i is the running sum of that many shares (h^2/2)/3, as a sweep over
+    the triangles adds them.
+    """
+    count = _corner_sum(mesh.side, (2, 1, 1, 2)).astype(np.intp)
+    share = 0.5 * mesh.h * mesh.h / 3.0
+    return np.cumsum(np.full(6, share))[count - 1]
 
 
 def assemble_boundary_load(mesh: TriMesh, g) -> np.ndarray:
     """Boundary flux load: per-edge trapezoidal rule applied to nodal g.
 
-    g is called with an (k, 2) array of boundary coordinates and must
-    return values broadcastable to (k,).
+    Every boundary node ends two boundary edges of length h, so it gets
+    h * g(x).  g is called with an (k, 2) array of boundary coordinates.
     """
-    edges = mesh.boundary_edges
-    pa = mesh.nodes[edges[:, 0]]
-    pb = mesh.nodes[edges[:, 1]]
-    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    ga = np.broadcast_to(np.asarray(g(pa), dtype=float), (len(edges),))
-    gb = np.broadcast_to(np.asarray(g(pb), dtype=float), (len(edges),))
+    # the boundary nodes are those in fewer than four cells
+    edge = np.flatnonzero(_corner_sum(mesh.side, (1, 1, 1, 1)) < 4)
     b = np.zeros(mesh.n_nodes)
-    np.add.at(b, edges[:, 0], 0.5 * length * ga)
-    np.add.at(b, edges[:, 1], 0.5 * length * gb)
+    b[edge] = mesh.h * nodal(g, mesh.nodes[edge])
     return b

@@ -81,8 +81,8 @@ def _cmd_mesh_info(level: int) -> int:
     print(f"level = {mesh.level}")
     print(f"h = {mesh.h:.16e}")
     print(f"nodes = {mesh.n_nodes}")
-    print(f"triangles = {mesh.n_triangles}")
-    print(f"boundary_edges = {len(mesh.boundary_edges)}")
+    print(f"triangles = {2 * mesh.n_cells}")
+    print(f"boundary_edges = {4 * (mesh.side - 1)}")
     return 0
 
 

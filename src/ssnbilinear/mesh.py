@@ -7,6 +7,11 @@ from the cell's lower-left to its upper-right corner.  Nodes are numbered
 lexicographically, index = row*(2^k+1) + col, so the first coordinate
 varies fastest; this fixes the sparse matrix structure and the order of
 field dumps.
+
+The triangles and the boundary edges are implied by the grid, so a mesh
+stores only its node coordinates: the 2*4^k triangles are the two halves
+(ll, lr, ur) and (ll, ur, ul) of every cell, and the 4*2^k boundary edges
+are the grid segments on the sides of the square.
 """
 
 from dataclasses import dataclass
@@ -22,26 +27,28 @@ MAX_LEVEL = 12
 class TriMesh:
     """Immutable triangulation of the unit square.
 
-    nodes           (n, 2) vertex coordinates
-    triangles       (m, 3) node indices, counterclockwise
-    boundary_edges  (b, 2) node index pairs covering the boundary
-    h               grid spacing 2^-level
-    level           refinement level k
+    nodes  (n, 2) vertex coordinates
+    h      grid spacing 2^-level
+    level  refinement level k
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
-    boundary_edges: np.ndarray
     h: float
     level: int
+
+    @property
+    def side(self) -> int:
+        """Nodes on each grid line, 2^level + 1."""
+        return 2**self.level + 1
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
     @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+    def n_cells(self) -> int:
+        """Grid cells, 4^level; each is split into two triangles."""
+        return (self.side - 1) ** 2
 
 
 def build_uniform_mesh(level: int) -> TriMesh:
@@ -52,42 +59,8 @@ def build_uniform_mesh(level: int) -> TriMesh:
         raise ConfigurationError(
             f"mesh level must be in [1, {MAX_LEVEL}], got {level}"
         )
-    n = 2 ** int(level)
     h = 2.0 ** (-int(level))
-    side = n + 1
-
+    side = 2 ** int(level) + 1
     xs = np.arange(side) * h
     nodes = np.column_stack([np.tile(xs, side), np.repeat(xs, side)])
-
-    # Cell corners, row-major over cells; the shared diagonal runs ll -> ur.
-    col, row = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ll = (row * side + col).ravel()
-    lr = ll + 1
-    ul = ll + side
-    ur = ul + 1
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])
-    triangles[1::2] = np.column_stack([ll, ur, ul])
-
-    k = np.arange(n)
-    bottom = np.column_stack([k, k + 1])
-    top = np.column_stack([n * side + k, n * side + k + 1])
-    left = np.column_stack([k * side, (k + 1) * side])
-    right = np.column_stack([k * side + n, (k + 1) * side + n])
-    boundary_edges = np.vstack([bottom, right, top, left]).astype(np.int64)
-
-    return TriMesh(
-        nodes=nodes,
-        triangles=triangles,
-        boundary_edges=boundary_edges,
-        h=h,
-        level=int(level),
-    )
-
-
-def triangle_areas(mesh: TriMesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return TriMesh(nodes=nodes, h=h, level=int(level))

@@ -44,7 +44,7 @@ def _points_block(mesh: TriMesh) -> str:
 
 def write_structured_vtk(path, mesh: TriMesh, name: str, values: np.ndarray) -> None:
     """One scalar nodal field as a legacy-ASCII VTK structured grid."""
-    side = 2 ** mesh.level + 1
+    side = mesh.side
     n = mesh.n_nodes
     lines = [
         "# vtk DataFile Version 2.0",

@@ -138,8 +138,7 @@ class StateSolveReport:
 class Discretization:
     """Assembled operators for one problem on one mesh.
 
-    Building one of these is the expensive, reusable part of every solve;
-    every solve, objective evaluation and outer loop goes through one
+    Every solve, objective evaluation and outer loop goes through one
     instance, which the outer loop keeps alive for its whole run.
 
     The instance keeps its most recent factorization as the preconditioner

@@ -53,6 +53,20 @@ class ProblemSpec:
     diffusion: np.ndarray = field(default_factory=lambda: np.eye(2))
 
 
+def check_spd_2x2(diffusion) -> np.ndarray:
+    """The diffusion matrix as a float array; raises unless it is 2x2 SPD."""
+    d = np.asarray(diffusion, dtype=float)
+    if d.shape != (2, 2):
+        raise ConfigurationError(f"diffusion must be 2x2, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ConfigurationError("diffusion entries must be finite")
+    if d[0, 1] != d[1, 0]:
+        raise ConfigurationError("diffusion must be symmetric")
+    if d[0, 0] <= 0.0 or np.linalg.det(d) <= 0.0:
+        raise ConfigurationError("diffusion must be positive definite")
+    return d
+
+
 def desired_state(x: np.ndarray) -> np.ndarray:
     """Tracking target of the benchmark: -64*x1*(1-x1)*x2*(1-x2)."""
     return -64.0 * x[:, 0] * (1.0 - x[:, 0]) * x[:, 1] * (1.0 - x[:, 1])
@@ -164,9 +178,7 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
                 f"alpha must exceed -a0 = {-spec.a0}, got alpha = {spec.alpha}"
             )
     try:
-        from .assembly import _check_spd_2x2
-
-        _check_spd_2x2(spec.diffusion)
+        check_spd_2x2(spec.diffusion)
     except ConfigurationError as exc:
         out.append(str(exc))
 

@@ -128,15 +128,14 @@ def verify_derivatives(
         )
         kept.append((v, hv))
 
-    symmetry = []
-    for i in range(len(kept)):
-        v1, hv1 = kept[i]
-        v2, hv2 = kept[(i + 1) % len(kept)] if len(kept) > 1 else kept[i]
-        if len(kept) == 1:
-            break
-        a = disc.inner(hv1, v2)
-        b = disc.inner(v1, hv2)
-        symmetry.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
+    # <H v1, v2> against <v1, H v2> for each kept direction and the next,
+    # cyclically; a single direction has no partner.
+    symmetry = [
+        abs(a - b) / max(abs(a), abs(b), 1e-300)
+        for (v1, hv1), (v2, hv2) in zip(kept, kept[1:] + kept[:1])
+        if len(kept) > 1
+        for a, b in [(disc.inner(hv1, v2), disc.inner(v1, hv2))]
+    ]
 
     orders_ok = all(
         r.skipped or (r.grad_order >= MIN_ORDER and r.curv_order >= MIN_ORDER)

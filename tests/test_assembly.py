@@ -1,5 +1,11 @@
 """Assembly oracles: exact stiffness values, lumped quadrature identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import coo_oracle
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,7 +30,7 @@ levels = st.integers(min_value=1, max_value=5)
 def brute_force_weights(mesh):
     """Independent lumped-mass oracle: sweep triangles one by one."""
     w = np.zeros(mesh.n_nodes)
-    for tri in mesh.triangles:
+    for tri in coo_oracle.connectivity(mesh)[0]:
         p = mesh.nodes[tri]
         area = 0.5 * abs(
             (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
@@ -38,9 +44,22 @@ def brute_force_weights(mesh):
 # --- stiffness ---------------------------------------------------------
 
 
-@given(levels)
-def test_stiffness_exactly_symmetric(level):
-    k = assemble_stiffness(build_uniform_mesh(level), np.eye(2))
+def spd_from(d11, d22, corr):
+    off = corr * np.sqrt(d11 * d22)
+    return np.array([[d11, off], [off, d22]])
+
+
+spd_matrices = st.builds(
+    spd_from,
+    st.floats(0.01, 100.0),
+    st.floats(0.01, 100.0),
+    st.floats(-0.99, 0.99),
+)
+
+
+@given(levels, st.one_of(st.just(np.eye(2)), spd_matrices))
+def test_stiffness_exactly_symmetric(level, diffusion):
+    k = assemble_stiffness(build_uniform_mesh(level), diffusion)
     assert abs(k - k.T).max() == 0.0
 
 
@@ -168,6 +187,68 @@ def test_boundary_load_linear_flux_integrates_exactly():
     # edge integral of x1 over the boundary: 1/2 + 1/2 + 1 + 0 = 2
     b = assemble_boundary_load(build_uniform_mesh(4), lambda x: x[:, 0])
     assert np.sum(b) == pytest.approx(2.0, rel=1e-14)
+
+
+# --- against the element-sweep oracle ----------------------------------
+
+
+def assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_structured_assembly_matches_element_sweep(level):
+    mesh = build_uniform_mesh(level)
+    assert_bitwise_equal(
+        assemble_lumped_mass(mesh), coo_oracle.assemble_lumped_mass(mesh)
+    )
+
+    def g(x):
+        return np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2
+
+    assert_bitwise_equal(
+        assemble_boundary_load(mesh, g), coo_oracle.assemble_boundary_load(mesh, g)
+    )
+    for diffusion, bitwise in [
+        (np.eye(2), True),
+        (np.array([[2.0, 0.3], [0.3, 1.0]]), True),
+        (np.array([[1.0, -0.7], [-0.7, 3.1]]), False),
+    ]:
+        k = assemble_stiffness(mesh, diffusion)
+        ref = coo_oracle.assemble_stiffness(mesh, diffusion)
+        np.testing.assert_array_equal(k.indptr, ref.indptr)
+        np.testing.assert_array_equal(k.indices, ref.indices)
+        if bitwise:
+            assert_bitwise_equal(k.data, ref.data)
+        else:
+            # sums over a cell first, then over cells: rounding may differ
+            tol = 4.0 * np.finfo(float).eps * np.abs(ref.data).max()
+            assert np.abs(k.data - ref.data).max() <= tol
+        assert (k != k.T).nnz == 0
+
+
+# Peak RSS of the process image running the probe: VmHWM starts afresh at
+# exec, while ru_maxrss would also count the peak of the forking test run.
+SETUP_PROBE = """
+from ssnbilinear import Discretization, benchmark_instance, build_uniform_mesh
+Discretization(benchmark_instance(), build_uniform_mesh(10))
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_level10_setup_peak_rss_below_300mb():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert int(proc.stdout) / 1024 < 300.0
 
 
 # --- lumped inner product and measures ---------------------------------

@@ -1,12 +1,17 @@
-"""Mesh construction: counts, geometry, orientation, boundary cover."""
+"""Mesh construction: counts, geometry, orientation, boundary cover.
+
+The mesh stores no connectivity; the triangles and boundary edges it
+implies are built by the test oracle and checked here.
+"""
 
 import numpy as np
 import pytest
+from coo_oracle import connectivity, triangle_areas
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ssnbilinear import ConfigurationError, build_uniform_mesh
-from ssnbilinear.mesh import MAX_LEVEL, triangle_areas
+from ssnbilinear.mesh import MAX_LEVEL
 
 levels = st.integers(min_value=1, max_value=6)
 
@@ -15,17 +20,20 @@ levels = st.integers(min_value=1, max_value=6)
 def test_counts_match_level(level):
     mesh = build_uniform_mesh(level)
     side = 2**level + 1
+    triangles, boundary_edges = connectivity(mesh)
     assert mesh.level == level
     assert mesh.h == 2.0 ** (-level)
+    assert mesh.side == side
     assert mesh.n_nodes == side * side
-    assert mesh.n_triangles == 2 * 4**level
-    assert len(mesh.boundary_edges) == 4 * 2**level
+    assert mesh.n_cells == 4**level
+    assert len(triangles) == 2 * 4**level
+    assert len(boundary_edges) == 4 * 2**level
 
 
 @given(levels)
 def test_triangles_positive_and_uniform(level):
     mesh = build_uniform_mesh(level)
-    areas = triangle_areas(mesh)
+    areas = triangle_areas(mesh, connectivity(mesh)[0])
     assert np.all(areas > 0)
     # every triangle is half a grid cell; h^2/2 is a power of two, so exact
     assert np.max(np.abs(areas - mesh.h**2 / 2.0)) == 0.0
@@ -35,7 +43,7 @@ def test_triangles_positive_and_uniform(level):
 @given(levels)
 def test_triangle_indices_valid(level):
     mesh = build_uniform_mesh(level)
-    tri = mesh.triangles
+    tri, _ = connectivity(mesh)
     assert tri.min() >= 0 and tri.max() < mesh.n_nodes
     # three distinct vertices per triangle
     assert np.all(tri[:, 0] != tri[:, 1])
@@ -55,7 +63,7 @@ def test_nodes_lexicographic():
 @given(levels)
 def test_boundary_edges_cover_boundary(level):
     mesh = build_uniform_mesh(level)
-    edges = mesh.boundary_edges
+    _, edges = connectivity(mesh)
     undirected = {frozenset(map(int, e)) for e in edges}
     assert len(undirected) == len(edges)  # no duplicates
 
@@ -78,7 +86,7 @@ def test_boundary_edges_cover_boundary(level):
 def test_node_triangle_incidence(level):
     mesh = build_uniform_mesh(level)
     counts = np.zeros(mesh.n_nodes, dtype=int)
-    np.add.at(counts, mesh.triangles.ravel(), 1)
+    np.add.at(counts, connectivity(mesh)[0].ravel(), 1)
     side = 2**level + 1
     x = mesh.nodes
     on_boundary = (
