@@ -43,7 +43,8 @@ def main(argv):
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "
             f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
             f"||u - Proj(y*phi/nu)||_h {resid:.2e}, "
-            f"factorizations {disc.factor_count}, pcg {disc.pcg_count}"
+            f"factorizations {disc.factor_count}, "
+            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}"
         )
     return 0
 

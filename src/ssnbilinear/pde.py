@@ -12,11 +12,12 @@ with K the stiffness matrix and w the lumped mass weights:
     linearized adjoint Q eta = w * ((d2L_dy2 - phi*d2a_dy2)*z - phi*v)
 
 Q is symmetric, and positive definite whenever da_dy + u > 0 at every
-node.  A system solved for many right-hand sides with one Q (the outer
-iteration's adjoint and CG solves, the Hessian of `verify`) gets its own
-sparse direct factorization.  A system solved only once (every state
-Newton step, and an adjoint solve without a supplied operator) runs
-matrix-free preconditioned CG, applying Q as K p + d*p with
+node.  A system solved for many right-hand sides with one Q (the CG
+solves of the outer loop, the Hessian of `verify`) gets its own sparse
+direct factorization; the outer loop makes one only in its first steps
+and keeps it through the later ones (see ssn).  A system solved only
+once (every state Newton step, and an adjoint solve without a supplied
+operator) runs matrix-free preconditioned CG, applying Q as K p + d*p with
 d = w*(da_dy + u), preconditioned by the most recent factorization the
 Discretization keeps.  Both matrices share K and the lumped diagonal
 c = da_dy + u > 0, so the preconditioned operator's condition number is
@@ -37,13 +38,18 @@ the exact Jacobian Q and residual-halving damping; the residual is
 measured in the lumped L2 norm.  Step k solves Q s = -r_k by PCG only to
 the relative 2-norm residual
 
-    eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, (||r_k||_h / ||r_0||_h)^2)),
+    eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, max(rho_k^2, c*tol/||r_k||_h))),
+    rho_k = ||r_k||_h / ||r_0||_h,  c = NEWTON_TOL_SHARE = 0.1.
 
-a forcing term bounded by a multiple of ||r_k||_h, which keeps the local
-q-quadratic rate of exact Newton (Dembo, Eisenstat, Steihaug, SIAM J.
-Numer. Anal. 19 (1982); Eisenstat, Walker, SIAM J. Sci. Comput. 17
-(1996)).  The loop still stops only on ||r||_h <= tol.  The final adjoint
-solve is not a Newton step and runs to PCG_RTOL.
+The term rho_k^2 is bounded by a multiple of ||r_k||_h, which keeps the
+local q-quadratic rate of exact Newton (Dembo, Eisenstat, Steihaug, SIAM
+J. Numer. Anal. 19 (1982); Eisenstat, Walker, SIAM J. Sci. Comput. 17
+(1996)).  The term c*tol/||r_k||_h stops a step from solving far below
+the absolute target: the lumped weights are at least h^2/6, so the
+linear residual it leaves adds at most sqrt(6)*c*tol < tol/4 in ||.||_h.
+The loop still stops only on ||r||_h <= tol.  A step that no halving
+makes reduce the residual is accepted, and counted in halvings_exhausted.
+The adjoint solves are not Newton steps and run to PCG_RTOL.
 """
 
 from dataclasses import dataclass
@@ -72,6 +78,8 @@ PCG_RTOL = 1e-13
 # The loosest relative residual a state Newton step is solved to: the
 # forcing term eta_k = (||r_k|| / ||r_0||)^2 keeps Newton q-quadratic.
 NEWTON_ETA_MAX = 1e-2
+# The share of the target tol the linear residual of a Newton step may leave.
+NEWTON_TOL_SHARE = 0.1
 
 
 class LinearizedOperator:
@@ -143,8 +151,10 @@ class Discretization:
 
     The instance keeps its most recent factorization as the preconditioner
     of one-off solves (at most one is kept; release_factorization drops it),
-    counts the factorizations it makes in factor_count and the
-    preconditioner applications of its PCG solves in pcg_count.
+    counts the factorizations it makes in factor_count, the
+    preconditioner applications of its PCG solves in pcg_count, and the
+    state Newton steps accepted after every halving failed in
+    halvings_exhausted.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -156,6 +166,7 @@ class Discretization:
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
         self.factor_count = 0
         self.pcg_count = 0
+        self.halvings_exhausted = 0
         self._last_factor: LinearizedOperator | None = None
 
     @property
@@ -187,6 +198,11 @@ class Discretization:
 
     def _matrix(self, d: np.ndarray) -> sp.csc_matrix:
         return (self.stiffness + sp.diags(d)).tocsc()
+
+    @property
+    def kept_factor(self) -> LinearizedOperator | None:
+        """The most recent factorization, or None once released."""
+        return self._last_factor
 
     def linearized_operator(self, u: np.ndarray, y: np.ndarray) -> LinearizedOperator:
         """A fresh factorization of Q(u, y), kept as the preconditioner."""
@@ -234,10 +250,10 @@ class Discretization:
         """Inexact damped Newton iteration on the state equation.
 
         Step k solves Q s = -r_k only to the relative 2-norm residual
-        eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, (||r_k||_h/||r_0||_h)^2)).
-        A step that fails to reduce the lumped-L2 residual norm is
-        halved, up to MAX_HALVINGS times; the last candidate is accepted
-        if no halving helps, leaving non-convergence to the outer check.
+        eta_k of the module docstring.  A step that fails to reduce the
+        lumped-L2 residual norm is halved, up to MAX_HALVINGS times; if
+        no halving helps, the last candidate is accepted and counted in
+        halvings_exhausted, leaving non-convergence to the outer check.
         """
         if tol <= 0:
             raise SolverError(f"state solve tolerance must be positive, got {tol}")
@@ -259,7 +275,8 @@ class Discretization:
                     f"iterations (residual {rnorm:.3e}, tol {tol:.3e})",
                     history=history,
                 )
-            eta = max(PCG_RTOL, min(NEWTON_ETA_MAX, (rnorm / rnorm0) ** 2))
+            forcing = max((rnorm / rnorm0) ** 2, NEWTON_TOL_SHARE * tol / rnorm)
+            eta = max(PCG_RTOL, min(NEWTON_ETA_MAX, forcing))
             step = self._solve_once(u, y, -r, eta)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
@@ -269,6 +286,8 @@ class Discretization:
                 if rnorm_new < rnorm:
                     break
                 scale *= 0.5
+            else:
+                self.halvings_exhausted += 1
             y, r, rnorm = y_new, r_new, rnorm_new
             history.append(rnorm)
             iters += 1

@@ -26,7 +26,7 @@ def test_run_benchmark_script():
     proc = run_script("run_benchmark.py", "3", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("measures:") == 2
-    assert proc.stdout.count("factorizations 5") == 2
+    assert proc.stdout.count("factorizations 3") == 2
     assert len(re.findall(r", pcg [1-9][0-9]*\n", proc.stdout)) == 2
     assert "level 3 " in proc.stdout and "level 4 " in proc.stdout
 

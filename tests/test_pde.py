@@ -15,7 +15,9 @@ from ssnbilinear import (
     build_uniform_mesh,
 )
 from ssnbilinear.pde import (
+    DEFAULT_TOL,
     NEWTON_ETA_MAX,
+    NEWTON_TOL_SHARE,
     PCG_MAX_ITERS,
     PCG_RTOL,
     LinearizedOperator,
@@ -186,7 +188,9 @@ def test_newton_steps_meet_their_forcing_terms(bench):
     for solves in (cold, disc.solves[len(cold):]):
         r0 = disc.norm(solves[0][2])
         for u_k, y_k, rhs, eta, x, factored in solves:
-            expected = max(PCG_RTOL, min(NEWTON_ETA_MAX, (disc.norm(rhs) / r0) ** 2))
+            rnorm = disc.norm(rhs)
+            forcing = max((rnorm / r0) ** 2, NEWTON_TOL_SHARE * DEFAULT_TOL / rnorm)
+            expected = max(PCG_RTOL, min(NEWTON_ETA_MAX, forcing))
             assert eta == pytest.approx(expected, rel=1e-12)
             if factored:
                 continue
@@ -228,6 +232,19 @@ def test_state_solve_iteration_budget():
     with pytest.raises(SolverError) as exc:
         disc.solve_state(disc.zeros(), max_newton=0)
     assert len(exc.value.history) == 1
+
+
+def test_exhausted_halvings_are_counted():
+    # below rounding no step lowers the residual: each such step is still
+    # accepted after every halving failed, and counted
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
+    with pytest.raises(SolverError) as exc:
+        disc.solve_state(disc.zeros(), tol=1e-30, max_newton=12)
+    history = exc.value.history
+    stalls = sum(1 for old, new in zip(history, history[1:]) if new >= old)
+    assert disc.halvings_exhausted == stalls >= 1
+    disc.solve_state(disc.zeros())
+    assert disc.halvings_exhausted == stalls
 
 
 def test_state_solve_rejects_bad_tolerance():

@@ -22,6 +22,7 @@ from ssnbilinear import (
     run_ssn,
     validate,
 )
+from ssnbilinear import ssn
 from ssnbilinear.objective import hessian_vec
 from ssnbilinear.ssn import _step, apply_Mj, cg_solve, classify
 
@@ -330,13 +331,75 @@ def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
         assert [r.cg_iters for r in records[:-1]] == [7, 7, 7, 7]
 
 
-def test_run_factors_once_per_outer_iteration_plus_once(bench):
-    # one factorization per outer iteration (adjoint and CG), plus the
-    # first Newton step of the cold start; every other solve reuses one
+def test_run_factors_three_times(bench):
+    # the first Newton step of the cold start, then outer steps 0 and 1;
+    # steps 2 and 3 follow small steps and keep the factor of step 1
     disc = Discretization(bench, build_uniform_mesh(6))
     _, _, _, records = run_ssn(disc)
     assert len(records) - 1 == 4
-    assert disc.factor_count == 5
+    assert disc.factor_count == 3
+
+
+def test_run_factors_only_after_large_steps(bench):
+    class Recording(Discretization):
+        """Logs each state solve and each factorization, in call order."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.log = []
+
+        def solve_state(self, *args, **kwargs):
+            self.log.append("state")
+            return super().solve_state(*args, **kwargs)
+
+        def _factor(self, matrix):
+            self.log.append("factor")
+            return super()._factor(matrix)
+
+    for tracking in ("quadratic", "linear"):
+        disc = Recording(benchmark_instance(tracking), build_uniform_mesh(5))
+        _, _, _, records = run_ssn(disc)
+        # factorizations between state solve j and the next one: made in
+        # outer step j (and, for j = 0, in the cold start's first step)
+        segments = " ".join(disc.log).split("state")[1:]
+        made = [segment.split().count("factor") for segment in segments]
+        steps = records[:-1]
+        expected = [2] + [int(r.delta >= ssn.REFACTOR_STEP) for r in steps[:-1]]
+        assert made == expected + [0], (tracking, made)
+        assert any(r.delta < ssn.REFACTOR_STEP for r in steps[:-1])
+
+
+@pytest.mark.parametrize("tracking", ["quadratic", "linear"])
+def test_kept_factor_matches_refactoring_every_step(
+    ladder_runs, monkeypatch, tracking
+):
+    # REFACTOR_STEP = 0 factors Q at every outer step, as before the rule
+    monkeypatch.setattr(ssn, "REFACTOR_STEP", 0.0)
+    for level in LADDER:
+        spec, _, u_kept, _, _, records_kept = ladder_runs[tracking, level]
+        disc = Discretization(spec, build_uniform_mesh(level))
+        u, _, _, records = run_ssn(disc)
+        assert disc.factor_count == 5
+        assert np.max(np.abs(u_kept - u)) <= 1e-12
+        for a, b in zip(records_kept, records, strict=True):
+            assert (a.j, a.newton_iters, a.cg_iters, a.measures) == (
+                b.j,
+                b.newton_iters,
+                b.cg_iters,
+                b.measures,
+            )
+            assert a.J == pytest.approx(b.J, rel=1e-12)
+
+
+def test_step_nearest_the_refactoring_cut_keeps_the_counts(bench):
+    # nu = 0.01 at level 6: outer step 2 keeps the factor of step 1 after
+    # delta_1 = 1.9e-2, the nearest the cut among the level-6 variants
+    spec = dataclasses.replace(bench, nu=0.01)
+    disc = Discretization(spec, build_uniform_mesh(6))
+    _, _, _, records = run_ssn(disc)
+    assert len(records) - 1 == 4
+    assert 1e-2 < records[1].delta < ssn.REFACTOR_STEP
+    assert disc.factor_count == 3
 
 
 def test_run_releases_its_last_factorization(bench):
