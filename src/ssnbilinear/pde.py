@@ -152,9 +152,9 @@ class Discretization:
     The instance keeps its most recent factorization as the preconditioner
     of one-off solves (at most one is kept; release_factorization drops it),
     counts the factorizations it makes in factor_count, the
-    preconditioner applications of its PCG solves in pcg_count, and the
-    state Newton steps accepted after every halving failed in
-    halvings_exhausted.
+    preconditioner applications of its PCG solves in pcg_count, the state
+    Newton steps in newton_count, and those accepted after every halving
+    failed in halvings_exhausted.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -166,6 +166,7 @@ class Discretization:
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
         self.factor_count = 0
         self.pcg_count = 0
+        self.newton_count = 0
         self.halvings_exhausted = 0
         self._last_factor: LinearizedOperator | None = None
 
@@ -291,6 +292,7 @@ class Discretization:
             y, r, rnorm = y_new, r_new, rnorm_new
             history.append(rnorm)
             iters += 1
+            self.newton_count += 1
         return StateSolveReport(y=y, newton_iters=iters, final_residual=rnorm)
 
     def solve_adjoint(

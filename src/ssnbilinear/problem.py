@@ -83,7 +83,7 @@ def benchmark_instance(tracking: str = "quadratic") -> ProblemSpec:
 
     def a(x, y):
         return (
-            y ** 3 * np.abs(y)
+            y * y * y * np.abs(y)
             + 2.0 * y
             - 100.0 * np.sin(2.0 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
         )

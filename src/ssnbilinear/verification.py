@@ -5,7 +5,8 @@ field must agree with a central difference of two fresh objective
 evaluations to second order in the step t.  Hessian route: the quadratic
 form from hessian_vec must agree with a second central difference, again
 to second order, and the Hessian must be symmetric in the lumped inner
-product.
+product.  Each fresh evaluation is a state solve to the full tolerance,
+started from the state at the base control.
 
 Observed orders are least-squares slopes on a log-log scale.  Each
 difference quotient carries a roundoff floor proportional to
@@ -68,6 +69,10 @@ class VerificationResult:
     directions: list[DirectionReport]
     symmetry: list[float]
     passed: bool
+    # the work of the Discretization the check ran on
+    newton_count: int
+    pcg_count: int
+    factor_count: int
 
 
 def verify_derivatives(
@@ -103,7 +108,8 @@ def verify_derivatives(
 
         slope = disc.inner(base.grad, v)
         grad_errors = [
-            abs(fd - slope) for fd in fd_gradient_oracle(disc, base.u, v, GRAD_STEPS)
+            abs(fd - slope)
+            for fd in fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS)
         ]
         grad_floors = [_FLOOR_FACTOR * eps * jscale / t for t in GRAD_STEPS]
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
@@ -111,7 +117,8 @@ def verify_derivatives(
         hv = hessian_vec(disc, base.y, base.phi, v, base.operator)
         quad = disc.inner(hv, v)
         curv_errors = [
-            abs(fd2 - quad) for fd2 in fd_curvature_oracle(disc, base.u, v, CURV_STEPS)
+            abs(fd2 - quad)
+            for fd2 in fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS)
         ]
         curv_floors = [4.0 * _FLOOR_FACTOR * eps * jscale / (t * t) for t in CURV_STEPS]
         curv_order = fit_decay_order(CURV_STEPS, curv_errors, curv_floors)
@@ -150,6 +157,9 @@ def verify_derivatives(
         directions=reports,
         symmetry=symmetry,
         passed=orders_ok and sym_ok and len(kept) > 0,
+        newton_count=disc.newton_count,
+        pcg_count=disc.pcg_count,
+        factor_count=disc.factor_count,
     )
 
 
@@ -180,5 +190,9 @@ def format_verification(result: VerificationResult) -> str:
             "hessian symmetry residuals: "
             + " ".join(f"{s:.3e}" for s in result.symmetry)
         )
+    lines.append(
+        f"work: newton {result.newton_count}, pcg {result.pcg_count}, "
+        f"factorizations {result.factor_count}"
+    )
     lines.append("verdict: " + ("PASS" if result.passed else "FAIL"))
     return "\n".join(lines)

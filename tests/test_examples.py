@@ -35,6 +35,11 @@ def test_check_derivatives_script():
     proc = run_script("check_derivatives.py", "3", "2")
     assert proc.returncode == 0, proc.stderr
     assert "at level 3 (seed 1234)" in proc.stdout
+    assert re.search(
+        r"\nwork: newton [1-9][0-9]*, pcg [1-9][0-9]*, factorizations 2\n"
+        r"verdict: PASS$",
+        proc.stdout.rstrip(),
+    )
     assert proc.stdout.rstrip().endswith("verdict: PASS")
 
 

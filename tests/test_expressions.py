@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssnbilinear import ConfigurationError
 from ssnbilinear.expressions import compile_expression
@@ -81,3 +83,65 @@ def test_parse_errors_carry_position(text, fragment):
 
 def test_repr_mentions_source():
     assert "x1" in repr(compile_expression("x1 + 1", with_y=False))
+
+
+def ulp_distance(a, b):
+    """Units in the last place between float64 arrays of one sign convention."""
+    ia = np.asarray(a, dtype=np.float64).view(np.int64)
+    ib = np.asarray(b, dtype=np.float64).view(np.int64)
+    ia = np.where(ia < 0, np.iinfo(np.int64).min - ia, ia)
+    ib = np.where(ib < 0, np.iinfo(np.int64).min - ib, ib)
+    return np.abs(ia - ib)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_small_integer_powers_are_products(values):
+    y = np.array(values)
+    x = np.zeros((y.size, 2))
+    with np.errstate(over="ignore", under="ignore"):
+        cube = compile_expression("y^3")(x, y)
+        assert np.array_equal(cube, y * y * y)
+        finite = np.isfinite(cube) & np.isfinite(y**3)
+        assert np.all(ulp_distance(cube[finite], (y**3)[finite]) <= 2)
+        square = compile_expression("y^2")(x, y)
+        assert square.tobytes() == (y**2).tobytes()
+
+
+class PowerProbe:
+    """A stand-in for y that records whether a power multiplies or calls **."""
+
+    def __init__(self):
+        self.ops = []
+
+    def __mul__(self, other):
+        self.ops.append("*")
+        return self
+
+    def __pow__(self, exponent):
+        self.ops.append(("**", exponent))
+        return self
+
+
+@pytest.mark.parametrize(
+    "text,ops",
+    [
+        ("y^2", ["*"]),
+        ("y^3", ["*", "*"]),
+        ("y^4", ["*", "*", "*"]),
+        ("y^2.5", [("**", 2.5)]),
+        ("y^(1+1)", [("**", 2.0)]),
+        ("y^5", [("**", 5.0)]),
+        ("y^-1", [("**", -1.0)]),
+    ],
+)
+def test_only_literal_exponents_two_to_four_multiply(text, ops):
+    probe = PowerProbe()
+    compile_expression(text)(np.zeros((1, 2)), probe)
+    assert probe.ops == ops
+
+
+def test_integer_power_edge_cases():
+    assert ev("2^-1") == 0.5
+    assert ev("(-2)^3") == -8.0
+    assert ev("(-2)^4") == 16.0
+    assert ev("1e200^3") == float("inf")

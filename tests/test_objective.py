@@ -16,7 +16,9 @@ from ssnbilinear.objective import (
     fit_decay_order,
     hessian_vec,
 )
+from ssnbilinear.pde import DEFAULT_TOL
 from ssnbilinear.problem import desired_state, nodal
+from ssnbilinear.verification import _FLOOR_FACTOR, CURV_STEPS, GRAD_STEPS
 
 EPS = float(np.finfo(float).eps)
 
@@ -63,7 +65,7 @@ def test_gradient_matches_finite_differences(bench):
         ts = (1e-2, 1e-3)
         errs = {
             t: abs(fd - slope)
-            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, v, ts))
+            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, base.y, v, ts))
         }
         assert errs[1e-2] <= 1e-7 * jscale
         floor = 2e3 * EPS * jscale / 1e-3
@@ -83,7 +85,7 @@ def test_hessian_quadratic_form_matches_second_differences(bench):
     ts = (1e-1, 3e-2, 1e-2)
     errs = {
         t: abs(fd2 - quad)
-        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, v, ts))
+        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, base.y, v, ts))
     }
     assert errs[1e-1] <= 1e-6 * jscale
     # second-order decay between steps, up to the 1/t^2 roundoff floor
@@ -97,7 +99,7 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(48).standard_normal(disc.n_nodes)
     ts = (1e-1, 1e-2, 1e-3)
-    singles = [fd_curvature_oracle(disc, base.u, v, (t,))[0] for t in ts]
+    singles = [fd_curvature_oracle(disc, base.u, base.y, v, (t,))[0] for t in ts]
     calls = []
     fresh = objective_module._fresh_objective
     monkeypatch.setattr(
@@ -105,12 +107,63 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
         "_fresh_objective",
         lambda *args: calls.append(args[1]) or fresh(*args),
     )
-    assert fd_curvature_oracle(disc, base.u, v, ts) == singles
+    assert fd_curvature_oracle(disc, base.u, base.y, v, ts) == singles
     assert len(calls) == 2 * len(ts) + 1
     np.testing.assert_array_equal(calls[0], base.u)
     calls.clear()
-    assert len(fd_gradient_oracle(disc, base.u, v, ts)) == len(ts)
+    assert len(fd_gradient_oracle(disc, base.u, base.y, v, ts)) == len(ts)
     assert len(calls) == 2 * len(ts)
+
+
+def test_fd_oracles_start_every_state_solve_from_the_base_state(bench, monkeypatch):
+    disc = Discretization(bench, build_uniform_mesh(2))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
+    v = np.random.default_rng(49).standard_normal(disc.n_nodes)
+    starts = []
+    solve = disc.solve_state
+    monkeypatch.setattr(
+        disc,
+        "solve_state",
+        lambda u, y_init, tol: starts.append(y_init) or solve(u, y_init, tol),
+    )
+    fd_curvature_oracle(disc, base.u, base.y, v, (1e-1, 1e-2))
+    fd_gradient_oracle(disc, base.u, base.y, v, (1e-2,))
+    assert len(starts) == 7
+    assert all(start is base.y for start in starts)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_warm_and_cold_started_oracles_agree_to_the_roundoff_floor(bench, level):
+    # The start moves J(u + t v) only within the state tolerance.  At every
+    # gradient step and at the curvature steps below 0.1 the quotients from
+    # the base state and from zero differ by less than twice the roundoff
+    # floor verify_derivatives excludes from its fit.  At t = 0.1 a warm
+    # solve may take its last Newton step to just under tol (level 4: up to
+    # 7.6 floors over 30 directions), so there the bound is the tolerance
+    # term instead: both J lie within tol * ||phi / sqrt(w)||_2 of the
+    # exact one to first order, which moves the second difference by at
+    # most 8 times that over t^2.
+    disc = Discretization(bench, build_uniform_mesh(level))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
+    cold = np.zeros(disc.n_nodes)
+    jscale = max(1.0, abs(base.J))
+    j_noise = DEFAULT_TOL * np.linalg.norm(base.phi / np.sqrt(disc.weights))
+    rng = np.random.default_rng(50 + level)
+    for _ in range(5):
+        v = rng.standard_normal(disc.n_nodes)
+        v /= disc.norm(v)
+        warm_g = fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS)
+        cold_g = fd_gradient_oracle(disc, base.u, cold, v, GRAD_STEPS)
+        for t, w, c in zip(GRAD_STEPS, warm_g, cold_g):
+            assert abs(w - c) <= 2.0 * _FLOOR_FACTOR * EPS * jscale / t
+        warm_c = fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS)
+        cold_c = fd_curvature_oracle(disc, base.u, cold, v, CURV_STEPS)
+        for t, w, c in zip(CURV_STEPS, warm_c, cold_c):
+            if t < 0.1:
+                bound = 2.0 * 4.0 * _FLOOR_FACTOR * EPS * jscale / (t * t)
+            else:
+                bound = 8.0 * j_noise / (t * t)
+            assert abs(w - c) <= bound
 
 
 def test_hessian_linear_in_direction(bench, base_state3, disc3):

@@ -2,11 +2,19 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssnbilinear import ConfigurationError, benchmark_instance, validate
+from ssnbilinear import (
+    ConfigurationError,
+    benchmark_instance,
+    build_uniform_mesh,
+    validate,
+)
+from ssnbilinear.expressions import compile_expression
 from ssnbilinear.problem import desired_state, nodal
 
 
@@ -178,3 +186,25 @@ def test_validate_reports_broken_callable():
     spec = dataclasses.replace(benchmark_instance(), da_dy=boom)
     msgs = validate(spec, derivative_check=False)
     assert any("could not be evaluated" in m for m in msgs)
+
+
+def readme_problem_expressions():
+    """The [problem] keys of the README's expression example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    block = re.search(r"```ini\n\[problem\]\n(a .*?)```", readme, re.DOTALL).group(1)
+    return dict(
+        (key.strip(), value.strip())
+        for key, value in (line.split("=", 1) for line in block.splitlines())
+    )
+
+
+def test_preset_nonlinearity_is_bitwise_the_readme_expressions():
+    spec = benchmark_instance()
+    texts = readme_problem_expressions()
+    x = build_uniform_mesh(5).nodes
+    y = np.random.default_rng(11).uniform(-4.0, 4.0, x.shape[0])
+    for name in ("a", "da_dy", "d2a_dy2"):
+        expected = nodal(compile_expression(texts[name]), x, y)
+        assert nodal(getattr(spec, name), x, y).tobytes() == expected.tobytes(), name

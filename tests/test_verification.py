@@ -1,8 +1,10 @@
 """Derivative verification driver and its report formatting."""
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from ssnbilinear import benchmark_instance, format_verification, verify_derivatives
 
@@ -45,3 +47,33 @@ def test_format_verification_is_readable():
     # roundoff-floored error sequences report an infinite decay order
     if any(math.isinf(r.grad_order) for r in result.directions):
         assert "floor" in text
+
+
+def test_verify_reports_its_work_and_warm_starts_halve_it():
+    # a cold start at every FD point made 430 Newton steps and 1050
+    # preconditioner applications here
+    result = verify_derivatives(benchmark_instance(), level=4, directions=5, seed=1234)
+    assert result.passed
+    assert 0 < result.newton_count <= 215
+    assert 0 < result.pcg_count <= 525
+    assert result.factor_count == 2
+    lines = format_verification(result).splitlines()
+    assert lines[-2] == (
+        f"work: newton {result.newton_count}, pcg {result.pcg_count}, "
+        "factorizations 2"
+    )
+    assert lines[-1] == "verdict: PASS"
+
+
+def scaled(fn, factor):
+    return lambda x, y: factor * np.asarray(fn(x, y))
+
+
+@pytest.mark.parametrize(
+    "field,factor",
+    [("dL_dy", 1.0 + 1e-6), ("d2L_dy2", 1.0 + 1e-4), ("d2a_dy2", 1.0 + 1e-4)],
+)
+def test_verify_fails_on_a_slightly_wrong_derivative(field, factor):
+    spec = benchmark_instance()
+    wrong = dataclasses.replace(spec, **{field: scaled(getattr(spec, field), factor)})
+    assert not verify_derivatives(wrong, level=4, directions=5, seed=1234).passed
