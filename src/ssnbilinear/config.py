@@ -14,7 +14,6 @@ round trip.
 """
 
 import configparser
-import math
 import os
 from dataclasses import dataclass
 
@@ -51,21 +50,6 @@ def _parse_bool(raw: str, key: str, errors: list[str]) -> bool:
         return False
     errors.append(f"[{key}] expected on/off, got {raw!r}")
     return True
-
-
-def _parse_real(section, key: str, errors: list[str]) -> float | None:
-    raw = section.get(key)
-    if raw is None:
-        errors.append(f"[problem] missing required key {key!r}")
-        return None
-    raw = raw.strip()
-    try:
-        if raw.lower() in ("inf", "+inf") and key == "beta":
-            return math.inf
-        return float(raw)
-    except ValueError:
-        errors.append(f"[problem] {key} must be a real number, got {raw!r}")
-        return None
 
 
 def _parse_numbers(section, keys, cast, errors: list[str], label: str) -> dict:
@@ -133,9 +117,13 @@ def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
         errors.append(f"[problem] g: {exc}")
         flux = None
 
-    reals = {key: _parse_real(section, key, errors) for key in _PROBLEM_REALS}
+    for key in _PROBLEM_REALS:
+        if section.get(key) is None:
+            errors.append(f"[problem] missing required key {key!r}")
+    reals = _parse_numbers(section, _PROBLEM_REALS, float, errors, "problem")
 
-    if len(funcs) < len(_PROBLEM_FUNCS) or flux is None or None in reals.values():
+    complete = len(funcs) == len(_PROBLEM_FUNCS) and len(reals) == len(_PROBLEM_REALS)
+    if not complete or flux is None:
         return None
     return ProblemSpec(
         a=funcs["a"],

@@ -21,10 +21,15 @@ operator) runs matrix-free preconditioned CG, applying Q as K p + d*p with
 d = w*(da_dy + u), preconditioned by the most recent factorization the
 Discretization keeps.  Both matrices share K and the lumped diagonal
 c = da_dy + u > 0, so the preconditioned operator's condition number is
-at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  If CG
-has not reached its relative residual within PCG_MAX_ITERS steps, or
-breaks down, Q is assembled, factored and solved directly instead, and
-that factor replaces the kept one.
+at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.
+
+These one-off solves and the outer loop's reduced system (ssn) run the
+same conjugate-gradient routine, cg_solve, which returns only a
+converged iterate: nonpositive curvature raises NegativeCurvatureError,
+and a nonfinite value or an exhausted budget raises SolverError.  The
+outer loop passes either on.  A one-off solve catches it (PCG_MAX_ITERS
+is its budget), assembles, factors and solves Q directly instead, and
+keeps that factor in place of the old one.
 
 SuperLU factors Q in symmetric mode: columns are ordered by multiple
 minimum degree on the pattern of Q^T + Q (MMD_AT_PLUS_A), and the pivots
@@ -63,7 +68,7 @@ from .assembly import (
     assemble_lumped_mass,
     assemble_stiffness,
 )
-from .errors import SolverError
+from .errors import NegativeCurvatureError, SolverError
 from .mesh import TriMesh
 from .problem import ProblemSpec, nodal
 
@@ -100,38 +105,53 @@ class LinearizedOperator:
         return self._lu.solve(rhs)
 
 
-def _pcg(
-    apply, rhs: np.ndarray, precondition, rtol: float = PCG_RTOL
-) -> np.ndarray | None:
-    """Preconditioned CG for apply(x) = rhs from zero; None unless it converges.
+def cg_solve(
+    apply,
+    rhs: np.ndarray,
+    tol: float,
+    max_iters: int,
+    inner=np.dot,
+    precondition=None,
+) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradients from zero; returns (x, iterations).
 
-    Converged means ||rhs - apply(x)||_2 <= rtol ||rhs||_2 within
-    PCG_MAX_ITERS iterations.  Nonpositive or nonfinite curvature gives
-    up at once: the caller then solves directly.
+    apply and precondition must be symmetric positive definite in the
+    inner product inner (by default the plain dot product); without a
+    preconditioner z = r.  Converged means
+    sqrt(inner(r, r)) <= tol * sqrt(inner(rhs, rhs)) for the residual
+    r = rhs - apply(x) within max_iters iterations.  No other iterate is
+    returned: nonpositive curvature raises NegativeCurvatureError, and a
+    nonfinite value or an exhausted budget raises SolverError.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    target = rtol * np.linalg.norm(rhs)
-    if np.linalg.norm(r) <= target:
-        return x
-    z = precondition(r)
+    target = tol * np.sqrt(inner(rhs, rhs))
+    rr = inner(r, r)
+    if np.sqrt(rr) <= target:
+        return x, 0
+    z = r if precondition is None else precondition(r)
+    rz = rr if precondition is None else inner(r, z)
     p = z.copy()
-    rz = float(r @ z)
-    for _ in range(PCG_MAX_ITERS):
-        qp = apply(p)
-        pqp = float(p @ qp)
-        if not (np.isfinite(rz) and np.isfinite(pqp) and pqp > 0):
-            return None
-        step = rz / pqp
+    for it in range(1, max_iters + 1):
+        ap = apply(p)
+        pap = inner(p, ap)
+        if not (np.isfinite(rz) and np.isfinite(pap)):
+            raise SolverError(f"cg: nonfinite value at iteration {it}")
+        if pap <= 0:
+            raise NegativeCurvatureError(
+                f"cg: nonpositive curvature {pap:.3e} at iteration {it}"
+            )
+        step = rz / pap
         x += step * p
-        r -= step * qp
-        if np.linalg.norm(r) <= target:
-            return x
-        z = precondition(r)
-        rz_new = float(r @ z)
+        r -= step * ap
+        rr = inner(r, r)
+        if np.sqrt(rr) <= target:
+            return x, it
+        z = r if precondition is None else precondition(r)
+        rz_new = rr if precondition is None else inner(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return None
+    raise SolverError(f"cg: no convergence in {max_iters} iterations")
 
 
 @dataclass
@@ -226,7 +246,7 @@ class Discretization:
 
         Matrix-free PCG (Q p = K p + d*p) preconditioned by the kept
         factorization; Q is assembled and factored only when there is no
-        kept factor or PCG does not converge.
+        kept factor or cg_solve raises, so no unconverged iterate escapes.
         """
         d = self._reaction(u, y)
         factor = self._last_factor
@@ -236,9 +256,17 @@ class Discretization:
                 self.pcg_count += 1
                 return factor.solve(r)
 
-            x = _pcg(lambda p: self.stiffness @ p + d * p, rhs, precondition, rtol)
-            if x is not None:
+            try:
+                x, _ = cg_solve(
+                    lambda p: self.stiffness @ p + d * p,
+                    rhs,
+                    rtol,
+                    PCG_MAX_ITERS,
+                    precondition=precondition,
+                )
                 return x
+            except SolverError:  # NegativeCurvatureError too: factor instead
+                pass
         return self._factor(self._matrix(d)).solve(rhs)
 
     def solve_state(

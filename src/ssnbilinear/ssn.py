@@ -9,7 +9,11 @@ every node as upper-active (y*phi >= nu*beta), lower-active
 (y*phi <= nu*alpha), or inactive, assigns the Newton correction directly
 on the active sets (w = bound - u there), and solves the reduced
 quadratic problem for the inactive components with a matrix-free
-conjugate gradient method in the lumped L2 inner product.  One CG
+conjugate gradient method in the lumped L2 inner product: pde.cg_solve
+with inner = Discretization.inner, the routine the one-off PDE solves
+run too.  Its typed failures reach the caller: NegativeCurvatureError
+when the reduced Hessian is not positive definite on the inactive set,
+SolverError on a nonfinite value or an exhausted max_cg budget.  One CG
 operator application costs two linear PDE solves with a factorization
 of the operator Q(u, y) of the linearized equations (see pde).
 
@@ -43,9 +47,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NegativeCurvatureError, SolverError
+from .errors import ConfigurationError, SolverError
 from .objective import _hessian_term, _objective
-from .pde import DEFAULT_TOL, Discretization, LinearizedOperator, StateSolveReport
+from .pde import (
+    DEFAULT_TOL,
+    Discretization,
+    LinearizedOperator,
+    StateSolveReport,
+    cg_solve,
+)
 from .problem import ProblemSpec, validate
 
 # An outer step after a scaled step below this reuses the kept factor of Q.
@@ -144,59 +154,6 @@ def apply_Mj(
     return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
-def cg_solve(
-    apply,
-    rhs: np.ndarray,
-    tol: float,
-    max_iters: int,
-    weights: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Conjugate gradients from a zero start, in a weighted inner product.
-
-    Stops when the residual norm falls below tol times the right-hand
-    side norm.  Nonpositive curvature is a hard error: the operator is
-    expected to be positive definite on its subspace, and a violation is
-    diagnostic information, not something to paper over.
-    """
-    w = weights if weights is not None else np.ones_like(rhs)
-
-    def inner(a, b):
-        return float(np.sum(w * a * b))
-
-    x = np.zeros_like(rhs)
-    target = np.sqrt(inner(rhs, rhs)) * tol
-    r = rhs.copy()
-    rho = inner(r, r)
-    if np.sqrt(rho) <= target:
-        return x, 0
-    p = r.copy()
-    for it in range(1, max_iters + 1):
-        ap = apply(p)
-        pap = inner(p, ap)
-        if not pap > 0:
-            raise NegativeCurvatureError(
-                f"cg: nonpositive curvature {pap:.3e} at iteration {it}"
-            )
-        step = rho / pap
-        x += step * p
-        r -= step * ap
-        rho_new = inner(r, r)
-        if np.sqrt(rho_new) <= target:
-            return x, it
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    raise SolverError(f"cg: no convergence in {max_iters} iterations")
-
-
-@dataclass
-class _StepResult:
-    u_next: np.ndarray
-    record: IterationRecord
-    y: np.ndarray
-    phi: np.ndarray
-    state: StateSolveReport
-
-
 def _step(
     disc: Discretization,
     j: int,
@@ -204,7 +161,7 @@ def _step(
     cfg: SSNConfig,
     state: StateSolveReport,
     refactor: bool = True,
-) -> _StepResult:
+) -> tuple[np.ndarray, IterationRecord]:
     """Lines 4-11 of one outer iteration, given the state solve of line 3.
 
     With refactor = False the step keeps the Discretization's factor of
@@ -235,7 +192,7 @@ def _step(
 
     max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
     v_inactive, cg_iters = cg_solve(
-        apply, rhs, cfg.inner_tol, max_cg, weights=disc.weights
+        apply, rhs, cfg.inner_tol, max_cg, inner=disc.inner
     )
 
     v = np.where(sets.inactive, v_inactive, w)
@@ -253,7 +210,7 @@ def _step(
             disc.measure(sets.inactive),
         ),
     )
-    return _StepResult(u_next=u_next, record=record, y=y, phi=phi, state=state)
+    return u_next, record
 
 
 def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
@@ -299,11 +256,11 @@ def run_ssn(
         for j in range(cfg.max_outer):
             state = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
             refactor = not records or records[-1].delta >= REFACTOR_STEP
-            result = _step(disc, j, u, cfg, state, refactor)
-            records.append(result.record)
-            u, y_warm = result.u_next, result.y
+            u, record = _step(disc, j, u, cfg, state, refactor)
+            records.append(record)
+            y_warm = state.y
 
-            if result.record.delta < floor:
+            if record.delta < floor:
                 final = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
                 records.append(
                     IterationRecord(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,10 +166,15 @@ def test_help_and_usage_exit_codes(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package from a bare checkout, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ssnbilinear", "mesh-info", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "nodes = 9" in proc.stdout

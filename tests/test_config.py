@@ -115,10 +115,25 @@ def test_custom_problem_missing_function(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
-def test_infinite_beta_token(tmp_path):
-    text = CUSTOM.replace("beta = 0.5", "beta = inf")
+@pytest.mark.parametrize("token", ["inf", "+inf", "Inf"])
+def test_infinite_beta_token(tmp_path, token):
+    text = CUSTOM.replace("beta = 0.5", f"beta = {token}")
     cfg = parse_config(write_cfg(tmp_path, text))
     assert cfg.spec.beta == math.inf
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("nu = 0.1\n", "", "[problem] missing required key 'nu'"),
+        ("nu = 0.1", "nu = x", "[problem] nu must be a real number, got 'x'"),
+    ],
+    ids=["missing", "not-a-number"],
+)
+def test_problem_real_messages(tmp_path, old, new, message):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, CUSTOM.replace(old, new)))
+    assert message in str(exc.value)
 
 
 def test_semantic_violations_are_collected(tmp_path):

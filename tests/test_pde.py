@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from ssnbilinear import (
     Discretization,
+    NegativeCurvatureError,
     ProblemSpec,
     SolverError,
     benchmark_instance,
@@ -21,7 +22,7 @@ from ssnbilinear.pde import (
     PCG_MAX_ITERS,
     PCG_RTOL,
     LinearizedOperator,
-    _pcg,
+    cg_solve,
 )
 
 
@@ -120,8 +121,15 @@ def test_pcg_past_the_cap_factors_directly():
     u = np.random.default_rng(3).uniform(0.0, 1e6, disc.n_nodes)
     q = disc.linearized_matrix(u, disc.zeros())
     kept = LinearizedOperator(disc.linearized_matrix(disc.zeros(), disc.zeros()))
-    assert _pcg(lambda p: q @ p, disc.weights, kept.solve) is None
-    assert _pcg(lambda p: q @ p, disc.weights, kept.solve, NEWTON_ETA_MAX) is None
+    for rtol in (PCG_RTOL, NEWTON_ETA_MAX):
+        with pytest.raises(SolverError, match="no convergence"):
+            cg_solve(
+                lambda p: q @ p,
+                disc.weights,
+                rtol,
+                PCG_MAX_ITERS,
+                precondition=kept.solve,
+            )
     report = disc.solve_state(u)
     assert disc.factor_count == 2
     assert report.newton_iters == 1
@@ -206,10 +214,10 @@ def test_warm_state_solve_does_not_assemble_q(bench):
     disc = Discretization(bench, build_uniform_mesh(5))
     first = disc.solve_state(disc.zeros())
 
-    def refuse(u, y):
+    def refuse(d):
         raise AssertionError("Q was assembled")
 
-    disc.linearized_matrix = refuse
+    disc._matrix = refuse
     report = disc.solve_state(np.full(disc.n_nodes, 0.3), y_init=first.y)
     assert report.newton_iters >= 2
     assert disc.factor_count == 1
@@ -217,14 +225,28 @@ def test_warm_state_solve_does_not_assemble_q(bench):
 
 def test_pcg_never_returns_an_unconverged_iterate():
     rhs = np.ones(4)
-    # negative curvature
-    assert _pcg(lambda p: -p, rhs, lambda r: r) is None
+    with pytest.raises(NegativeCurvatureError):
+        cg_solve(lambda p: -p, rhs, PCG_RTOL, PCG_MAX_ITERS, precondition=lambda r: r)
     # nonfinite preconditioner output
-    assert _pcg(lambda p: p, rhs, lambda r: np.full_like(r, np.inf)) is None
+    with pytest.raises(SolverError, match="nonfinite"):
+        cg_solve(
+            lambda p: p,
+            rhs,
+            PCG_RTOL,
+            PCG_MAX_ITERS,
+            precondition=lambda r: np.full_like(r, np.inf),
+        )
     # n distinct eigenvalues need n unpreconditioned iterations
     n = PCG_MAX_ITERS + 5
     spread = sp.diags(np.geomspace(1.0, 1e6, n)).tocsr()
-    assert _pcg(lambda p: spread @ p, np.ones(n), lambda r: r) is None
+    with pytest.raises(SolverError, match="no convergence"):
+        cg_solve(
+            lambda p: spread @ p,
+            np.ones(n),
+            PCG_RTOL,
+            PCG_MAX_ITERS,
+            precondition=lambda r: r,
+        )
 
 
 def test_state_solve_iteration_budget():
