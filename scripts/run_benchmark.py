@@ -2,6 +2,9 @@
 """Solve the benchmark at a range of levels and print convergence tables.
 
 Usage: python3 scripts/run_benchmark.py [level ...]   (default: 5 6 7)
+
+Row 0's newton column counts the steps of a coarse start too; the
+measures line names the coarse level and its own Newton steps.
 """
 
 import sys
@@ -39,12 +42,19 @@ def main(argv):
 
         rep = complementarity_report(disc, u, y, phi)
         resid = disc.norm(optimality_residual(spec, u, y, phi))
+        first = records[0]
+        coarse = (
+            f"level {first.coarse_level} newton {first.coarse_newton_iters}"
+            if first.coarse_level is not None
+            else "none"
+        )
         print(
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "
             f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
             f"||u - Proj(y*phi/nu)||_h {resid:.2e}, "
             f"factorizations {disc.factor_count}, "
-            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}"
+            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}, "
+            f"coarse start {coarse}"
         )
     return 0
 

@@ -29,7 +29,7 @@ from .outputs import (
     write_structured_vtk,
 )
 from .pde import Discretization
-from .ssn import complementarity_report, run_ssn
+from .ssn import IterationRecord, complementarity_report, run_ssn
 from .verification import format_verification, verify_derivatives
 
 
@@ -43,7 +43,8 @@ def _cmd_run(config: RunConfig) -> int:
         try:
             u, y, phi, records = run_ssn(disc, config.ssn)
         except SolverError as exc:
-            if exc.history:
+            # a failed state solve carries its residuals, not table rows
+            if exc.history and isinstance(exc.history[0], IterationRecord):
                 write_convergence_csv(
                     os.path.join(out_dir, "convergence.csv"), exc.history
                 )

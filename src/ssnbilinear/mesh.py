@@ -12,6 +12,12 @@ The triangles and the boundary edges are implied by the grid, so a mesh
 stores only its node coordinates: the 2*4^k triangles are the two halves
 (ll, lr, ur) and (ll, ur, ul) of every cell, and the 4*2^k boundary edges
 are the grid segments on the sides of the square.
+
+Consecutive levels nest: the level-(k-1) nodes are the level-k nodes with
+even row and column, and every coarse triangle is the union of four fine
+ones.  prolong maps nodal values from level k-1 to level k exactly in P1
+(the coarse function, read at the fine nodes), and inject restricts
+nodal values from level k to level k-1 by keeping the shared nodes.
 """
 
 from dataclasses import dataclass
@@ -64,3 +70,27 @@ def build_uniform_mesh(level: int) -> TriMesh:
     xs = np.arange(side) * h
     nodes = np.column_stack([np.tile(xs, side), np.repeat(xs, side)])
     return TriMesh(nodes=nodes, h=h, level=int(level))
+
+
+def prolong(coarse: np.ndarray, level: int) -> np.ndarray:
+    """P1 prolongation of nodal values from level - 1 to level.
+
+    A shared node keeps its value; a fine node at the midpoint of a coarse
+    edge (horizontal, vertical, or the ll -> ur diagonal that halves a
+    cell) takes the mean of the edge's two endpoints.  So the centre of a
+    coarse cell takes the mean of the cell's ll and ur corners.
+    """
+    m = 2 ** (int(level) - 1) + 1
+    c = np.asarray(coarse, dtype=float).reshape(m, m)
+    fine = np.empty((2 * m - 1, 2 * m - 1))
+    fine[::2, ::2] = c
+    fine[::2, 1::2] = 0.5 * (c[:, :-1] + c[:, 1:])
+    fine[1::2, ::2] = 0.5 * (c[:-1, :] + c[1:, :])
+    fine[1::2, 1::2] = 0.5 * (c[:-1, :-1] + c[1:, 1:])
+    return fine.ravel()
+
+
+def inject(fine: np.ndarray, level: int) -> np.ndarray:
+    """Nodal values on level restricted to level - 1 by injection."""
+    side = 2 ** int(level) + 1
+    return np.asarray(fine, dtype=float).reshape(side, side)[::2, ::2].ravel()

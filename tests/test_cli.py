@@ -102,6 +102,22 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
     assert len(rows) == 2  # header plus the single iteration that ran
 
 
+@pytest.mark.parametrize("level", [2, 5])
+def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
+    # below rounding the state solve runs out of Newton steps, on the run's
+    # mesh (level 2) or on the coarser one (level 5); its error carries
+    # residuals, so no table is written
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(
+        tmp_path,
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = {level}\n\n"
+        f"[output]\ndirectory = {out_dir}\n\n[ssn]\ninner_tol = 1e-30\n",
+    )
+    assert main(["run", cfg]) == 2
+    assert "no convergence in 50 Newton" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
+
+
 # README expression problem with dL_dy and d2L_dy2 both 1% too large: the
 # state and adjoint stay well posed, only the derivative lint can object.
 MISSCALED = """

@@ -23,12 +23,14 @@ def run_script(name, *args):
 
 
 def test_run_benchmark_script():
-    proc = run_script("run_benchmark.py", "3", "4")
+    proc = run_script("run_benchmark.py", "3", "5")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("measures:") == 2
     assert proc.stdout.count("factorizations 3") == 2
-    assert len(re.findall(r", pcg [1-9][0-9]*\n", proc.stdout)) == 2
-    assert "level 3 " in proc.stdout and "level 4 " in proc.stdout
+    assert len(re.findall(r", pcg [1-9][0-9]*, coarse start ", proc.stdout)) == 2
+    assert "level 3 " in proc.stdout and "level 5 " in proc.stdout
+    assert "coarse start none\n" in proc.stdout
+    assert "coarse start level 4 newton 5\n" in proc.stdout
 
 
 def test_check_derivatives_script():

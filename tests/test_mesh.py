@@ -1,4 +1,5 @@
-"""Mesh construction: counts, geometry, orientation, boundary cover.
+"""Mesh construction: counts, geometry, orientation, boundary cover,
+and the transfer of nodal values between consecutive levels.
 
 The mesh stores no connectivity; the triangles and boundary edges it
 implies are built by the test oracle and checked here.
@@ -6,12 +7,14 @@ implies are built by the test oracle and checked here.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from coo_oracle import connectivity, triangle_areas
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ssnbilinear import ConfigurationError, build_uniform_mesh
-from ssnbilinear.mesh import MAX_LEVEL
+from ssnbilinear.assembly import assemble_stiffness
+from ssnbilinear.mesh import MAX_LEVEL, inject, prolong
 
 levels = st.integers(min_value=1, max_value=6)
 
@@ -113,3 +116,60 @@ def test_level_validation(bad):
 def test_numpy_integer_level_accepted():
     mesh = build_uniform_mesh(np.int64(3))
     assert mesh.level == 3
+
+
+# --- transfer between levels ---------------------------------------------
+
+
+def prolongation_matrix(level):
+    """The matrix of prolong from level - 1 to level, column by column."""
+    n_coarse = (2 ** (level - 1) + 1) ** 2
+    rows, cols, vals = [], [], []
+    for i in range(n_coarse):
+        e = np.zeros(n_coarse)
+        e[i] = 1.0
+        column = prolong(e, level)
+        nz = np.flatnonzero(column)
+        rows.append(nz)
+        cols.append(np.full(len(nz), i))
+        vals.append(column[nz])
+    n_fine = (2**level + 1) ** 2
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_fine, n_coarse),
+    )
+
+
+@pytest.mark.parametrize("coarse_level", range(2, 7))
+def test_prolongation_nests_the_stiffness(coarse_level):
+    # the P1 spaces nest, so P^T K_fine P is the coarse stiffness matrix
+    fine = build_uniform_mesh(coarse_level + 1)
+    coarse = build_uniform_mesh(coarse_level)
+    p = prolongation_matrix(fine.level)
+    for diffusion in (
+        np.eye(2),
+        np.array([[2.0, 0.3], [0.3, 1.0]]),
+        np.array([[1.0, -0.7], [-0.7, 3.1]]),
+    ):
+        k_coarse = assemble_stiffness(coarse, diffusion)
+        galerkin = p.T @ assemble_stiffness(fine, diffusion) @ p
+        gap = abs(galerkin - k_coarse).max()
+        if diffusion[0, 1] == 0.0:
+            assert gap == 0.0
+        else:
+            assert gap <= 1e-15 * abs(k_coarse).max()
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_prolongation_reproduces_linear_functions(level):
+    fine = build_uniform_mesh(level).nodes
+    coarse = build_uniform_mesh(level - 1).nodes
+    # dyadic coefficients keep every nodal value and midpoint mean exact
+    for c0, c1, c2 in ((1.0, 0.0, 0.0), (3.0, -2.0, 5.0), (-0.5, 0.25, 1.75)):
+
+        def f(x):
+            return c0 + c1 * x[:, 0] + c2 * x[:, 1]
+
+        np.testing.assert_array_equal(prolong(f(coarse), level), f(fine))
+    v = np.random.default_rng(level).standard_normal(len(coarse))
+    np.testing.assert_array_equal(inject(prolong(v, level), level), v)

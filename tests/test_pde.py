@@ -257,14 +257,22 @@ def test_state_solve_iteration_budget():
 
 
 def test_exhausted_halvings_are_counted():
-    # below rounding no step lowers the residual: each such step is still
-    # accepted after every halving failed, and counted
-    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
+    # a step along +Q^-1 r raises the residual at every length, so every
+    # halving fails: each such step is still accepted, and counted
+    class Uphill(Discretization):
+        uphill = True
+
+        def _solve_once(self, *args):
+            step = super()._solve_once(*args)
+            return -step if self.uphill else step
+
+    disc = Uphill(benchmark_instance(), build_uniform_mesh(2))
     with pytest.raises(SolverError) as exc:
-        disc.solve_state(disc.zeros(), tol=1e-30, max_newton=12)
+        disc.solve_state(disc.zeros(), max_newton=3)
     history = exc.value.history
     stalls = sum(1 for old, new in zip(history, history[1:]) if new >= old)
-    assert disc.halvings_exhausted == stalls >= 1
+    assert disc.halvings_exhausted == stalls == 3
+    disc.uphill = False
     disc.solve_state(disc.zeros())
     assert disc.halvings_exhausted == stalls
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from test_pde import linear_problem
 
 from ssnbilinear import (
     ConfigurationError,
@@ -24,7 +25,7 @@ from ssnbilinear import (
 )
 from ssnbilinear import ssn
 from ssnbilinear.objective import hessian_vec
-from ssnbilinear.pde import cg_solve
+from ssnbilinear.pde import MAX_NEWTON, cg_solve
 from ssnbilinear.ssn import _step, apply_Mj, classify
 
 finite_fields = hnp.arrays(
@@ -268,6 +269,52 @@ def test_run_rejects_bad_initial_control_shape(bench):
         run_ssn(disc, SSNConfig(u0=np.zeros(3)))
 
 
+def test_coarse_start_from_a_per_node_control(bench, monkeypatch):
+    # the coarse solve starts from u0 injected onto its mesh, and the run
+    # takes as many outer steps as the cold start from y = 0
+    mesh = build_uniform_mesh(ssn.COARSE_START_LEVEL)
+    x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    u0 = np.clip(2.0 * x1 - 1.0 + 0.5 * np.sin(5.0 * x2), bench.alpha, bench.beta)
+    cfg = SSNConfig(u0=u0)
+    records = run_ssn(Discretization(bench, mesh), cfg)[-1]
+    monkeypatch.setattr(ssn, "COARSE_START_LEVEL", mesh.level + 1)
+    cold = run_ssn(Discretization(bench, mesh), cfg)[-1]
+    assert records[0].coarse_level == mesh.level - 1
+    assert cold[0].coarse_level is None
+    assert len(records) == len(cold)
+    assert records[-1].J == pytest.approx(cold[-1].J, rel=1e-12)
+
+
+def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
+    # y = 1/(1 + u0) is constant, so the prolonged coarse state already
+    # solves the fine equation: nothing is factored before outer step 0,
+    # which then factors Q itself
+    disc = Discretization(linear_problem(), build_uniform_mesh(ssn.COARSE_START_LEVEL))
+    u, y, _, records = run_ssn(disc, SSNConfig(u0=0.5))
+    assert records[0].newton_iters == records[0].coarse_newton_iters == 1
+    assert disc.factor_count == 3
+    assert np.max(np.abs(y * (1.0 + u) - 1.0)) <= 1e-12
+
+
+def test_coarse_solve_failure_propagates_with_its_history(bench, monkeypatch):
+    levels = []
+    solve_state = Discretization.solve_state
+
+    def logged(self, *args, **kwargs):
+        levels.append(self.mesh.level)
+        return solve_state(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "solve_state", logged)
+    disc = Discretization(bench, build_uniform_mesh(ssn.COARSE_START_LEVEL))
+    # a state tolerance below rounding: the coarse Newton loop runs out
+    with pytest.raises(SolverError, match="no convergence in 50 Newton") as exc:
+        run_ssn(disc, SSNConfig(inner_tol=1e-30))
+    assert levels == [ssn.COARSE_START_LEVEL - 1]
+    assert len(exc.value.history) == MAX_NEWTON + 1
+    # the failed coarse solve's work is counted on the run's Discretization
+    assert disc.newton_count == MAX_NEWTON
+
+
 def test_run_validates_problem_data():
     spec = dataclasses.replace(benchmark_instance(), nu=0.0)
     with pytest.raises(ConfigurationError, match="nu"):
@@ -300,20 +347,34 @@ LADDER = (4, 5, 6, 7)
 
 @pytest.fixture(scope="module")
 def ladder_runs():
-    """Benchmark runs at levels 4-7 for both tracking forms."""
+    """Benchmark runs at levels 4-7 for both tracking forms.
+
+    Each run is (spec, disc, u, y, phi, records, sizes), sizes the order
+    of every matrix factored during the run, on any mesh.
+    """
+    sizes = []
+    factor = Discretization._factor
+
+    def recorded(self, matrix):
+        sizes.append(matrix.shape[0])
+        return factor(self, matrix)
+
     runs = {}
-    for tracking in ("quadratic", "linear"):
-        spec = benchmark_instance(tracking)
-        for level in LADDER:
-            disc = Discretization(spec, build_uniform_mesh(level))
-            runs[tracking, level] = (spec, disc.n_nodes, *run_ssn(disc))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Discretization, "_factor", recorded)
+        for tracking in ("quadratic", "linear"):
+            spec = benchmark_instance(tracking)
+            for level in LADDER:
+                disc = Discretization(spec, build_uniform_mesh(level))
+                runs[tracking, level] = (spec, disc, *run_ssn(disc), sizes[:])
+                sizes.clear()
     return runs
 
 
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
 def test_outer_counts_equal_across_levels(ladder_runs, tracking):
     counts = {
-        level: sum(1 for r in ladder_runs[tracking, level][-1] if r.delta is not None)
+        level: sum(1 for r in ladder_runs[tracking, level][5] if r.delta is not None)
         for level in LADDER
     }
     assert max(counts.values()) == min(counts.values()), counts
@@ -322,20 +383,53 @@ def test_outer_counts_equal_across_levels(ladder_runs, tracking):
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
 def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
     # the factorization-preconditioned state solves take exactly as many
-    # Newton steps as direct solves did
+    # Newton steps as direct solves did.  From level 5 up, row 0 counts the
+    # 5 steps of the coarse solve from zero plus 3 (levels 5-6) or 2
+    # (level 7) from its prolonged state; the cold start took 5.
     for level in LADDER:
-        records = ladder_runs[tracking, level][-1]
+        records = ladder_runs[tracking, level][5]
         newton = [r.newton_iters for r in records]
-        if tracking == "quadratic" and level == 4:
-            assert newton == [5, 4, 2, 1, 0]
+        if level == 4:
+            first = 5
+            assert records[0].coarse_level is None
+            assert records[0].coarse_newton_iters == 0
         else:
-            assert newton == [5, 3, 2, 1, 0], (level, newton)
+            first = 8 if level < 7 else 7
+            assert records[0].coarse_level == level - 1
+            assert records[0].coarse_newton_iters == 5
+        second = 4 if (tracking, level) == ("quadratic", 4) else 3
+        assert newton == [first, second, 2, 1, 0], (level, newton)
         assert [r.cg_iters for r in records[:-1]] == [7, 7, 7, 7]
+        assert all(r.coarse_level is None for r in records[1:])
+
+
+@pytest.mark.parametrize("tracking", ["quadratic", "linear"])
+def test_coarse_start_factors_the_fine_operator_twice(ladder_runs, tracking):
+    # the fine state solve's first Newton step, kept by outer step 0, and
+    # outer step 1; the coarse solve from zero factors once on its mesh
+    for level in LADDER[1:]:
+        _, disc, _, _, _, _, sizes = ladder_runs[tracking, level]
+        coarse_nodes = (2 ** (level - 1) + 1) ** 2
+        assert sizes == [coarse_nodes, disc.n_nodes, disc.n_nodes], (level, sizes)
+        assert disc.factor_count == 3
+
+
+@pytest.mark.parametrize(
+    "tracking, pcg, newton", [("quadratic", 47, 12), ("linear", 45, 11)]
+)
+def test_level_4_keeps_the_cold_start(ladder_runs, tracking, pcg, newton):
+    # below COARSE_START_LEVEL the run starts from y = 0 and factors
+    # Q(u0, 0), then Q(u0, y0) in outer step 0, then in outer step 1
+    _, disc, _, _, _, _, sizes = ladder_runs[tracking, 4]
+    assert 4 < ssn.COARSE_START_LEVEL
+    assert sizes == [disc.n_nodes] * 3
+    assert (disc.factor_count, disc.pcg_count, disc.newton_count) == (3, pcg, newton)
 
 
 def test_run_factors_three_times(bench):
-    # the first Newton step of the cold start, then outer steps 0 and 1;
-    # steps 2 and 3 follow small steps and keep the factor of step 1
+    # the first Newton steps of the coarse and the fine state solve, then
+    # outer step 1; step 0 keeps the fine factor, and steps 2 and 3 follow
+    # small steps and keep the factor of step 1
     disc = Discretization(bench, build_uniform_mesh(6))
     _, _, _, records = run_ssn(disc)
     assert len(records) - 1 == 4
@@ -361,12 +455,13 @@ def test_run_factors_only_after_large_steps(bench):
     for tracking in ("quadratic", "linear"):
         disc = Recording(benchmark_instance(tracking), build_uniform_mesh(5))
         _, _, _, records = run_ssn(disc)
-        # factorizations between state solve j and the next one: made in
-        # outer step j (and, for j = 0, in the cold start's first step)
+        # factorizations between fine state solve j and the next one: made
+        # in outer step j, except that for j = 0 the state solve's first
+        # Newton step factors (from the coarse start) and step 0 keeps it
         segments = " ".join(disc.log).split("state")[1:]
         made = [segment.split().count("factor") for segment in segments]
         steps = records[:-1]
-        expected = [2] + [int(r.delta >= ssn.REFACTOR_STEP) for r in steps[:-1]]
+        expected = [1] + [int(r.delta >= ssn.REFACTOR_STEP) for r in steps[:-1]]
         assert made == expected + [0], (tracking, made)
         assert any(r.delta < ssn.REFACTOR_STEP for r in steps[:-1])
 
@@ -378,7 +473,7 @@ def test_kept_factor_matches_refactoring_every_step(
     # REFACTOR_STEP = 0 factors Q at every outer step, as before the rule
     monkeypatch.setattr(ssn, "REFACTOR_STEP", 0.0)
     for level in LADDER:
-        spec, _, u_kept, _, _, records_kept = ladder_runs[tracking, level]
+        spec, _, u_kept, _, _, records_kept, _ = ladder_runs[tracking, level]
         disc = Discretization(spec, build_uniform_mesh(level))
         u, _, _, records = run_ssn(disc)
         assert disc.factor_count == 5
@@ -420,14 +515,14 @@ def test_run_releases_its_last_factorization(bench):
 
 
 def test_ladder_runs_satisfy_projection_identity(ladder_runs):
-    for spec, _, u, y, phi, _ in ladder_runs.values():
+    for spec, _, u, y, phi, _, _ in ladder_runs.values():
         assert np.max(np.abs(optimality_residual(spec, u, y, phi))) <= 1e-13
 
 
 def test_ladder_runs_stop_below_step_floor(ladder_runs):
     cfg = SSNConfig()
-    for _, n_nodes, _, _, _, records in ladder_runs.values():
-        assert records[-2].delta < cfg.step_floor(n_nodes)
+    for _, disc, _, _, _, records, _ in ladder_runs.values():
+        assert records[-2].delta < cfg.step_floor(disc.n_nodes)
         assert all(r.delta is not None for r in records[:-1])
 
 

@@ -6,7 +6,11 @@ from the benchmark's per-layer report.  This test runs its install step
 with a recording _patch and fails on every name it cannot find.
 
 The tracer's ssn.cg span must also see the outer CG and nothing else, so
-its iteration total can be checked against the cg_iters column.
+its iteration total can be checked against the cg_iters column.  Its
+pde.state_solve and pde.factor spans wrap Discretization.solve_state and
+LinearizedOperator.__init__ on the classes, so they also see the state
+solve a run makes on a coarser mesh; their totals must match the Newton
+column and factor_count.
 """
 
 import importlib.util
@@ -23,6 +27,7 @@ from ssnbilinear import (
     ssn,
 )
 from ssnbilinear.pde import LinearizedOperator
+from ssnbilinear.ssn import COARSE_START_LEVEL
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -75,3 +80,29 @@ def test_ssn_cg_solve_sees_only_the_outer_cg(monkeypatch):
     assert sum(iterations) == sum(r.cg_iters for r in full)
     # the one-off solves ran PCG through pde's own binding
     assert disc.pcg_count > 0
+
+
+def test_traced_newton_and_factor_totals_match_the_run(monkeypatch):
+    newton = []
+    factors = []
+    solve_state = Discretization.solve_state
+    factor = LinearizedOperator.__init__
+
+    def traced_solve_state(self, *args, **kwargs):
+        report = solve_state(self, *args, **kwargs)
+        newton.append(report.newton_iters)
+        return report
+
+    def traced_factor(self, *args, **kwargs):
+        factors.append(1)
+        factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "solve_state", traced_solve_state)
+    monkeypatch.setattr(LinearizedOperator, "__init__", traced_factor)
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(COARSE_START_LEVEL))
+    _, _, _, records = run_ssn(disc)
+    assert records[0].coarse_level == COARSE_START_LEVEL - 1
+    # one coarse solve plus one fine solve per row
+    assert len(newton) == len(records) + 1
+    assert sum(newton) == sum(r.newton_iters for r in records)
+    assert len(factors) == disc.factor_count
