@@ -4,22 +4,22 @@ product on the benchmark.
 
 Usage: python3 scripts/check_derivatives.py [level [directions [seed]]]
 (defaults: those of the config file's [verify] section)
+Exit codes as for `ssnbilinear verify`: 0 pass, 1 bad arguments, 3 fail.
 """
 
 import sys
 
-from ssnbilinear import benchmark_instance, format_verification, verify_derivatives
-from ssnbilinear.verification import VerifySettings
+from ssnbilinear import ConfigurationError, benchmark_instance, verify_derivatives
+from ssnbilinear.verification import VerifySettings, format_verification
 
 
 def main(argv):
-    settings = VerifySettings(*(int(tok) for tok in argv))
-    result = verify_derivatives(
-        benchmark_instance(),
-        level=settings.level,
-        directions=settings.directions,
-        seed=settings.seed,
-    )
+    try:
+        settings = VerifySettings(*(int(tok) for tok in argv))
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    result = verify_derivatives(benchmark_instance(), settings)
     print(format_verification(result))
     return 0 if result.passed else 3
 

@@ -29,7 +29,7 @@ from .outputs import (
     write_structured_vtk,
 )
 from .pde import Discretization
-from .ssn import IterationRecord, complementarity_report, run_ssn
+from .ssn import complementarity_report, run_ssn
 from .verification import format_verification, verify_derivatives
 
 
@@ -43,8 +43,8 @@ def _cmd_run(config: RunConfig) -> int:
         try:
             u, y, phi, records = run_ssn(disc, config.ssn)
         except SolverError as exc:
-            # a failed state solve carries its residuals, not table rows
-            if exc.history and isinstance(exc.history[0], IterationRecord):
+            # history holds the rows made before the failure
+            if exc.history:
                 write_convergence_csv(
                     os.path.join(out_dir, "convergence.csv"), exc.history
                 )
@@ -56,7 +56,7 @@ def _cmd_run(config: RunConfig) -> int:
             write_structured_vtk(os.path.join(out_dir, "control.vtk"), mesh, "control", u)
             write_structured_vtk(os.path.join(out_dir, "state.vtk"), mesh, "state", y)
             write_structured_vtk(os.path.join(out_dir, "adjoint.vtk"), mesh, "adjoint", phi)
-        report = complementarity_report(disc, u, y, phi, tol_sigma=1e-8)
+        report = complementarity_report(disc, u, y, phi)
         write_complementarity(os.path.join(out_dir, "complementarity.txt"), report)
         outer = sum(1 for r in records if r.delta is not None)
         print(
@@ -67,12 +67,7 @@ def _cmd_run(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    result = verify_derivatives(
-        config.spec,
-        level=config.verify.level,
-        directions=config.verify.directions,
-        seed=config.verify.seed,
-    )
+    result = verify_derivatives(config.spec, config.verify)
     print(format_verification(result))
     return 0 if result.passed else 3
 

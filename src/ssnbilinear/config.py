@@ -8,8 +8,9 @@ Config files use INI syntax.  A minimal file:
     [mesh]
     levels = 7 8 9
 
-Full key reference lives in the README.  parse_config collects every
-violation it can find before raising, so a broken file is repaired in one
+_KEYS lists the keys each section takes; the README's key table mirrors
+it.  parse_config collects every violation it can find, unknown sections
+and keys included, before raising, so a broken file is repaired in one
 round trip.
 """
 
@@ -28,6 +29,17 @@ from .verification import VerifySettings
 
 _PROBLEM_FUNCS = ("a", "da_dy", "d2a_dy2", "L", "dL_dy", "d2L_dy2")
 _PROBLEM_REALS = ("alpha", "beta", "nu", "a0")
+# the keys of a problem spelt out by hand, which a preset sets itself
+_PROBLEM_DATA = (*_PROBLEM_FUNCS, "g", *_PROBLEM_REALS)
+_SSN_REALS = ("outer_tol", "inner_tol", "u0")
+_SSN_INTS = ("max_outer", "max_cg")
+_KEYS = {
+    "problem": ("preset", "tracking", "fd_check", *_PROBLEM_DATA),
+    "mesh": ("levels",),
+    "ssn": _SSN_REALS + _SSN_INTS,
+    "output": ("directory", "write_fields"),
+    "verify": ("level", "directions", "seed"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,10 +107,17 @@ def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
         tracking = "quadratic"
 
     if preset is not None:
+        errors.extend(
+            f"[problem] {key} is set by the preset; drop one of the two"
+            for key in _PROBLEM_DATA
+            if key in section
+        )
         if preset.strip() != "benchmark":
             errors.append(f"[problem] unknown preset {preset!r}")
             return None
         return benchmark_instance(tracking)
+    if "tracking" in section:
+        errors.append("[problem] tracking applies only to preset = benchmark")
 
     funcs = {}
     for key in _PROBLEM_FUNCS:
@@ -154,6 +173,17 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigurationError(f"config syntax error: {exc}") from exc
 
     errors: list[str] = []
+    for name in parser.sections():
+        if name not in _KEYS:
+            errors.append(f"unknown section [{name}]")
+            continue
+        # keys are matched as configparser stores them: in lower case
+        allowed = [parser.optionxform(key) for key in _KEYS[name]]
+        errors.extend(
+            f"[{name}] unknown key {key!r}"
+            for key in parser[name]
+            if key not in allowed
+        )
 
     if not parser.has_section("problem"):
         errors.append("missing [problem] section")
@@ -166,12 +196,8 @@ def parse_config(path: str) -> RunConfig:
 
     # Keys left out of the file keep the SSNConfig and VerifySettings defaults.
     ssn_section = parser["ssn"] if parser.has_section("ssn") else {}
-    ssn_values = _parse_numbers(
-        ssn_section, ("outer_tol", "inner_tol", "u0"), float, errors, "ssn"
-    )
-    ssn_values.update(
-        _parse_numbers(ssn_section, ("max_outer", "max_cg"), int, errors, "ssn")
-    )
+    ssn_values = _parse_numbers(ssn_section, _SSN_REALS, float, errors, "ssn")
+    ssn_values.update(_parse_numbers(ssn_section, _SSN_INTS, int, errors, "ssn"))
     try:
         ssn = SSNConfig(**ssn_values)
     except ConfigurationError as exc:
@@ -187,15 +213,13 @@ def parse_config(path: str) -> RunConfig:
         )
 
     ver_section = parser["verify"] if parser.has_section("verify") else {}
-    verify = VerifySettings(
-        **_parse_numbers(
-            ver_section, ("level", "directions", "seed"), int, errors, "verify"
+    try:
+        verify = VerifySettings(
+            **_parse_numbers(ver_section, _KEYS["verify"], int, errors, "verify")
         )
-    )
-    if not 1 <= verify.level <= MAX_LEVEL:
-        errors.append(f"[verify] level {verify.level} outside [1, {MAX_LEVEL}]")
-    if verify.directions < 1:
-        errors.append("[verify] directions must be at least 1")
+    except ConfigurationError as exc:
+        errors.append(f"[verify] {exc}")
+        verify = None
 
     fd_checks = True
     if parser.has_section("problem") and parser["problem"].get("fd_check") is not None:

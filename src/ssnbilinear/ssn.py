@@ -13,9 +13,10 @@ conjugate gradient method in the lumped L2 inner product: pde.cg_solve
 with inner = Discretization.inner, the routine the one-off PDE solves
 run too.  Its typed failures reach the caller: NegativeCurvatureError
 when the reduced Hessian is not positive definite on the inactive set,
-SolverError on a nonfinite value or an exhausted max_cg budget.  One CG
-operator application costs two linear PDE solves with a factorization
-of the operator Q(u, y) of the linearized equations (see pde).
+SolverError on a nonfinite value or an exhausted max_cg budget, each
+with the table rows made so far.  One CG operator application costs two
+linear PDE solves with a factorization of the operator Q(u, y) of the
+linearized equations (see pde).
 
 Q(u_j, y_j) is factored afresh only at j = 0 and after a scaled step
 delta_{j-1} of at least REFACTOR_STEP.  Once the steps are small u hardly
@@ -275,8 +276,10 @@ def run_ssn(
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
     records holds one full row per outer iteration plus a final row with
-    the objective of the accepted control.  Raises SolverError (carrying
-    the records accumulated so far) when max_outer is exhausted.
+    the objective of the accepted control.  Raises SolverError when
+    max_outer is exhausted; a SolverError or NegativeCurvatureError of a
+    state, adjoint or CG solve is raised again as the same class.  Either
+    carries the records accumulated so far as its history.
 
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
@@ -333,6 +336,10 @@ def run_ssn(
                 )
                 phi = disc.solve_adjoint(u, final.y)
                 return u, final.y, phi, records
+    except SolverError as exc:
+        # the rows made so far replace the failed solve's own history,
+        # which stays on __cause__
+        raise type(exc)(str(exc), history=records) from exc
     finally:
         # the caller's disc outlives the run; its last LU need not
         disc.release_factorization()

@@ -5,14 +5,19 @@ field must agree with a central difference of two fresh objective
 evaluations to second order in the step t.  Hessian route: the quadratic
 form from hessian_vec must agree with a second central difference, again
 to second order, and the Hessian must be symmetric in the lumped inner
-product.  Each fresh evaluation is a state solve to the full tolerance,
+product.  Each fresh evaluation is a state solve to pde.DEFAULT_TOL,
 started from the state at the base control.
+
+verify_derivatives(spec, VerifySettings(level, directions, seed)) runs
+the check the way run_ssn(disc, SSNConfig) runs the solver: the settings
+object owns the defaults and rejects values out of range.  The probe
+directions are drawn one by one from default_rng(seed).
 
 Observed orders are least-squares slopes on a log-log scale.  Each
 difference quotient carries a roundoff floor proportional to
 eps*max(1,|J|)/t (first differences) or eps*max(1,|J|)/t^2 (second
-differences); points that have decayed onto that floor are excluded from
-the slope fit, since below it the quotient measures noise, not the decay
+differences); points within KEEP_ABOVE times that floor are excluded from
+the slope fit, since there the quotient measures noise, not the decay
 order (fit_decay_order reports a floor-only sequence as order infinity).
 """
 
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import build_uniform_mesh
+from .errors import ConfigurationError
+from .mesh import MAX_LEVEL, build_uniform_mesh
 from .objective import (
     evaluate_reduced,
     fd_curvature_oracle,
     fd_gradient_oracle,
-    fit_decay_order,
     hessian_vec,
 )
 from .pde import Discretization
@@ -37,6 +42,8 @@ CURV_STEPS = (1e-1, 3e-2, 1e-2, 3e-3)
 MIN_ORDER = 1.9
 MAX_SYMMETRY = 1e-10
 _FLOOR_FACTOR = 50.0
+# an error is fitted only above this multiple of its roundoff floor
+KEEP_ABOVE = 20.0
 
 
 @dataclass(frozen=True)
@@ -47,23 +54,26 @@ class VerifySettings:
     directions: int = 5
     seed: int = 1234
 
+    def __post_init__(self):
+        if not 1 <= self.level <= MAX_LEVEL:
+            raise ConfigurationError(f"level {self.level} outside [1, {MAX_LEVEL}]")
+        if self.directions < 1:
+            raise ConfigurationError("directions must be at least 1")
+
 
 @dataclass(frozen=True)
 class DirectionReport:
     """FD results for one probe direction."""
 
-    index: int
-    skipped: bool
-    grad_errors: tuple[float, ...] = ()
-    grad_order: float = math.nan
-    curv_errors: tuple[float, ...] = ()
-    curv_order: float = math.nan
+    grad_errors: tuple[float, ...]
+    grad_order: float
+    curv_errors: tuple[float, ...]
+    curv_order: float
 
 
 @dataclass(frozen=True)
 class VerificationResult:
-    level: int
-    seed: int
+    settings: VerifySettings
     grad_steps: tuple[float, ...]
     curv_steps: tuple[float, ...]
     directions: list[DirectionReport]
@@ -75,36 +85,42 @@ class VerificationResult:
     factor_count: int
 
 
-def verify_derivatives(
-    spec: ProblemSpec,
-    level: int = VerifySettings.level,
-    directions: int = VerifySettings.directions,
-    seed: int = VerifySettings.seed,
-    direction_vectors=None,
-) -> VerificationResult:
-    """Run the full FD check suite at one mesh level.
+def fit_decay_order(ts, errors, floors) -> float:
+    """Least-squares slope of log(error) against log(t).
 
-    direction_vectors overrides the seeded random directions (used to
-    exercise the zero-direction skip path deterministically).
+    Points whose error sits at or below KEEP_ABOVE times its estimated
+    roundoff floor are excluded from the fit: once a difference quotient
+    reaches the floor of double precision its size carries no information
+    about the decay order.  If fewer than two points remain the sequence
+    has decayed onto the floor everywhere, which dominates any finite
+    order; math.inf is returned to signal that.
     """
-    disc = Discretization(spec, build_uniform_mesh(level))
+    ts = np.asarray(ts, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    mask = errors > KEEP_ABOVE * np.asarray(floors, dtype=float)
+    if np.count_nonzero(mask) < 2:
+        return math.inf
+    lt = np.log(ts[mask])
+    le = np.log(np.maximum(errors[mask], 1e-300))
+    slope = np.polyfit(lt, le, 1)[0]
+    return float(slope)
+
+
+def verify_derivatives(
+    spec: ProblemSpec, settings: VerifySettings = VerifySettings()
+) -> VerificationResult:
+    """Run the full FD check suite at settings.level."""
+    disc = Discretization(spec, build_uniform_mesh(settings.level))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     jscale = max(1.0, abs(base.J))
     eps = float(np.finfo(float).eps)
-
-    if direction_vectors is None:
-        rng = np.random.default_rng(seed)
-        direction_vectors = [rng.standard_normal(disc.n_nodes) for _ in range(directions)]
+    rng = np.random.default_rng(settings.seed)
 
     reports: list[DirectionReport] = []
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for idx, v in enumerate(direction_vectors):
-        v = np.asarray(v, dtype=float)
-        vnorm = disc.norm(v)
-        if vnorm == 0.0:
-            reports.append(DirectionReport(index=idx, skipped=True))
-            continue
-        v = v / vnorm
+    probes: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(settings.directions):
+        v = rng.standard_normal(disc.n_nodes)
+        v = v / disc.norm(v)
 
         slope = disc.inner(base.grad, v)
         grad_errors = [
@@ -125,38 +141,34 @@ def verify_derivatives(
 
         reports.append(
             DirectionReport(
-                index=idx,
-                skipped=False,
                 grad_errors=tuple(grad_errors),
                 grad_order=grad_order,
                 curv_errors=tuple(curv_errors),
                 curv_order=curv_order,
             )
         )
-        kept.append((v, hv))
+        probes.append((v, hv))
 
-    # <H v1, v2> against <v1, H v2> for each kept direction and the next,
+    # <H v1, v2> against <v1, H v2> for each direction and the next,
     # cyclically; a single direction has no partner.
     symmetry = [
         abs(a - b) / max(abs(a), abs(b), 1e-300)
-        for (v1, hv1), (v2, hv2) in zip(kept, kept[1:] + kept[:1])
-        if len(kept) > 1
+        for (v1, hv1), (v2, hv2) in zip(probes, probes[1:] + probes[:1])
+        if len(probes) > 1
         for a, b in [(disc.inner(hv1, v2), disc.inner(v1, hv2))]
     ]
 
     orders_ok = all(
-        r.skipped or (r.grad_order >= MIN_ORDER and r.curv_order >= MIN_ORDER)
-        for r in reports
+        r.grad_order >= MIN_ORDER and r.curv_order >= MIN_ORDER for r in reports
     )
     sym_ok = all(s <= MAX_SYMMETRY for s in symmetry)
     return VerificationResult(
-        level=level,
-        seed=seed,
+        settings=settings,
         grad_steps=GRAD_STEPS,
         curv_steps=CURV_STEPS,
         directions=reports,
         symmetry=symmetry,
-        passed=orders_ok and sym_ok and len(kept) > 0,
+        passed=orders_ok and sym_ok,
         newton_count=disc.newton_count,
         pcg_count=disc.pcg_count,
         factor_count=disc.factor_count,
@@ -165,19 +177,16 @@ def verify_derivatives(
 
 def format_verification(result: VerificationResult) -> str:
     lines = [
-        f"finite-difference verification at level {result.level} "
-        f"(seed {result.seed})",
+        f"finite-difference verification at level {result.settings.level} "
+        f"(seed {result.settings.seed})",
         f"gradient steps:  {', '.join(f'{t:g}' for t in result.grad_steps)}",
         f"curvature steps: {', '.join(f'{t:g}' for t in result.curv_steps)}",
     ]
-    for r in result.directions:
-        if r.skipped:
-            lines.append(f"direction {r.index}: skipped (zero direction)")
-            continue
+    for index, r in enumerate(result.directions):
         g = "floor" if math.isinf(r.grad_order) else f"{r.grad_order:.2f}"
         c = "floor" if math.isinf(r.curv_order) else f"{r.curv_order:.2f}"
         lines.append(
-            f"direction {r.index}: gradient order {g}, curvature order {c}"
+            f"direction {index}: gradient order {g}, curvature order {c}"
         )
         lines.append(
             "  grad errors: " + " ".join(f"{e:.3e}" for e in r.grad_errors)

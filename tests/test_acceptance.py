@@ -24,7 +24,12 @@ from ssnbilinear import (
     verify_derivatives,
 )
 from ssnbilinear.cli import main as cli_main
-from ssnbilinear.verification import _FLOOR_FACTOR, CURV_STEPS, GRAD_STEPS
+from ssnbilinear.verification import (
+    _FLOOR_FACTOR,
+    CURV_STEPS,
+    GRAD_STEPS,
+    VerifySettings,
+)
 
 REF_J0 = 3.9142466314434916
 REF_JSTAR = 3.8210805974920712
@@ -59,7 +64,9 @@ def bench_runs():
 @pytest.fixture(scope="module")
 def deriv_result():
     t0 = time.perf_counter()
-    result = verify_derivatives(benchmark_instance(), level=4, directions=5, seed=1234)
+    result = verify_derivatives(
+        benchmark_instance(), VerifySettings(level=4, directions=5, seed=1234)
+    )
     return result, time.perf_counter() - t0
 
 
@@ -139,7 +146,7 @@ def _order_ok(order, errors, steps, floor_of):
 def test_gradient_consistency_order(deriv_result):
     result, elapsed = deriv_result
     eps = float(np.finfo(float).eps)
-    reports = [r for r in result.directions if not r.skipped]
+    reports = result.directions
     orders = [r.grad_order for r in reports]
     floor = lambda t: _FLOOR_FACTOR * eps * 4.0 / t
     all_ok = all(
@@ -157,7 +164,7 @@ def test_gradient_consistency_order(deriv_result):
 def test_curvature_consistency_and_symmetry(deriv_result):
     result, _ = deriv_result
     eps = float(np.finfo(float).eps)
-    reports = [r for r in result.directions if not r.skipped]
+    reports = result.directions
     orders = [r.curv_order for r in reports]
     floor = lambda t: 4.0 * _FLOOR_FACTOR * eps * 4.0 / (t * t)
     all_ok = all(
@@ -238,12 +245,12 @@ def test_identical_runs_bytewise(tmp_path):
     )
     assert cli_main(["run", str(cfg)]) == 0
     csvs = {
-        level: open(os.path.join(out_dir, f"level_{level}", "convergence.csv"), "rb").read()
+        level: (tmp_path / "out" / f"level_{level}" / "convergence.csv").read_bytes()
         for level in (4, 5)
     }
     assert cli_main(["run", str(cfg)]) == 0
     same = all(
-        open(os.path.join(out_dir, f"level_{level}", "convergence.csv"), "rb").read()
+        (tmp_path / "out" / f"level_{level}" / "convergence.csv").read_bytes()
         == csvs[level]
         for level in (4, 5)
     )

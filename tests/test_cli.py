@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ssnbilinear import NegativeCurvatureError, ssn
 from ssnbilinear.cli import main
 from ssnbilinear.outputs import CSV_HEADER
 
@@ -48,17 +49,17 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     for name in ("control.vtk", "state.vtk", "adjoint.vtk", "complementarity.txt"):
         assert os.path.isfile(os.path.join(level_dir, name))
 
-    rows = open(csv_path).read().strip().split("\n")
+    rows = Path(csv_path).read_text().strip().split("\n")
     assert rows[0] == CSV_HEADER
     assert len(rows) >= 3  # at least one full iteration plus the final row
     last = rows[-1].split(",")
     assert last[2] == "" and last[4] == ""  # final row carries J only
 
-    vtk = open(os.path.join(level_dir, "state.vtk")).read()
+    vtk = Path(level_dir, "state.vtk").read_text()
     assert "DIMENSIONS 5 5 1" in vtk
     assert "POINTS 25 double" in vtk
 
-    comp = open(os.path.join(level_dir, "complementarity.txt")).read()
+    comp = Path(level_dir, "complementarity.txt").read_text()
     measures = {}
     for line in comp.strip().split("\n"):
         key, _, value = line.partition(" = ")
@@ -83,9 +84,9 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg = benchmark_cfg(tmp_path, out_dir)
     assert main(["run", cfg]) == 0
     csv_path = os.path.join(out_dir, "level_2", "convergence.csv")
-    first = open(csv_path, "rb").read()
+    first = Path(csv_path).read_bytes()
     assert main(["run", cfg]) == 0
-    assert open(csv_path, "rb").read() == first
+    assert Path(csv_path).read_bytes() == first
 
 
 def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
@@ -97,7 +98,7 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "solver error" in capsys.readouterr().err
-    rows = open(os.path.join(out_dir, "level_2", "convergence.csv")).read().strip().split("\n")
+    rows = Path(out_dir, "level_2", "convergence.csv").read_text().strip().split("\n")
     assert rows[0] == CSV_HEADER
     assert len(rows) == 2  # header plus the single iteration that ran
 
@@ -105,8 +106,8 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
 @pytest.mark.parametrize("level", [2, 5])
 def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
     # below rounding the state solve runs out of Newton steps, on the run's
-    # mesh (level 2) or on the coarser one (level 5); its error carries
-    # residuals, so no table is written
+    # mesh (level 2) or on the coarser one (level 5); no row was made, so
+    # no table is written
     out_dir = str(tmp_path / "results")
     cfg = write_cfg(
         tmp_path,
@@ -116,6 +117,32 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
     assert main(["run", cfg]) == 2
     assert "no convergence in 50 Newton" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
+
+
+def test_run_outer_loop_failure_writes_the_rows_made(tmp_path, capsys, monkeypatch):
+    # the second outer CG meets negative curvature: row 0 is still written
+    calls = []
+    cg_solve = ssn.cg_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NegativeCurvatureError("cg: nonpositive curvature (forced)")
+        return cg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "cg_solve", failing)
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(
+        tmp_path,
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 3\n\n"
+        f"[output]\ndirectory = {out_dir}\n",
+    )
+    assert main(["run", cfg]) == 2
+    assert "nonpositive curvature (forced)" in capsys.readouterr().err
+    rows = Path(out_dir, "level_3", "convergence.csv").read_text().splitlines()
+    assert rows[0] == CSV_HEADER
+    assert len(rows) == 2
+    assert rows[1].startswith("0,")
 
 
 # README expression problem with dL_dy and d2L_dy2 both 1% too large: the

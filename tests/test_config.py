@@ -1,13 +1,19 @@
 """INI run-configuration parsing and validation."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssnbilinear import ConfigurationError, parse_config
-from ssnbilinear.config import RunConfig, VerifySettings
+from ssnbilinear import ConfigurationError, SSNConfig, parse_config
+from ssnbilinear.config import _KEYS, RunConfig, VerifySettings
 from ssnbilinear.problem import nodal
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -217,3 +223,117 @@ def test_bad_tracking_value(tmp_path):
     text = MINIMAL.replace("preset = benchmark", "preset = benchmark\ntracking = cubic")
     with pytest.raises(ConfigurationError, match="tracking"):
         parse_config(write_cfg(tmp_path, text))
+
+
+def test_verify_section_reports_only_its_first_violation(tmp_path):
+    text = MINIMAL + "\n[verify]\nlevel = 13\ndirections = 0\n"
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    assert "[verify] level 13 outside [1, 12]" in str(exc.value)
+    assert "directions" not in str(exc.value)
+
+
+EVERY_SECTION = MINIMAL + (
+    "\n[ssn]\nmax_outer = 30\n\n[output]\ndirectory = out\n\n[verify]\nseed = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[ssn]", "[sovler]", "unknown section [sovler]"),
+        ("max_outer = 30", "innner_tol = 1e-10", "[ssn] unknown key 'innner_tol'"),
+        ("max_outer", "max_iters", "[ssn] unknown key 'max_iters'"),
+        ("levels = 3", "levels = 3\nlevel = 4", "[mesh] unknown key 'level'"),
+        ("directory", "dir", "[output] unknown key 'dir'"),
+        ("seed", "seeds", "[verify] unknown key 'seeds'"),
+        ("preset", "fdcheck = off\npreset", "[problem] unknown key 'fdcheck'"),
+    ],
+)
+def test_unknown_sections_and_keys_are_rejected(tmp_path, old, new, message):
+    assert parse_config(write_cfg(tmp_path, EVERY_SECTION)).verify.seed == 1
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, EVERY_SECTION.replace(old, new)))
+    assert message in str(exc.value)
+
+
+def test_unknown_problem_key_is_rejected_in_any_case(tmp_path):
+    # keys match case-insensitively, as configparser reads them
+    cfg = parse_config(write_cfg(tmp_path, CUSTOM.replace("dL_dy", "DL_DY")))
+    assert cfg.spec is not None
+    with pytest.raises(ConfigurationError, match=r"\[problem\] unknown key 'ddl_dy'"):
+        parse_config(write_cfg(tmp_path, CUSTOM.replace("dL_dy", "ddL_dy")))
+
+
+@pytest.mark.parametrize("line", ["nu = 0.01", "a = y", "g = 1", "beta = inf"])
+def test_problem_data_beside_a_preset_is_rejected(tmp_path, line):
+    text = MINIMAL.replace("preset = benchmark", f"preset = benchmark\n{line}")
+    key = line.split()[0]
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    assert f"[problem] {key} is set by the preset" in str(exc.value)
+
+
+def test_tracking_without_a_preset_is_rejected(tmp_path):
+    text = CUSTOM.replace("[problem]", "[problem]\ntracking = linear")
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    assert "[problem] tracking applies only to preset = benchmark" in str(exc.value)
+
+
+def test_all_violations_of_keys_are_collected(tmp_path):
+    text = (
+        MINIMAL.replace("preset = benchmark", "preset = benchmark\nnu = 0.01")
+        + "\n[ssn]\ninnner_tol = 1e-10\n\n[sovler]\nx = 1\n"
+    )
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    msg = str(exc.value)
+    assert "unknown section [sovler]" in msg
+    assert "unknown key 'innner_tol'" in msg
+    assert "nu is set by the preset" in msg
+
+
+@pytest.mark.parametrize("name", ["benchmark.cfg", "quick.cfg"])
+def test_shipped_configs_parse(name):
+    assert parse_config(str(ROOT / "configs" / name)).spec is not None
+
+
+def test_readme_config_examples_parse(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 2
+    for i, block in enumerate(blocks):
+        if "[mesh]" not in block:
+            block += "\n[mesh]\nlevels = 2\n"
+        assert parse_config(write_cfg(tmp_path, block, name=f"readme{i}.cfg")).spec
+
+
+def readme_key_table():
+    """{(section, key): default text} from the README's key table."""
+    text = README.read_text(encoding="utf-8").split("All keys and defaults:", 1)[1]
+    rows = {}
+    for line in text.strip().split("\n\n", 1)[0].splitlines()[2:]:
+        section, key, default = line.strip("|").split("|")[:3]
+        rows[(section.strip(), key.strip())] = default.strip()
+    return rows
+
+
+def test_readme_key_table_is_the_allowed_key_table():
+    allowed = {(section, key) for section, keys in _KEYS.items() for key in keys}
+    assert set(readme_key_table()) == allowed
+
+
+def test_readme_defaults_are_the_settings_defaults():
+    table = readme_key_table()
+    # None stands for a default the README spells out in words
+    spelt = {("ssn", "max_cg"): "n_nodes", ("ssn", "u0"): "0"}
+    owners = ((SSNConfig(), "ssn", float), (VerifySettings(), "verify", int))
+    for owner, section, cast in owners:
+        for field in dataclasses.fields(owner):
+            text = table[(section, field.name)]
+            value = getattr(owner, field.name)
+            if value is None:
+                assert text == spelt[(section, field.name)]
+            else:
+                assert cast(text) == value, (section, field.name)

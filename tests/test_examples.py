@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -45,9 +47,31 @@ def test_check_derivatives_script():
     assert proc.stdout.rstrip().endswith("verdict: PASS")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("3", "0"), "directions must be at least 1"),
+        (("13",), "level 13 outside [1, 12]"),
+        (("3", "x"), "invalid literal for int()"),
+        (("3", "2", "1", "5"), "positional arguments"),
+    ],
+)
+def test_check_derivatives_script_rejects_bad_arguments(args, message):
+    proc = run_script("check_derivatives.py", *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_readme_library_example(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    exec(compile(code, "README.md", "exec"), {})
-    assert "J* =" in capsys.readouterr().out
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 2
+    # the blocks run in turn in one namespace, as a reader would type them
+    namespace = {}
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
+    out = capsys.readouterr().out
+    assert "J* =" in out
+    assert out.rstrip().endswith("verdict: PASS")

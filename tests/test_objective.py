@@ -13,12 +13,17 @@ from ssnbilinear.objective import (
     evaluate_reduced,
     fd_curvature_oracle,
     fd_gradient_oracle,
-    fit_decay_order,
     hessian_vec,
 )
 from ssnbilinear.pde import DEFAULT_TOL
 from ssnbilinear.problem import desired_state, nodal
-from ssnbilinear.verification import _FLOOR_FACTOR, CURV_STEPS, GRAD_STEPS
+from ssnbilinear.verification import (
+    _FLOOR_FACTOR,
+    CURV_STEPS,
+    GRAD_STEPS,
+    KEEP_ABOVE,
+    fit_decay_order,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -122,9 +127,7 @@ def test_fd_oracles_start_every_state_solve_from_the_base_state(bench, monkeypat
     starts = []
     solve = disc.solve_state
     monkeypatch.setattr(
-        disc,
-        "solve_state",
-        lambda u, y_init, tol: starts.append(y_init) or solve(u, y_init, tol),
+        disc, "solve_state", lambda u, y_init: starts.append(y_init) or solve(u, y_init)
     )
     fd_curvature_oracle(disc, base.u, base.y, v, (1e-1, 1e-2))
     fd_gradient_oracle(disc, base.u, base.y, v, (1e-2,))
@@ -220,9 +223,10 @@ def test_hessian_positive_at_solution(bench, disc3, solved3):
 
 def test_fit_decay_order_recovers_exact_slope():
     ts = (1e-1, 1e-2, 1e-3, 1e-4)
+    floors = (0.0,) * len(ts)
     errors = [t**2 for t in ts]
-    assert fit_decay_order(ts, errors) == pytest.approx(2.0, abs=1e-9)
-    assert fit_decay_order(ts, [t**1 for t in ts]) == pytest.approx(1.0, abs=1e-9)
+    assert fit_decay_order(ts, errors, floors) == pytest.approx(2.0, abs=1e-9)
+    assert fit_decay_order(ts, ts, floors) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_decay_order_excludes_floored_points():
@@ -244,7 +248,9 @@ def test_fit_decay_order_reports_floor_only_as_infinite():
 def test_fit_decay_order_keep_above_threshold():
     ts = (1e-1, 1e-2)
     errors = (1e-4, 1e-6)
-    floors = (1e-6, 1e-8)
-    # errors sit at 100x their floors: kept with the default factor 20
-    assert fit_decay_order(ts, errors, floors) == pytest.approx(2.0, abs=1e-9)
-    assert math.isinf(fit_decay_order(ts, errors, floors, keep_above=200.0))
+    # fitted just above KEEP_ABOVE times the floor, dropped just below it
+    above = [0.99 * e / KEEP_ABOVE for e in errors]
+    below = [1.01 * e / KEEP_ABOVE for e in errors]
+    assert fit_decay_order(ts, errors, above) == pytest.approx(2.0, abs=1e-9)
+    assert math.isinf(fit_decay_order(ts, errors, below))
+    assert KEEP_ABOVE == 20.0

@@ -310,9 +310,30 @@ def test_coarse_solve_failure_propagates_with_its_history(bench, monkeypatch):
     with pytest.raises(SolverError, match="no convergence in 50 Newton") as exc:
         run_ssn(disc, SSNConfig(inner_tol=1e-30))
     assert levels == [ssn.COARSE_START_LEVEL - 1]
-    assert len(exc.value.history) == MAX_NEWTON + 1
+    # no row was made; the state solve's residuals stay on the cause
+    assert exc.value.history == []
+    assert len(exc.value.__cause__.history) == MAX_NEWTON + 1
     # the failed coarse solve's work is counted on the run's Discretization
     assert disc.newton_count == MAX_NEWTON
+
+
+def test_outer_loop_failure_carries_the_rows_made(bench, monkeypatch):
+    # negative curvature in the second outer CG: the same class is raised
+    # again with row 0 as its history and the CG's own error as its cause
+    calls = []
+    solve = ssn.cg_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NegativeCurvatureError("forced")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "cg_solve", failing)
+    with pytest.raises(NegativeCurvatureError, match="forced") as exc:
+        run_ssn(Discretization(bench, build_uniform_mesh(3)))
+    assert [r.j for r in exc.value.history] == [0]
+    assert type(exc.value.__cause__) is NegativeCurvatureError
 
 
 def test_run_validates_problem_data():

@@ -10,10 +10,14 @@ its iteration total can be checked against the cg_iters column.  Its
 pde.state_solve and pde.factor spans wrap Discretization.solve_state and
 LinearizedOperator.__init__ on the classes, so they also see the state
 solve a run makes on a coarser mesh; their totals must match the Newton
-column and factor_count.
+column and factor_count.  On `verify`, objective.hessvec_count and
+objective.fd_evals count the calls of verification.hessian_vec and
+objective._fresh_objective, and the summed Newton steps of the state
+solves must match the result's newton_count.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import scipy.sparse as sp
@@ -25,9 +29,14 @@ from ssnbilinear import (
     cli,
     run_ssn,
     ssn,
+    verification,
 )
 from ssnbilinear.pde import LinearizedOperator
 from ssnbilinear.ssn import COARSE_START_LEVEL
+from ssnbilinear.verification import CURV_STEPS, GRAD_STEPS, VerifySettings
+
+# the package re-exports a function named objective over the submodule
+objective = sys.modules["ssnbilinear.objective"]
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -106,3 +115,37 @@ def test_traced_newton_and_factor_totals_match_the_run(monkeypatch):
     assert len(newton) == len(records) + 1
     assert sum(newton) == sum(r.newton_iters for r in records)
     assert len(factors) == disc.factor_count
+
+
+def test_traced_verify_counts_match_the_result(monkeypatch):
+    calls = {"hessian_vec": 0, "_fresh_objective": 0}
+    newton = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(verification, "hessian_vec")
+    count(objective, "_fresh_objective")
+    solve_state = Discretization.solve_state
+
+    def traced_solve_state(self, *args, **kwargs):
+        report = solve_state(self, *args, **kwargs)
+        newton.append(report.newton_iters)
+        return report
+
+    monkeypatch.setattr(Discretization, "solve_state", traced_solve_state)
+    settings = VerifySettings(level=3, directions=2)
+    result = verification.verify_derivatives(benchmark_instance(), settings)
+    assert result.passed
+    assert calls["hessian_vec"] == settings.directions
+    per_direction = 2 * len(GRAD_STEPS) + 2 * len(CURV_STEPS) + 1
+    assert calls["_fresh_objective"] == settings.directions * per_direction
+    # the base point's solve plus one per fresh objective
+    assert len(newton) == calls["_fresh_objective"] + 1
+    assert sum(newton) == result.newton_count

@@ -6,15 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from ssnbilinear import benchmark_instance, format_verification, verify_derivatives
+from ssnbilinear import (
+    ConfigurationError,
+    Discretization,
+    benchmark_instance,
+    build_uniform_mesh,
+    format_verification,
+    verify_derivatives,
+)
+from ssnbilinear import verification
+from ssnbilinear.verification import VerifySettings
+
+COARSE = VerifySettings(level=2, directions=2, seed=99)
 
 
 def test_verify_benchmark_passes_on_coarse_mesh():
-    result = verify_derivatives(benchmark_instance(), level=2, directions=2, seed=99)
+    result = verify_derivatives(benchmark_instance(), COARSE)
     assert result.passed
     assert len(result.directions) == 2
     for rep in result.directions:
-        assert not rep.skipped
         assert rep.grad_order >= 1.9 or math.isinf(rep.grad_order)
         assert rep.curv_order >= 1.9 or math.isinf(rep.curv_order)
     for resid in result.symmetry:
@@ -22,25 +32,49 @@ def test_verify_benchmark_passes_on_coarse_mesh():
 
 
 def test_verify_is_seed_reproducible():
-    a = verify_derivatives(benchmark_instance(), level=2, directions=2, seed=5)
-    b = verify_derivatives(benchmark_instance(), level=2, directions=2, seed=5)
+    settings = VerifySettings(level=2, directions=2, seed=5)
+    a = verify_derivatives(benchmark_instance(), settings)
+    b = verify_derivatives(benchmark_instance(), settings)
     for ra, rb in zip(a.directions, b.directions):
         assert ra.grad_errors == rb.grad_errors
         assert ra.curv_errors == rb.curv_errors
 
 
-def test_verify_skips_zero_directions():
-    spec = benchmark_instance()
-    n = (2**2 + 1) ** 2
-    dirs = [np.zeros(n), np.ones(n)]
-    result = verify_derivatives(spec, level=2, direction_vectors=dirs)
-    assert result.directions[0].skipped
-    assert not result.directions[1].skipped
-    assert result.passed  # one informative direction is enough
+def test_verify_draws_the_directions_from_one_seeded_generator(monkeypatch):
+    # direction k is the (k+1)-th draw of default_rng(seed), normalized
+    seen = []
+    oracle = verification.fd_gradient_oracle
+    monkeypatch.setattr(
+        verification,
+        "fd_gradient_oracle",
+        lambda disc, u, y, v, ts: seen.append(v) or oracle(disc, u, y, v, ts),
+    )
+    settings = VerifySettings(level=2, directions=3, seed=7)
+    verify_derivatives(benchmark_instance(), settings)
+    assert len(seen) == 3
+    rng = np.random.default_rng(7)
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
+    for v in seen:
+        w = rng.standard_normal(disc.n_nodes)
+        np.testing.assert_array_equal(v, w / disc.norm(w))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"level": 0}, "level 0 outside [1, 12]"),
+        ({"level": 13}, "level 13 outside [1, 12]"),
+        ({"directions": 0}, "directions must be at least 1"),
+    ],
+)
+def test_verify_settings_reject_values_out_of_range(kwargs, message):
+    with pytest.raises(ConfigurationError) as exc:
+        VerifySettings(**kwargs)
+    assert str(exc.value) == message
 
 
 def test_format_verification_is_readable():
-    result = verify_derivatives(benchmark_instance(), level=2, directions=2, seed=99)
+    result = verify_derivatives(benchmark_instance(), COARSE)
     text = format_verification(result)
     assert "PASS" in text
     assert "direction 0" in text
@@ -52,7 +86,8 @@ def test_format_verification_is_readable():
 def test_verify_reports_its_work_and_warm_starts_halve_it():
     # a cold start at every FD point made 430 Newton steps and 1050
     # preconditioner applications here
-    result = verify_derivatives(benchmark_instance(), level=4, directions=5, seed=1234)
+    result = verify_derivatives(benchmark_instance())
+    assert result.settings == VerifySettings(level=4, directions=5, seed=1234)
     assert result.passed
     assert 0 < result.newton_count <= 215
     assert 0 < result.pcg_count <= 525
@@ -76,4 +111,4 @@ def scaled(fn, factor):
 def test_verify_fails_on_a_slightly_wrong_derivative(field, factor):
     spec = benchmark_instance()
     wrong = dataclasses.replace(spec, **{field: scaled(getattr(spec, field), factor)})
-    assert not verify_derivatives(wrong, level=4, directions=5, seed=1234).passed
+    assert not verify_derivatives(wrong).passed
