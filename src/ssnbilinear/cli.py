@@ -14,6 +14,10 @@ Per level, `run` writes into <output_dir>/level_<k>/:
     state.vtk           y*
     adjoint.vtk         phi*
     complementarity.txt bound-attainment measures and the sigma estimate
+    stats.json          stop reason, final ||F(u)||_h and work counts
+
+A run that stagnates or exhausts max_outer still writes its table and
+stats.json; one whose state, adjoint or CG solve fails writes its table.
 """
 
 import argparse
@@ -26,6 +30,7 @@ from .mesh import build_uniform_mesh
 from .outputs import (
     write_complementarity,
     write_convergence_csv,
+    write_stats,
     write_structured_vtk,
 )
 from .pde import Discretization
@@ -48,10 +53,13 @@ def _cmd_run(config: RunConfig) -> int:
                 write_convergence_csv(
                     os.path.join(out_dir, "convergence.csv"), exc.history
                 )
+                if exc.history[-1].stop_reason is not None:
+                    write_stats(os.path.join(out_dir, "stats.json"), exc.history, disc)
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             status = 2
             continue
         write_convergence_csv(os.path.join(out_dir, "convergence.csv"), records)
+        write_stats(os.path.join(out_dir, "stats.json"), records, disc)
         if config.write_fields:
             write_structured_vtk(os.path.join(out_dir, "control.vtk"), mesh, "control", u)
             write_structured_vtk(os.path.join(out_dir, "state.vtk"), mesh, "state", y)

@@ -165,7 +165,11 @@ def parse_config(path: str) -> RunConfig:
     every violation found."""
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header names the default section, so [DEFAULT] is a section like
+    # any other (and reported as unknown) instead of being copied into all.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), default_section="\n"
+    )
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)

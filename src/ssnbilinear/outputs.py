@@ -5,6 +5,7 @@ all writers emit fields in the mesh's lexicographic node order, which is
 the point order of a VTK structured grid (first coordinate fastest).
 """
 
+import json
 import weakref
 
 import numpy as np
@@ -73,3 +74,24 @@ def write_complementarity(path, report: ComplementarityReport) -> None:
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def write_stats(path, records: list[IterationRecord], disc) -> None:
+    """Why a run stopped, its final ||F||_h and its work counts, as JSON.
+
+    records end with the run's final row; disc is its Discretization.
+    No timings are written, so a re-run writes the same bytes.
+    """
+    final = records[-1]
+    stats = {
+        "stop_reason": final.stop_reason,
+        "residual": final.residual,
+        "outer_iters": sum(1 for r in records if r.delta is not None),
+        "newton_iters": sum(r.newton_iters for r in records),
+        "cg_iters": sum(r.cg_iters for r in records if r.cg_iters is not None),
+        "pcg_count": disc.pcg_count,
+        "factor_count": disc.factor_count,
+        "halvings_exhausted": disc.halvings_exhausted,
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(json.dumps(stats, indent=2) + "\n")

@@ -31,7 +31,7 @@ rate (Ulbrich, Semismooth Newton Methods for Variational Inequalities
 and Constrained Optimization Problems in Function Spaces, SIAM 2011).
 CG stays valid with the stale factor: the Hessian term it applies is
 symmetric for every symmetric Q.  The kept factor also preconditions
-the state solves' Newton steps and the final adjoint solve.
+the state solves' Newton steps and the adjoint solves.
 
 From mesh level COARSE_START_LEVEL up, the run starts with a state solve
 from zero on the next coarser mesh, at u0 restricted by injection, and
@@ -46,15 +46,52 @@ only.  The coarse Discretization lives only for that solve; its work
 counters are added to the run's, and row 0's newton_iters counts the
 coarse steps too.
 
-The loop stops when the scaled step norm
+Outer step j is an inexact semismooth Newton step.  After the state and
+adjoint solves at u_j, w = -F(u_j) at every node, so the residual
+||F(u_j)||_h = ||w||_h costs nothing, and the loop stops as soon as it
+is at most outer_tol, before step j's CG runs (the optimality-system
+stop of the primal-dual active set method: Hintermueller, Ito, Kunisch,
+SIAM J. Optim. 13 (2002)).  Otherwise CG runs only to the relative
+residual
+
+    eta_j = max(inner_tol, min(CG_ETA_MAX, max(||F_j||^(1+theta), c*outer_tol/||F_j||))),
+    ||F_j|| = ||F(u_j)||_h,  theta = CG_FORCING_THETA,  c = CG_TOL_SHARE,
+
+from pde.forcing_term, the rule of the state Newton steps.  Forcing
+terms that fall to 0 keep the superlinear rate (Ulbrich, above); the
+term c*outer_tol/||F_j|| keeps the last step from solving far below what
+outer_tol needs.
+
+Step j also returns y_j + z_j, z_j the linearized state of its step v_j
+(one solve with the step's factor), as the start of the state solve at
+u_{j+1}.  It is first-order accurate, so the state solves need fewer
+Newton steps, and the last ones none: their start is then the state to
+within O(|v_j|^2), where a start from y_j would leave an error of order
+|v_j| that the residual norm of the state solve cannot see (that norm
+weighs a nodal error e_i with the lumped weight w_i ~ h^2), and that
+moves ||F||_h by 1e-13 at levels 6-7.
+
+||F(u_j)||_h is that of the computed state and adjoint, which is what
+the returned (u, y, phi) satisfy.  The final row's objective is
+J* = J(u, y) - phi.r(u, y), r the state residual: the state error Q^-1 r
+moves J by -phi.r to first order, and phi is already solved.  So J* is
+that of the exact state to second order in r, far below inner_tol (at
+level 9 J(u, y) alone was off by 8e-12 relative, J* by 4e-15, against
+the state solved to its rounding floor by exact Newton steps).  The last
+step's CG leaves about CG_TOL_SHARE * outer_tol, so the returned point
+lies well inside the target.
+
+A scaled step
 
     delta_j = ||v_j|| / max(1, ||u_{j+1}||)
 
-falls below the step floor max(outer_tol, 10*eps*n_nodes).  The second
-term stands for eps times the condition number of Q, which grows like
-h^-2, so the floor is a step size the iteration can actually reach on
-every mesh.  A final state solve then gives the last logged row the
-objective at the accepted control, as a convergence table should.
+below step_floor(n_nodes) = 10*eps*n_nodes is rounding noise: eps times
+a scale of the condition number of Q, which grows like h^-2.  A run
+whose residual is still above outer_tol after such a step stops on
+stagnation, and one that has made max_outer steps stops on its budget;
+either raises SolverError with the rows made, the last of which names
+the reason.  Every row records ||F(u_j)||_h in residual, and the final
+row its stop_reason.
 """
 
 from dataclasses import dataclass, replace
@@ -68,8 +105,8 @@ from .pde import (
     DEFAULT_TOL,
     Discretization,
     LinearizedOperator,
-    StateSolveReport,
     cg_solve,
+    forcing_term,
 )
 from .problem import ProblemSpec, validate
 
@@ -82,6 +119,20 @@ REFACTOR_STEP = 0.1
 # mesh (see run_ssn).  A level-3 start cost level 4 an outer iteration in
 # 2 of 6 benchmark variants (both trackings, nu in {0.01, 0.05, 0.2}).
 COARSE_START_LEVEL = 5
+# Outer step j runs CG to the relative residual eta_j = forcing_term(
+# ||F_j||^(1 + CG_FORCING_THETA), ||F_j||, CG_TOL_SHARE * outer_tol,
+# inner_tol, CG_ETA_MAX), ||F_j|| = ||F(u_j)||_h (see pde.forcing_term).
+# On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 4-9)
+# theta = 0.25 keeps every outer count at most that of CG run to inner_tol,
+# and the same at levels 4-9 except at level 4 with linear tracking and
+# nu = 0.01; theta = 0.5 also took 3 steps at level 4 with quadratic
+# tracking and nu = 0.05, against 4 at levels 5-9.
+CG_FORCING_THETA = 0.25
+CG_ETA_MAX = 0.1
+# The last step leaves ||F||_h near CG_TOL_SHARE * outer_tol: 3e-17 to
+# 1.4e-14 on the benchmark, whose sup-norm F then stays below 1.1e-13 (a
+# share of 0.1 left 2.6e-13 at levels 5-7).
+CG_TOL_SHARE = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +148,12 @@ class ActiveSets:
 class IterationRecord:
     """One row of the convergence table.
 
-    The final row of a run reports only the objective of the accepted
-    control (plus the warm-started Newton count of its state solve);
-    delta, cg_iters, and measures are None there.
+    residual is ||F(u_j)||_h.  The final row of a run reports only the
+    objective (corrected for the state residual, see run_ssn), the
+    residual and the stop_reason ("residual", "stagnation" or "budget")
+    of its control, plus the warm-started Newton count of its state
+    solve; delta, cg_iters, and measures are None there, and stop_reason
+    is None on every other row.
 
     When the run started its state on a coarser mesh, row 0 names that
     mesh level in coarse_level, and its newton_iters counts the coarse
@@ -114,17 +168,21 @@ class IterationRecord:
     measures: tuple[float, float, float] | None
     coarse_level: int | None = None
     coarse_newton_iters: int = 0
+    residual: float | None = None
+    stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
 class SSNConfig:
     """Tolerances and limits of the outer loop.
 
-    max_cg = None means "number of nodes"; u0 = None means the zero
+    outer_tol is the target for ||F(u)||_h.  inner_tol is the tolerance
+    of the state solves and the smallest relative tolerance of the outer
+    CG.  max_cg = None means "number of nodes"; u0 = None means the zero
     control, and a scalar u0 is broadcast to a constant control.
     """
 
-    outer_tol: float = 5e-14
+    outer_tol: float = 1e-12
     inner_tol: float = DEFAULT_TOL
     max_outer: int = 30
     max_cg: int | None = None
@@ -136,14 +194,16 @@ class SSNConfig:
         if self.max_outer < 1:
             raise ConfigurationError("max_outer must be at least 1")
 
-    def step_floor(self, n_nodes: int) -> float:
-        """Step size the outer loop stops below: max(outer_tol, 10*eps*n).
 
-        A solve with Q is accurate to about eps times its condition number,
-        which grows like h^-2, i.e. like the node count n; smaller steps
-        are rounding noise and cannot be reached reliably.
-        """
-        return max(self.outer_tol, 10.0 * float(np.finfo(float).eps) * n_nodes)
+def step_floor(n_nodes: int) -> float:
+    """Scaled step below which the outer loop has stagnated: 10*eps*n.
+
+    A solve with Q is accurate to about eps times its condition number,
+    which grows like h^-2, i.e. like the node count n; smaller steps are
+    rounding noise, and a run whose residual is still above outer_tol
+    after one of them stops on stagnation.
+    """
+    return 10.0 * float(np.finfo(float).eps) * n_nodes
 
 
 def optimality_residual(
@@ -179,35 +239,65 @@ def apply_Mj(
     return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
-def _step(
-    disc: Discretization,
-    j: int,
-    u: np.ndarray,
-    cfg: SSNConfig,
-    state: StateSolveReport,
-    refactor: bool = True,
-) -> tuple[np.ndarray, IterationRecord]:
-    """Lines 4-11 of one outer iteration, given the state solve of line 3.
+@dataclass(frozen=True, eq=False)
+class Iterate:
+    """The state, adjoint and Newton data at one control u_j.
 
-    With refactor = False the step keeps the Discretization's factor of
-    an earlier Q for its Hessian solves; the adjoint is still solved
-    against Q(u, y), and a factor that solve makes is the one kept.
+    w is the Newton correction on the active sets and -F(u_j) at every
+    node (classify's tie rule decides which bound a node takes), so
+    residual = ||F(u_j)||_h = ||w||_h.
+    """
+
+    u: np.ndarray
+    y: np.ndarray
+    phi: np.ndarray
+    sets: ActiveSets
+    w: np.ndarray
+    residual: float
+
+
+def _linearize(
+    disc: Discretization, u: np.ndarray, y: np.ndarray, refactor: bool
+) -> Iterate:
+    """Solve the adjoint at (u, y), classify the nodes and form w = -F(u).
+
+    With refactor = True Q(u, y) is factored and solves the adjoint;
+    otherwise the adjoint is a one-off solve against Q(u, y), and the
+    Discretization keeps the factor of an earlier Q (or one that solve
+    makes).  The step's Hessian solves use the factor kept either way.
     """
     spec = disc.spec
-    y = state.y
-    jval = _objective(disc, u, y)
     if refactor:
-        op = disc.linearized_operator(u, y)
-        phi = disc.solve_adjoint(u, y, operator=op)
+        phi = disc.solve_adjoint(u, y, operator=disc.linearized_operator(u, y))
     else:
         phi = disc.solve_adjoint(u, y)
-        op = disc.kept_factor
     sets = classify(spec, y, phi)
-
     w = y * phi / spec.nu - u
     w[sets.upper] = spec.beta - u[sets.upper]
     w[sets.lower] = spec.alpha - u[sets.lower]
+    return Iterate(u, y, phi, sets, w, disc.norm(w))
 
+
+def _step(
+    disc: Discretization,
+    j: int,
+    it: Iterate,
+    eta: float,
+    max_cg: int,
+    newton_iters: int,
+) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
+    """Lines 4-11 of one outer iteration: the Newton step from it.
+
+    The reduced system on the inactive set is solved by CG to the
+    relative residual eta; newton_iters is the row's Newton count.
+    Returns u_{j+1}, the state predicted there to first order, and the
+    row.
+    """
+    spec = disc.spec
+    y, phi, sets, w = it.y, it.phi, it.sets, it.w
+    # read here, not held by the iterate: a reference that outlived the
+    # step would keep this LU alive while _factor builds the next one
+    op = disc.kept_factor
     w_active = np.where(sets.inactive, 0.0, w)
     term = _hessian_term(disc, y, phi, w_active, op)
     rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
@@ -215,27 +305,26 @@ def _step(
     def apply(v):
         return apply_Mj(disc, y, phi, sets, v, op)
 
-    max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
-    v_inactive, cg_iters = cg_solve(
-        apply, rhs, cfg.inner_tol, max_cg, inner=disc.inner
-    )
+    v_inactive, cg_iters = cg_solve(apply, rhs, eta, max_cg, inner=disc.inner)
 
     v = np.where(sets.inactive, v_inactive, w)
-    u_next = u + v
-    delta = disc.norm(v) / max(1.0, disc.norm(u_next))
+    u_next = it.u + v
+    # the state at u_{j+1} to first order: the next state solve's start
+    y_next = y + disc.solve_linearized_state(y, v, operator=op)
     record = IterationRecord(
         j=j,
-        J=jval,
-        delta=delta,
-        newton_iters=state.newton_iters,
+        J=_objective(disc, it.u, y),
+        delta=disc.norm(v) / max(1.0, disc.norm(u_next)),
+        newton_iters=newton_iters,
         cg_iters=cg_iters,
         measures=(
             disc.measure(sets.upper),
             disc.measure(sets.lower),
             disc.measure(sets.inactive),
         ),
+        residual=it.residual,
     )
-    return u_next, record
+    return u_next, y_next, record
 
 
 def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
@@ -275,11 +364,13 @@ def run_ssn(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
-    records holds one full row per outer iteration plus a final row with
-    the objective of the accepted control.  Raises SolverError when
-    max_outer is exhausted; a SolverError or NegativeCurvatureError of a
-    state, adjoint or CG solve is raised again as the same class.  Either
-    carries the records accumulated so far as its history.
+    records holds one full row per outer step plus a final row with the
+    objective, ||F||_h and stop_reason of the accepted control, which
+    satisfies ||F(u)||_h <= outer_tol.  When the loop stagnates or
+    exhausts max_outer it raises SolverError with the records, whose
+    final row names the reason; a SolverError or NegativeCurvatureError
+    of a state, adjoint or CG solve is raised again as the same class
+    with the full rows made so far.
 
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
@@ -293,25 +384,56 @@ def run_ssn(
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
 
-    floor = cfg.step_floor(disc.n_nodes)
+    floor = step_floor(disc.n_nodes)
+    max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
     u = _initial_control(cfg, disc.n_nodes)
     records: list[IterationRecord] = []
-    y_warm: np.ndarray | None = None
+    y: np.ndarray | None = None
     coarse_newton: int | None = None
+    reason = None
 
     try:
         if disc.mesh.level >= COARSE_START_LEVEL:
-            y_warm, coarse_newton = _coarse_state(disc, u, cfg.inner_tol)
+            y, coarse_newton = _coarse_state(disc, u, cfg.inner_tol)
             # the fine state solve's first Newton step factors Q(u0, P y_c)
             disc.release_factorization()
-        for j in range(cfg.max_outer):
-            state = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
+        for j in range(cfg.max_outer + 1):
+            state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
+            newton = state.newton_iters
             if records:
                 refactor = records[-1].delta >= REFACTOR_STEP
             else:
                 # a fine solve that took no Newton step factored nothing
                 refactor = coarse_newton is None or disc.kept_factor is None
-            u, record = _step(disc, j, u, cfg, state, refactor)
+            it = _linearize(disc, u, state.y, refactor)
+            if it.residual <= cfg.outer_tol:
+                reason = "residual"
+            elif records and records[-1].delta < floor:
+                reason = "stagnation"
+            elif j == cfg.max_outer:
+                reason = "budget"
+            if reason is not None:
+                # the state error Q^-1 r moves J by -phi.r to first order
+                r = disc.state_residual(u, it.y)
+                record = IterationRecord(
+                    j=j,
+                    J=_objective(disc, u, it.y) - float(it.phi @ r),
+                    delta=None,
+                    newton_iters=newton,
+                    cg_iters=None,
+                    measures=None,
+                    residual=it.residual,
+                    stop_reason=reason,
+                )
+            else:
+                eta = forcing_term(
+                    it.residual ** (1.0 + CG_FORCING_THETA),
+                    it.residual,
+                    CG_TOL_SHARE * cfg.outer_tol,
+                    cfg.inner_tol,
+                    CG_ETA_MAX,
+                )
+                u, y_next, record = _step(disc, j, it, eta, max_cg, newton)
             if j == 0 and coarse_newton is not None:
                 record = replace(
                     record,
@@ -320,22 +442,12 @@ def run_ssn(
                     coarse_newton_iters=coarse_newton,
                 )
             records.append(record)
-            y_warm = state.y
-
-            if record.delta < floor:
-                final = disc.solve_state(u, y_init=y_warm, tol=cfg.inner_tol)
-                records.append(
-                    IterationRecord(
-                        j=j + 1,
-                        J=_objective(disc, u, final.y),
-                        delta=None,
-                        newton_iters=final.newton_iters,
-                        cg_iters=None,
-                        measures=None,
-                    )
-                )
-                phi = disc.solve_adjoint(u, final.y)
-                return u, final.y, phi, records
+            if reason is not None:
+                break
+            y = y_next
+            # the next iteration's factorization is a run's memory peak:
+            # this iteration's arrays need not be alive for it
+            del it, state
     except SolverError as exc:
         # the rows made so far replace the failed solve's own history,
         # which stays on __cause__
@@ -344,10 +456,20 @@ def run_ssn(
         # the caller's disc outlives the run; its last LU need not
         disc.release_factorization()
 
-    raise SolverError(
-        f"ssn: no convergence in {cfg.max_outer} outer iterations",
-        history=records,
-    )
+    if reason == "residual":
+        return u, it.y, it.phi, records
+    if reason == "stagnation":
+        message = (
+            f"ssn: stagnation: scaled step {records[-2].delta:.3e} below "
+            f"{floor:.3e} with ||F||_h = {it.residual:.3e} above outer_tol "
+            f"{cfg.outer_tol:.3e}"
+        )
+    else:
+        message = (
+            f"ssn: no convergence in {cfg.max_outer} outer iterations "
+            f"(||F||_h = {it.residual:.3e}, outer_tol {cfg.outer_tol:.3e})"
+        )
+    raise SolverError(message, history=records)
 
 
 @dataclass(frozen=True)

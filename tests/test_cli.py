@@ -1,5 +1,6 @@
 """Command line verbs, exit codes, and on-disk artifacts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -70,6 +71,27 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert "level 2:" in capsys.readouterr().out
 
 
+def test_run_writes_its_stats(tmp_path):
+    out_dir = str(tmp_path / "results")
+    cfg = benchmark_cfg(tmp_path, out_dir)
+    assert main(["run", cfg]) == 0
+    level_dir = Path(out_dir, "level_2")
+    first = (level_dir / "stats.json").read_bytes()
+    stats = json.loads(first)
+    rows = (level_dir / "convergence.csv").read_text().strip().split("\n")[1:]
+    full = [row.split(",") for row in rows[:-1]]
+    assert stats["stop_reason"] == "residual"
+    assert 0.0 <= stats["residual"] <= 1e-12
+    assert stats["outer_iters"] == len(full)
+    assert stats["cg_iters"] == sum(int(row[4]) for row in full)
+    assert stats["newton_iters"] == sum(int(row.split(",")[3]) for row in rows)
+    assert stats["factor_count"] >= 1 and stats["pcg_count"] >= 1
+    assert stats["halvings_exhausted"] == 0
+    # no timings: a re-run writes the same bytes
+    assert main(["run", cfg]) == 0
+    assert (level_dir / "stats.json").read_bytes() == first
+
+
 def test_run_without_field_output(tmp_path):
     out_dir = str(tmp_path / "results")
     cfg = benchmark_cfg(tmp_path, out_dir, extra="write_fields = off\n")
@@ -100,7 +122,12 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
     rows = Path(out_dir, "level_2", "convergence.csv").read_text().strip().split("\n")
     assert rows[0] == CSV_HEADER
-    assert len(rows) == 2  # header plus the single iteration that ran
+    # header, the single iteration that ran, and the final row of its control
+    assert len(rows) == 3
+    assert rows[2].split(",")[2] == "" and rows[2].split(",")[4] == ""
+    stats = json.loads(Path(out_dir, "level_2", "stats.json").read_text())
+    assert stats["stop_reason"] == "budget"
+    assert stats["outer_iters"] == 1
 
 
 @pytest.mark.parametrize("level", [2, 5])

@@ -37,7 +37,7 @@ def test_minimal_benchmark_config(tmp_path):
     assert cfg.levels == (3,)
     assert cfg.output_dir == "out"
     assert cfg.write_fields is True
-    assert cfg.ssn.outer_tol == 5e-14
+    assert cfg.ssn.outer_tol == 1e-12
     assert cfg.ssn.max_outer == 30
     assert cfg.ssn.u0 is None
     assert cfg.verify == VerifySettings(level=4, directions=5, seed=1234)
@@ -337,3 +337,15 @@ def test_readme_defaults_are_the_settings_defaults():
                 assert text == spelt[(section, field.name)]
             else:
                 assert cast(text) == value, (section, field.name)
+
+
+def test_default_section_is_reported_once_as_unknown(tmp_path):
+    # configparser would copy [DEFAULT] into every section: its levels
+    # would be applied to [mesh] and its seed reported under [problem]
+    text = "[DEFAULT]\nseed = 3\nlevels = 4\n\n" + MINIMAL
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    message = str(exc.value)
+    assert message.count("DEFAULT") == 1
+    assert "unknown section [DEFAULT]" in message
+    assert "unknown key" not in message

@@ -17,12 +17,15 @@ from ssnbilinear import (
 )
 from ssnbilinear.pde import (
     DEFAULT_TOL,
+    MAX_HALVINGS,
     NEWTON_ETA_MAX,
     NEWTON_TOL_SHARE,
     PCG_MAX_ITERS,
     PCG_RTOL,
+    SUFFICIENT_DECREASE,
     LinearizedOperator,
     cg_solve,
+    forcing_term,
 )
 
 
@@ -275,6 +278,30 @@ def test_exhausted_halvings_are_counted():
     disc.uphill = False
     disc.solve_state(disc.zeros())
     assert disc.halvings_exhausted == stalls
+
+
+def test_stalls_at_the_rounding_floor_are_counted():
+    # at the rounding floor of ||r||_h (about 4.4e-16 here) most steps find
+    # no halving that lowers the residual by the sufficient-decrease factor:
+    # each is a stall, and rounding noise no longer passes as progress
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(3))
+    with pytest.raises(SolverError, match="no convergence") as exc:
+        disc.solve_state(disc.zeros(), tol=1e-30)
+    history = exc.value.history
+    least = 1.0 - SUFFICIENT_DECREASE * 0.5**MAX_HALVINGS
+    stalls = sum(1 for old, new in zip(history, history[1:]) if new > least * old)
+    assert stalls >= 1
+    assert disc.halvings_exhausted == stalls
+    assert min(history) > 1e-16
+
+
+def test_forcing_term_clamps_its_two_terms():
+    # the rate term wins far from the target, the target term near it
+    assert forcing_term(1e-6, 1e-3, 1e-15, 1e-13, 1e-2) == 1e-6
+    assert forcing_term(1e-20, 1e-13, 1e-15, 1e-13, 1e-2) == 1e-2
+    assert forcing_term(1e-20, 1e-3, 1e-15, 1e-13, 1e-2) == 1e-12
+    assert forcing_term(1e-20, 1.0, 1e-15, 1e-13, 1e-2) == 1e-13
+    assert forcing_term(0.5, 1.0, 1e-15, 1e-13, 1e-2) == 1e-2
 
 
 def test_state_solve_rejects_bad_tolerance():

@@ -24,9 +24,9 @@ from ssnbilinear import (
     validate,
 )
 from ssnbilinear import ssn
-from ssnbilinear.objective import hessian_vec
-from ssnbilinear.pde import MAX_NEWTON, cg_solve
-from ssnbilinear.ssn import _step, apply_Mj, classify
+from ssnbilinear.objective import _objective, hessian_vec
+from ssnbilinear.pde import MAX_NEWTON, cg_solve, forcing_term
+from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
 
 finite_fields = hnp.arrays(
     np.float64,
@@ -178,10 +178,14 @@ def test_apply_Mj_scales_hessian_when_nothing_is_active():
 
 
 def one_step(disc, u, y_init=None):
-    """One outer iteration from u with the default tolerances."""
+    """One outer iteration from u, its CG run to inner_tol."""
     cfg = SSNConfig()
     state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
-    return _step(disc, 0, u, cfg, state)
+    it = _linearize(disc, u, state.y, refactor=True)
+    u_next, _, record = _step(
+        disc, 0, it, cfg.inner_tol, disc.n_nodes, state.newton_iters
+    )
+    return u_next, record
 
 
 def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
@@ -336,6 +340,98 @@ def test_outer_loop_failure_carries_the_rows_made(bench, monkeypatch):
     assert type(exc.value.__cause__) is NegativeCurvatureError
 
 
+def _instance(nu, a0, alpha_share, beta):
+    """The benchmark's quartic with a0 in place of its 2: da_dy >= a0."""
+    bench = benchmark_instance()
+
+    def a(x, y):
+        return bench.a(x, y) + (a0 - 2.0) * y
+
+    return dataclasses.replace(
+        bench,
+        a=a,
+        da_dy=lambda x, y: bench.da_dy(x, y) + (a0 - 2.0),
+        alpha=-alpha_share * a0,
+        beta=beta,
+        nu=nu,
+        a0=a0,
+    )
+
+
+@given(
+    nu=st.floats(0.01, 1.0),
+    a0=st.floats(0.5, 4.0),
+    alpha_share=st.floats(0.0, 0.9),
+    beta=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)),
+)
+def test_every_returned_point_meets_outer_tol(nu, a0, alpha_share, beta):
+    spec = _instance(nu, a0, alpha_share, beta)
+    disc = Discretization(spec, build_uniform_mesh(3))
+    u, y, phi, records = run_ssn(disc)
+    residual = disc.norm(optimality_residual(spec, u, y, phi))
+    assert records[-1].stop_reason == "residual"
+    assert residual == records[-1].residual <= SSNConfig().outer_tol
+    # the box holds to the residual: rounding in u + (bound - u) included
+    tol = SSNConfig().outer_tol
+    assert np.all(u >= spec.alpha - tol) and np.all(u <= spec.beta + tol)
+
+
+@given(nu=st.floats(0.01, 1.0), a0=st.floats(0.5, 4.0), excess=st.floats(0.0, 2.0))
+def test_an_instance_with_alpha_at_or_below_minus_a0_is_rejected(nu, a0, excess):
+    spec = dataclasses.replace(_instance(nu, a0, 0.5, 1.0), alpha=-a0 - excess)
+    with pytest.raises(ConfigurationError, match="-a0"):
+        run_ssn(Discretization(spec, build_uniform_mesh(3)))
+
+
+def test_outer_cg_runs_to_its_forcing_term(bench, monkeypatch):
+    # eta_j is forcing_term of ||F(u_j)||_h: the first step runs to
+    # CG_ETA_MAX, the last only to a share of outer_tol
+    tols = []
+    solve = ssn.cg_solve
+
+    def recorded(apply, rhs, tol, *args, **kwargs):
+        tols.append(tol)
+        return solve(apply, rhs, tol, *args, **kwargs)
+
+    monkeypatch.setattr(ssn, "cg_solve", recorded)
+    cfg = SSNConfig()
+    _, _, _, records = run_ssn(Discretization(bench, build_uniform_mesh(4)), cfg)
+    full = records[:-1]
+    expected = [
+        forcing_term(
+            r.residual ** (1.0 + ssn.CG_FORCING_THETA),
+            r.residual,
+            ssn.CG_TOL_SHARE * cfg.outer_tol,
+            cfg.inner_tol,
+            ssn.CG_ETA_MAX,
+        )
+        for r in full
+    ]
+    assert tols == expected
+    assert tols[0] == ssn.CG_ETA_MAX
+    # the last step solves only to a share of outer_tol
+    last = full[-1].residual
+    assert tols[-1] == ssn.CG_TOL_SHARE * cfg.outer_tol / last > cfg.inner_tol
+
+
+def test_state_solves_start_from_the_predicted_state(bench, monkeypatch):
+    # y_j + z_j, z_j the linearized state of step j, is far closer to the
+    # state at u_{j+1} than y_j is
+    starts = []
+    solve_state = Discretization.solve_state
+
+    def recorded(self, u, y_init=None, **kwargs):
+        report = solve_state(self, u, y_init=y_init, **kwargs)
+        starts.append((y_init, report.y))
+        return report
+
+    monkeypatch.setattr(Discretization, "solve_state", recorded)
+    disc = Discretization(bench, build_uniform_mesh(4))
+    run_ssn(disc)
+    for (_, y_prev), (start, y) in zip(starts[1:3], starts[2:4]):
+        assert disc.norm(start - y) <= 1e-2 * disc.norm(y_prev - y)
+
+
 def test_run_validates_problem_data():
     spec = dataclasses.replace(benchmark_instance(), nu=0.0)
     with pytest.raises(ConfigurationError, match="nu"):
@@ -352,15 +448,19 @@ def test_run_checks_structure_but_not_the_derivative_lint():
     misscaled = dataclasses.replace(bench, dL_dy=lambda x, y: 1.01 * bench.dL_dy(x, y))
     assert any("dL_dy vs L" in m for m in validate(misscaled))
     _, _, _, records = run_ssn(Discretization(misscaled, build_uniform_mesh(2)))
-    assert records[-2].delta < SSNConfig().step_floor(25)
+    assert records[-1].stop_reason == "residual"
+    assert records[-1].residual <= SSNConfig().outer_tol
 
 
 def test_run_iteration_budget_carries_history(bench):
     disc = Discretization(bench, build_uniform_mesh(3))
-    with pytest.raises(SolverError) as exc:
+    with pytest.raises(SolverError, match="no convergence in 1 outer") as exc:
         run_ssn(disc, SSNConfig(max_outer=1))
-    assert len(exc.value.history) == 1
-    assert exc.value.history[0].j == 0
+    # row 0, then the final row of the control it reached
+    assert [r.j for r in exc.value.history] == [0, 1]
+    final = exc.value.history[-1]
+    assert final.stop_reason == "budget" and final.delta is None
+    assert final.residual > SSNConfig().outer_tol
 
 
 LADDER = (4, 5, 6, 7)
@@ -403,10 +503,21 @@ def test_outer_counts_equal_across_levels(ladder_runs, tracking):
 
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
 def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
-    # the factorization-preconditioned state solves take exactly as many
-    # Newton steps as direct solves did.  From level 5 up, row 0 counts the
-    # 5 steps of the coarse solve from zero plus 3 (levels 5-6) or 2
-    # (level 7) from its prolonged state; the cold start took 5.
+    # From level 5 up, row 0 counts the 5 steps of the coarse solve from
+    # zero plus 3 (levels 5-6) or 2 (level 7) from its prolonged state; the
+    # cold start took 5.  Each later state solve starts from the state
+    # predicted by the step's linearized state, and takes 0-2 steps.  The
+    # outer CG runs to its forcing term: 1-4 iterations where it took 7.
+    later = {
+        ("quadratic", 4): [2, 1, 1, 0],
+        ("quadratic", 5): [2, 1, 1, 0],
+        ("quadratic", 6): [2, 1, 0, 0],
+        ("quadratic", 7): [2, 1, 0, 0],
+        ("linear", 4): [2, 2, 1, 0],
+        ("linear", 5): [2, 2, 1, 0],
+        ("linear", 6): [2, 1, 1, 0],
+        ("linear", 7): [2, 1, 0, 0],
+    }
     for level in LADDER:
         records = ladder_runs[tracking, level][5]
         newton = [r.newton_iters for r in records]
@@ -418,9 +529,8 @@ def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
             first = 8 if level < 7 else 7
             assert records[0].coarse_level == level - 1
             assert records[0].coarse_newton_iters == 5
-        second = 4 if (tracking, level) == ("quadratic", 4) else 3
-        assert newton == [first, second, 2, 1, 0], (level, newton)
-        assert [r.cg_iters for r in records[:-1]] == [7, 7, 7, 7]
+        assert newton == [first, *later[tracking, level]], (level, newton)
+        assert [r.cg_iters for r in records[:-1]] == [1, 2, 4, 2]
         assert all(r.coarse_level is None for r in records[1:])
 
 
@@ -436,7 +546,7 @@ def test_coarse_start_factors_the_fine_operator_twice(ladder_runs, tracking):
 
 
 @pytest.mark.parametrize(
-    "tracking, pcg, newton", [("quadratic", 47, 12), ("linear", 45, 11)]
+    "tracking, pcg, newton", [("quadratic", 42, 9), ("linear", 46, 10)]
 )
 def test_level_4_keeps_the_cold_start(ladder_runs, tracking, pcg, newton):
     # below COARSE_START_LEVEL the run starts from y = 0 and factors
@@ -491,15 +601,23 @@ def test_run_factors_only_after_large_steps(bench):
 def test_kept_factor_matches_refactoring_every_step(
     ladder_runs, monkeypatch, tracking
 ):
-    # REFACTOR_STEP = 0 factors Q at every outer step, as before the rule
+    # REFACTOR_STEP = 0 factors Q at every outer iteration, as before the
+    # rule.  Both runs agree up to the first kept factor (step 2); the
+    # exact Hessian then takes ||F||_h below outer_tol in step 2, where the
+    # kept factor leaves 1.2e-12 to 9.6e-12 and needs step 3.  Both stop
+    # at a control that meets outer_tol, with the same J*.
     monkeypatch.setattr(ssn, "REFACTOR_STEP", 0.0)
+    cfg = SSNConfig()
     for level in LADDER:
         spec, _, u_kept, _, _, records_kept, _ = ladder_runs[tracking, level]
         disc = Discretization(spec, build_uniform_mesh(level))
         u, _, _, records = run_ssn(disc)
         assert disc.factor_count == 5
-        assert np.max(np.abs(u_kept - u)) <= 1e-12
-        for a, b in zip(records_kept, records, strict=True):
+        assert len(records_kept) == len(records) + 1 == 5
+        assert records[-1].residual <= cfg.outer_tol
+        assert disc.norm(u_kept - u) <= 10 * cfg.outer_tol
+        assert records_kept[-1].J == pytest.approx(records[-1].J, rel=1e-12)
+        for a, b in zip(records_kept[:3], records[:3], strict=True):
             assert (a.j, a.newton_iters, a.cg_iters, a.measures) == (
                 b.j,
                 b.newton_iters,
@@ -540,19 +658,45 @@ def test_ladder_runs_satisfy_projection_identity(ladder_runs):
         assert np.max(np.abs(optimality_residual(spec, u, y, phi))) <= 1e-13
 
 
-def test_ladder_runs_stop_below_step_floor(ladder_runs):
+def test_final_objective_is_that_of_the_exact_state(ladder_runs):
+    # J(u, y) - phi.r(u, y) against J at the state of u solved by exact
+    # Newton steps: the correction removes the state solve's error
+    for spec, disc, u, y, _, records, _ in ladder_runs.values():
+        exact = y.copy()
+        for _ in range(3):
+            step = disc.linearized_operator(u, exact).solve(
+                disc.state_residual(u, exact)
+            )
+            exact -= step
+        assert records[-1].J == pytest.approx(_objective(disc, u, exact), rel=2e-15)
+
+
+def test_ladder_runs_stop_on_the_residual(ladder_runs):
+    # each run stops at the first control that meets outer_tol, before
+    # that iteration's CG; every row carries ||F(u_j)||_h
     cfg = SSNConfig()
-    for _, disc, _, _, _, records, _ in ladder_runs.values():
-        assert records[-2].delta < cfg.step_floor(disc.n_nodes)
-        assert all(r.delta is not None for r in records[:-1])
+    for spec, disc, u, y, phi, records, _ in ladder_runs.values():
+        *full, final = records
+        assert final.stop_reason == "residual"
+        assert final.residual == disc.norm(optimality_residual(spec, u, y, phi))
+        assert final.residual <= cfg.outer_tol
+        assert all(r.delta is not None for r in full)
+        assert all(r.stop_reason is None for r in full)
+        assert all(r.residual > cfg.outer_tol for r in full)
 
 
-def test_step_floor_scales_with_node_count():
+def test_step_floor_is_the_stagnation_guard(bench):
     eps = np.finfo(float).eps
-    cfg = SSNConfig()
-    assert cfg.step_floor(1) == cfg.outer_tol
-    assert cfg.step_floor(66049) == 10 * eps * 66049
-    assert SSNConfig(outer_tol=1e-6).step_floor(66049) == 1e-6
+    assert step_floor(1) == 10 * eps
+    assert step_floor(66049) == 10 * eps * 66049
+    # a target below rounding: the steps fall below the floor first
+    disc = Discretization(bench, build_uniform_mesh(3))
+    with pytest.raises(SolverError, match="stagnation") as exc:
+        run_ssn(disc, SSNConfig(outer_tol=1e-20))
+    *full, final = exc.value.history
+    assert final.stop_reason == "stagnation"
+    assert full[-1].delta < step_floor(disc.n_nodes)
+    assert all(r.delta >= step_floor(disc.n_nodes) for r in full[:-1])
 
 
 def test_ssn_config_validation():
@@ -563,7 +707,7 @@ def test_ssn_config_validation():
     with pytest.raises(ConfigurationError):
         SSNConfig(max_outer=0)
     cfg = SSNConfig()
-    assert cfg.outer_tol == 5e-14 and cfg.inner_tol == 5e-14
+    assert cfg.outer_tol == 1e-12 and cfg.inner_tol == 5e-14
     assert cfg.max_outer == 30 and cfg.max_cg is None and cfg.u0 is None
 
 

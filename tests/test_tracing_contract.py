@@ -6,7 +6,8 @@ from the benchmark's per-layer report.  This test runs its install step
 with a recording _patch and fails on every name it cannot find.
 
 The tracer's ssn.cg span must also see the outer CG and nothing else, so
-its iteration total can be checked against the cg_iters column.  Its
+its iteration total can be checked against the cg_iters column, and its
+count of ssn._step calls must equal the rows with a delta.  Its
 pde.state_solve and pde.factor spans wrap Discretization.solve_state and
 LinearizedOperator.__init__ on the classes, so they also see the state
 solve a run makes on a coarser mesh; their totals must match the Newton
@@ -115,6 +116,33 @@ def test_traced_newton_and_factor_totals_match_the_run(monkeypatch):
     assert len(newton) == len(records) + 1
     assert sum(newton) == sum(r.newton_iters for r in records)
     assert len(factors) == disc.factor_count
+
+
+def test_traced_outer_counts_match_a_run_that_stops_on_the_residual(monkeypatch):
+    # the tracer counts ssn._step calls as outer iterations and sums the
+    # ssn.cg_solve iterations; the residual test runs before _step, so a
+    # run that stops on it makes no _step call for its final row
+    steps = []
+    iterations = []
+    step = ssn._step
+    solve = ssn.cg_solve
+
+    def traced_step(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    def traced_cg(*args, **kwargs):
+        x, iters = solve(*args, **kwargs)
+        iterations.append(iters)
+        return x, iters
+
+    monkeypatch.setattr(ssn, "_step", traced_step)
+    monkeypatch.setattr(ssn, "cg_solve", traced_cg)
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(5))
+    _, _, _, records = run_ssn(disc)
+    assert records[-1].stop_reason == "residual"
+    assert len(steps) == sum(1 for r in records if r.delta is not None) == 4
+    assert sum(iterations) == sum(r.cg_iters for r in records if r.cg_iters)
 
 
 def test_traced_verify_counts_match_the_result(monkeypatch):
