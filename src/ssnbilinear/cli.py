@@ -17,7 +17,9 @@ Per level, `run` writes into <output_dir>/level_<k>/:
     stats.json          stop reason, final ||F(u)||_h and work counts
 
 A run that stagnates or exhausts max_outer still writes its table and
-stats.json; one whose state, adjoint or CG solve fails writes its table.
+stats.json; one whose state, adjoint or CG solve fails writes its table
+if it made a row.  A failed run removes the files of this list that it
+does not write, so none left by an earlier run reads as its own.
 """
 
 import argparse
@@ -37,6 +39,15 @@ from .pde import Discretization
 from .ssn import complementarity_report, run_ssn
 from .verification import format_verification, verify_derivatives
 
+_RUN_OUTPUTS = (
+    "convergence.csv",
+    "control.vtk",
+    "state.vtk",
+    "adjoint.vtk",
+    "complementarity.txt",
+    "stats.json",
+)
+
 
 def _cmd_run(config: RunConfig) -> int:
     status = 0
@@ -48,13 +59,20 @@ def _cmd_run(config: RunConfig) -> int:
         try:
             u, y, phi, records = run_ssn(disc, config.ssn)
         except SolverError as exc:
+            written = []
             # history holds the rows made before the failure
             if exc.history:
                 write_convergence_csv(
                     os.path.join(out_dir, "convergence.csv"), exc.history
                 )
+                written.append("convergence.csv")
                 if exc.history[-1].stop_reason is not None:
                     write_stats(os.path.join(out_dir, "stats.json"), exc.history, disc)
+                    written.append("stats.json")
+            for name in _RUN_OUTPUTS:
+                path = os.path.join(out_dir, name)
+                if name not in written and os.path.exists(path):
+                    os.remove(path)
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             status = 2
             continue

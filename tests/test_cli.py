@@ -172,6 +172,33 @@ def test_run_outer_loop_failure_writes_the_rows_made(tmp_path, capsys, monkeypat
     assert rows[1].startswith("0,")
 
 
+def test_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, monkeypatch):
+    # a successful run, then one whose second outer CG fails, into the same
+    # directory: only the new partial table is left
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(
+        tmp_path,
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 3\n\n"
+        f"[output]\ndirectory = {out_dir}\n",
+    )
+    assert main(["run", cfg]) == 0
+    level_dir = Path(out_dir, "level_3")
+    assert len(list(level_dir.iterdir())) == 6
+    calls = []
+    cg_solve = ssn.cg_solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NegativeCurvatureError("cg: nonpositive curvature (forced)")
+        return cg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "cg_solve", failing)
+    assert main(["run", cfg]) == 2
+    assert [p.name for p in level_dir.iterdir()] == ["convergence.csv"]
+    assert len((level_dir / "convergence.csv").read_text().splitlines()) == 2
+
+
 # README expression problem with dL_dy and d2L_dy2 both 1% too large: the
 # state and adjoint stay well posed, only the derivative lint can object.
 MISSCALED = """
