@@ -3,8 +3,9 @@
 
 Usage: python3 scripts/run_benchmark.py [level ...]   (default: 5 6 7)
 
-Row 0's newton column counts the steps of a coarse start too; the
-measures line names the coarse level and its own Newton steps.
+From ssnbilinear.ssn.COARSE_START_LEVEL up, a run first solves the
+coarser levels, and the table lists their rows too; the outer line gives
+each level's count of outer iterations.
 """
 
 import sys
@@ -34,27 +35,26 @@ def main(argv):
             f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, "
             f"set-up {t1 - t0:.2f}s, solve {t2 - t1:.2f}s)"
         )
-        print(f"{'j':>3} {'J':>24} {'delta':>13} {'newton':>7} {'cg':>4}")
+        print(f"{'level':>5} {'j':>3} {'J':>24} {'delta':>13} {'newton':>7} {'cg':>4}")
+        outer = {}
         for r in records:
             delta = f"{r.delta:.6e}" if r.delta is not None else ""
             cg = str(r.cg_iters) if r.cg_iters is not None else ""
-            print(f"{r.j:>3} {r.J:>24.16e} {delta:>13} {r.newton_iters:>7} {cg:>4}")
+            print(
+                f"{r.level:>5} {r.j:>3} {r.J:>24.16e} {delta:>13} "
+                f"{r.newton_iters:>7} {cg:>4}"
+            )
+            outer[r.level] = outer.get(r.level, 0) + (r.delta is not None)
 
         rep = complementarity_report(disc, u, y, phi)
         resid = disc.norm(optimality_residual(spec, u, y, phi))
-        first = records[0]
-        coarse = (
-            f"level {first.coarse_level} newton {first.coarse_newton_iters}"
-            if first.coarse_level is not None
-            else "none"
-        )
+        print("outer: " + ", ".join(f"level {k} {n}" for k, n in outer.items()))
         print(
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "
             f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
             f"||u - Proj(y*phi/nu)||_h {resid:.2e}, "
             f"factorizations {disc.factor_count}, "
-            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}, "
-            f"coarse start {coarse}"
+            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}"
         )
     return 0
 

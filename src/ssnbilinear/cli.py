@@ -9,16 +9,20 @@ Exit codes: 0 success, 1 usage or configuration error, 2 solver
 non-convergence, 3 verification failure.
 
 Per level, `run` writes into <output_dir>/level_<k>/:
-    convergence.csv     j, J, delta, newton_iters, cg_iters per iteration
+    convergence.csv     level, j, J, delta, newton_iters, cg_iters per
+                        iteration, of the coarser levels solved first too
     control.vtk         u* as a legacy-ASCII structured grid
     state.vtk           y*
     adjoint.vtk         phi*
     complementarity.txt bound-attainment measures and the sigma estimate
-    stats.json          stop reason, final ||F(u)||_h and work counts
+    stats.json          stop reason, final ||F(u)||_h and work counts,
+                        those of the coarser levels included
 
-A run that stagnates or exhausts max_outer still writes its table and
-stats.json; one whose state, adjoint or CG solve fails writes its table
-if it made a row.  A failed run removes the files of this list that it
+From level 5 up a level's run solves the coarser levels first (see
+ssn.run_ssn); the line printed per level counts its own outer
+iterations.  A run that stagnates or exhausts max_outer, on its level or
+a coarser one, still writes its table and stats.json; one whose state,
+adjoint or CG solve fails writes its table if it made a row.  A failed run removes the files of this list that it
 does not write, so none left by an earlier run reads as its own.
 """
 
@@ -84,7 +88,7 @@ def _cmd_run(config: RunConfig) -> int:
             write_structured_vtk(os.path.join(out_dir, "adjoint.vtk"), mesh, "adjoint", phi)
         report = complementarity_report(disc, u, y, phi)
         write_complementarity(os.path.join(out_dir, "complementarity.txt"), report)
-        outer = sum(1 for r in records if r.delta is not None)
+        outer = sum(1 for r in records if r.level == level and r.delta is not None)
         print(
             f"level {level}: {outer} outer iterations, "
             f"J = {records[-1].J:.16e}, outputs in {out_dir}"

@@ -13,15 +13,16 @@ import numpy as np
 from .mesh import TriMesh
 from .ssn import ComplementarityReport, IterationRecord
 
-CSV_HEADER = "j,J,delta,newton_iters,cg_iters"
+CSV_HEADER = "level,j,J,delta,newton_iters,cg_iters"
 
 
 def format_csv(records: list[IterationRecord]) -> str:
+    """One line per record, of every mesh level the run solved."""
     lines = [CSV_HEADER]
     for r in records:
         delta = f"{r.delta:.16e}" if r.delta is not None else ""
         cg = str(r.cg_iters) if r.cg_iters is not None else ""
-        lines.append(f"{r.j},{r.J:.16e},{delta},{r.newton_iters},{cg}")
+        lines.append(f"{r.level},{r.j},{r.J:.16e},{delta},{r.newton_iters},{cg}")
     return "\n".join(lines) + "\n"
 
 
@@ -80,7 +81,9 @@ def write_stats(path, records: list[IterationRecord], disc) -> None:
     """Why a run stopped, its final ||F||_h and its work counts, as JSON.
 
     records end with the run's final row; disc is its Discretization.
-    No timings are written, so a re-run writes the same bytes.
+    The totals are those of the CSV's columns, over every level the run
+    solved, as disc's counters are.  No timings are written, so a re-run
+    writes the same bytes.
     """
     final = records[-1]
     stats = {

@@ -15,8 +15,9 @@ Q is symmetric, and positive definite whenever da_dy + u > 0 at every
 node.  A system solved for many right-hand sides with one Q (the CG
 solves of the outer loop, the Hessian of `verify`) gets its own sparse
 direct factorization; the outer loop makes one only in its first steps
-and keeps it through the later ones, and after a coarse start its first
-step keeps the one the state solve's first Newton step made (see ssn).
+and keeps it through the later ones, and on a level started from a
+coarser one its first step keeps the one the state solve's first Newton
+step made (see ssn).
 A system solved only once (every state Newton step, and an adjoint
 solve without a supplied operator) runs matrix-free preconditioned CG,
 applying Q as K p + d*p with d = w*(da_dy + u), preconditioned by the

@@ -33,18 +33,26 @@ CG stays valid with the stale factor: the Hessian term it applies is
 symmetric for every symmetric Q.  The kept factor also preconditions
 the state solves' Newton steps and the adjoint solves.
 
-From mesh level COARSE_START_LEVEL up, the run starts with a state solve
-from zero on the next coarser mesh, at u0 restricted by injection, and
-starts the fine state solve from the prolonged coarse state (mesh.inject,
-mesh.prolong).  Newton's method converges mesh-independently
-(Hintermueller and Ulbrich, Math. Program. 101 (2004)), so the prolonged
-state is close to y0: the fine solve takes 1-3 Newton steps instead of
-5, and its first step factors Q(u0, P y_c), which outer step 0 keeps in
-place of a factor of Q(u0, y0), as a step after a small one would.  A
-cold start from zero would factor Q(u0, 0) for its first Newton step
-only.  The coarse Discretization lives only for that solve; its work
-counters are added to the run's, and row 0's newton_iters counts the
-coarse steps too.
+From mesh level COARSE_START_LEVEL up, a run on level k first solves the
+whole optimality system on level k-1, recursively down to level
+COARSE_START_LEVEL - 1, which starts from u0 injected onto its mesh and
+its state from zero (nested iteration; mesh.inject, mesh.prolong).
+Level k then starts from the prolonged control and state of that
+solution.  Semismooth Newton converges mesh-independently (Hintermueller
+and Ulbrich, Math. Program. 101 (2004)), so the prolonged solution lies
+in level k's region of fast convergence.  Its state solve's first Newton
+step factors Q(P u_c, P y_c), and outer step 0 keeps that factor.  The
+first scaled step falls 2-4x per level: on the benchmark (both
+trackings, nu in {0.01, 0.05, 0.2}) it is at most 0.035 from level 7 up
+(a cold start's is about 0.9), below REFACTOR_STEP, so level k factors
+Q once.  At levels 5-6 it lands above the cut in 3 of 12 variants, and
+outer step 1 factors again.  Steps with a factor kept from the start
+contract by only 1e-2 to 1e-5 each, so the stop lands anywhere below
+outer_tol; the default outer_tol is set low enough for that (see
+SSNConfig).  Every level appends its rows to the run's records, with j
+from 0; the refactoring rule and the stagnation test read only the
+level's own rows.  A coarse Discretization lives only for its level's
+solve, and its work counters are added to the run's.
 
 Outer step j is an inexact semismooth Newton step.  After the state and
 adjoint solves at u_j, w = -F(u_j) at every node, so the residual
@@ -78,8 +86,9 @@ moves J by -phi.r to first order, and phi is already solved.  So J* is
 that of the exact state to second order in r, far below inner_tol (at
 level 9 J(u, y) alone was off by 8e-12 relative, J* by 4e-15, against
 the state solved to its rounding floor by exact Newton steps).  The last
-step's CG leaves about CG_TOL_SHARE * outer_tol, so the returned point
-lies well inside the target.
+step's CG runs to about CG_TOL_SHARE * outer_tol; with a factor kept from
+a nested level's start the step itself is less exact, and the returned
+point lies anywhere below the target (see SSNConfig).
 
 A scaled step
 
@@ -94,7 +103,7 @@ the reason.  Every row records ||F(u_j)||_h in residual, and the final
 row its stop_reason.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,27 +120,31 @@ from .pde import (
 from .problem import ProblemSpec, validate
 
 # An outer step after a scaled step below this reuses the kept factor of Q.
-# On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 4-9)
-# delta_0 lies in [0.16, 0.99] and delta_1 in [1e-5, 4.9e-2], so a run
-# factors Q in its first two outer steps only.
+# On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}) a cold start
+# at level 4 has delta_0 in [0.16, 0.99] and delta_1 in [1e-5, 4.9e-2], so
+# it factors Q in its first two outer steps only.  A nested level's
+# delta_0 is at most 0.035 from level 7 up, so it factors Q once.
 REFACTOR_STEP = 0.1
-# From this mesh level up, a run starts its state from the next coarser
-# mesh (see run_ssn).  A level-3 start cost level 4 an outer iteration in
+# From this mesh level up, a run first solves the next coarser level and
+# starts from its solution (see run_ssn); below it, it starts cold.  A
+# start of the state alone from level 3 cost level 4 an outer iteration in
 # 2 of 6 benchmark variants (both trackings, nu in {0.01, 0.05, 0.2}).
 COARSE_START_LEVEL = 5
 # Outer step j runs CG to the relative residual eta_j = forcing_term(
 # ||F_j||^(1 + CG_FORCING_THETA), ||F_j||, CG_TOL_SHARE * outer_tol,
 # inner_tol, CG_ETA_MAX), ||F_j|| = ||F(u_j)||_h (see pde.forcing_term).
-# On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 4-9)
-# theta = 0.25 keeps every outer count at most that of CG run to inner_tol,
-# and the same at levels 4-9 except at level 4 with linear tracking and
-# nu = 0.01; theta = 0.5 also took 3 steps at level 4 with quadratic
+# On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 4-9,
+# each started cold, outer_tol 1e-12) theta = 0.25 keeps every outer count
+# at most that of CG run to inner_tol, and the same at levels 4-9 except
+# at level 4 with linear tracking and nu = 0.01; theta = 0.5 also took 3 steps at level 4 with quadratic
 # tracking and nu = 0.05, against 4 at levels 5-9.
 CG_FORCING_THETA = 0.25
 CG_ETA_MAX = 0.1
-# The last step leaves ||F||_h near CG_TOL_SHARE * outer_tol: 3e-17 to
-# 1.4e-14 on the benchmark, whose sup-norm F then stays below 1.1e-13 (a
-# share of 0.1 left 2.6e-13 at levels 5-7).
+# The last step's CG runs to CG_TOL_SHARE * outer_tol / ||F_j||.  With
+# cold starts and outer_tol 1e-12 the final ||F||_h was 3e-17 to 1.4e-14
+# on the benchmark and the sup-norm of F below 1.1e-13 (a share of 0.1
+# left 2.6e-13 at levels 5-7).  With nested levels and the default
+# outer_tol it is 6e-18 to 1.3e-14, and the sup-norm at most 6.7e-14.
 CG_TOL_SHARE = 0.01
 
 
@@ -148,26 +161,22 @@ class ActiveSets:
 class IterationRecord:
     """One row of the convergence table.
 
-    residual is ||F(u_j)||_h.  The final row of a run reports only the
-    objective (corrected for the state residual, see run_ssn), the
-    residual and the stop_reason ("residual", "stagnation" or "budget")
-    of its control, plus the warm-started Newton count of its state
-    solve; delta, cg_iters, and measures are None there, and stop_reason
-    is None on every other row.
-
-    When the run started its state on a coarser mesh, row 0 names that
-    mesh level in coarse_level, and its newton_iters counts the coarse
-    solve's coarse_newton_iters Newton steps plus the fine ones.
+    level is the mesh level of the row's outer step and j its index on
+    that level, from 0.  residual is ||F(u_j)||_h.  The final row of a
+    level reports only the objective (corrected for the state residual,
+    see run_ssn), the residual and the stop_reason ("residual",
+    "stagnation" or "budget") of its control, plus the warm-started
+    Newton count of its state solve; delta, cg_iters, and measures are
+    None there, and stop_reason is None on every other row.
     """
 
+    level: int
     j: int
     J: float
     delta: float | None
     newton_iters: int
     cg_iters: int | None
     measures: tuple[float, float, float] | None
-    coarse_level: int | None = None
-    coarse_newton_iters: int = 0
     residual: float | None = None
     stop_reason: str | None = None
 
@@ -176,13 +185,18 @@ class IterationRecord:
 class SSNConfig:
     """Tolerances and limits of the outer loop.
 
-    outer_tol is the target for ||F(u)||_h.  inner_tol is the tolerance
-    of the state solves and the smallest relative tolerance of the outer
-    CG.  max_cg = None means "number of nodes"; u0 = None means the zero
-    control, and a scalar u0 is broadcast to a constant control.
+    outer_tol is the target for ||F(u)||_h on every level.  A nested
+    level's steps keep a factor made at its start and contract slowly, so
+    its stop lands anywhere below outer_tol; at 1e-12 the sup-norm of F
+    reached 1.3e-12, and the default keeps it below 1e-13.  inner_tol is
+    the tolerance of the state solves and the smallest relative tolerance
+    of the outer CG.  max_outer and max_cg hold per level; max_cg = None
+    means "number of nodes".  u0 = None means the zero control, and a
+    scalar u0 is broadcast to a constant control; an array u0 has one
+    value per node of the run's mesh and is injected onto the coarsest.
     """
 
-    outer_tol: float = 1e-12
+    outer_tol: float = 5e-14
     inner_tol: float = DEFAULT_TOL
     max_outer: int = 30
     max_cg: int | None = None
@@ -312,6 +326,7 @@ def _step(
     # the state at u_{j+1} to first order: the next state solve's start
     y_next = y + disc.solve_linearized_state(y, v, operator=op)
     record = IterationRecord(
+        level=disc.mesh.level,
         j=j,
         J=_objective(disc, it.u, y),
         delta=disc.norm(v) / max(1.0, disc.norm(u_next)),
@@ -340,23 +355,101 @@ def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
     return u0.copy()
 
 
-def _coarse_state(
-    disc: Discretization, u: np.ndarray, tol: float
-) -> tuple[np.ndarray, int]:
-    """The state at u solved from zero on the next coarser mesh.
+def _solve_level(
+    disc: Discretization,
+    cfg: SSNConfig,
+    u: np.ndarray,
+    records: list[IterationRecord],
+) -> tuple[Iterate, str | None]:
+    """The outer loop on disc's mesh from u, after the levels below it.
 
-    u is restricted by injection; returns the coarse state prolonged to
-    disc's mesh and the coarse solve's Newton steps.  The coarse
-    Discretization's work counters are added to disc's, and it is
-    dropped on return.
+    From COARSE_START_LEVEL up the whole problem is first solved on the
+    next coarser mesh from u injected, and this level starts from that
+    solution's control and state, prolonged.  Every level appends its rows
+    to records.  Returns the final iterate and None once it meets
+    outer_tol, or the message of a stop on stagnation or budget (on this
+    level or one below), which ends the run.
     """
     level = disc.mesh.level
-    coarse = Discretization(disc.spec, build_uniform_mesh(level - 1))
+    nested = level >= COARSE_START_LEVEL
+    y: np.ndarray | None = None
     try:
-        report = coarse.solve_state(inject(u, level), tol=tol)
+        if nested:
+            coarse = Discretization(disc.spec, build_uniform_mesh(level - 1))
+            try:
+                it, failure = _solve_level(coarse, cfg, inject(u, level), records)
+            finally:
+                disc.add_work(coarse)
+            if failure is not None:
+                return it, failure
+            u, y = prolong(it.u, level), prolong(it.y, level)
+            # this level's state solve factors Q, its memory peak: nothing
+            # coarse is alive for it
+            del coarse, it
+            disc.release_factorization()
+        floor = step_floor(disc.n_nodes)
+        max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
+        last: IterationRecord | None = None
+        reason = None
+        for j in range(cfg.max_outer + 1):
+            state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
+            if last is not None:
+                refactor = last.delta >= REFACTOR_STEP
+            else:
+                # a nested state solve that took no Newton step factored nothing
+                refactor = not nested or disc.kept_factor is None
+            it = _linearize(disc, u, state.y, refactor)
+            if it.residual <= cfg.outer_tol:
+                reason = "residual"
+            elif last is not None and last.delta < floor:
+                reason = "stagnation"
+            elif j == cfg.max_outer:
+                reason = "budget"
+            if reason is not None:
+                break
+            eta = forcing_term(
+                it.residual ** (1.0 + CG_FORCING_THETA),
+                it.residual,
+                CG_TOL_SHARE * cfg.outer_tol,
+                cfg.inner_tol,
+                CG_ETA_MAX,
+            )
+            u, y, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
+            records.append(last)
+            # the next iteration's factorization is a run's memory peak:
+            # this iteration's arrays need not be alive for it
+            del it, state
+        # the state error Q^-1 r moves J by -phi.r to first order
+        r = disc.state_residual(u, it.y)
+        records.append(
+            IterationRecord(
+                level=level,
+                j=j,
+                J=_objective(disc, u, it.y) - float(it.phi @ r),
+                delta=None,
+                newton_iters=state.newton_iters,
+                cg_iters=None,
+                measures=None,
+                residual=it.residual,
+                stop_reason=reason,
+            )
+        )
     finally:
-        disc.add_work(coarse)
-    return prolong(report.y, level), report.newton_iters
+        # the caller's disc outlives the run; its last LU need not
+        disc.release_factorization()
+
+    if reason == "residual":
+        return it, None
+    if reason == "stagnation":
+        return it, (
+            f"ssn: stagnation at level {level}: scaled step {last.delta:.3e} "
+            f"below {floor:.3e} with ||F||_h = {it.residual:.3e} above "
+            f"outer_tol {cfg.outer_tol:.3e}"
+        )
+    return it, (
+        f"ssn: no convergence in {cfg.max_outer} outer iterations at level "
+        f"{level} (||F||_h = {it.residual:.3e}, outer_tol {cfg.outer_tol:.3e})"
+    )
 
 
 def run_ssn(
@@ -364,112 +457,41 @@ def run_ssn(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
-    records holds one full row per outer step plus a final row with the
-    objective, ||F||_h and stop_reason of the accepted control, which
-    satisfies ||F(u)||_h <= outer_tol.  When the loop stagnates or
-    exhausts max_outer it raises SolverError with the records, whose
-    final row names the reason; a SolverError or NegativeCurvatureError
-    of a state, adjoint or CG solve is raised again as the same class
-    with the full rows made so far.
+    records holds the rows of every level the run solved, coarsest first
+    and disc's own last: per level one full row per outer step plus a
+    final row with the objective, ||F||_h and stop_reason of its accepted
+    control, which satisfies ||F(u)||_h <= outer_tol.  When a level
+    stagnates or exhausts max_outer the run raises SolverError with the
+    records, whose final row names the reason; a SolverError or
+    NegativeCurvatureError of a state, adjoint or CG solve on any level
+    is raised again as the same class with all the rows made so far.
+    u0 seeds the coarsest level, injected onto its mesh.
 
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
-    are checked first.  The sampled finite-difference check of the
-    hand-entered derivatives is not repeated here: config files run it
-    at load time unless fd_check = off, and validate(spec) runs it for
-    library callers.
+    are checked first, once for all levels.  The sampled
+    finite-difference check of the hand-entered derivatives is not
+    repeated here: config files run it at load time unless fd_check =
+    off, and validate(spec) runs it for library callers.
     """
     cfg = cfg if cfg is not None else SSNConfig()
     violations = validate(disc.spec, derivative_check=False)
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
-
-    floor = step_floor(disc.n_nodes)
-    max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
-    u = _initial_control(cfg, disc.n_nodes)
     records: list[IterationRecord] = []
-    y: np.ndarray | None = None
-    coarse_newton: int | None = None
-    reason = None
-
     try:
-        if disc.mesh.level >= COARSE_START_LEVEL:
-            y, coarse_newton = _coarse_state(disc, u, cfg.inner_tol)
-            # the fine state solve's first Newton step factors Q(u0, P y_c)
-            disc.release_factorization()
-        for j in range(cfg.max_outer + 1):
-            state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
-            newton = state.newton_iters
-            if records:
-                refactor = records[-1].delta >= REFACTOR_STEP
-            else:
-                # a fine solve that took no Newton step factored nothing
-                refactor = coarse_newton is None or disc.kept_factor is None
-            it = _linearize(disc, u, state.y, refactor)
-            if it.residual <= cfg.outer_tol:
-                reason = "residual"
-            elif records and records[-1].delta < floor:
-                reason = "stagnation"
-            elif j == cfg.max_outer:
-                reason = "budget"
-            if reason is not None:
-                # the state error Q^-1 r moves J by -phi.r to first order
-                r = disc.state_residual(u, it.y)
-                record = IterationRecord(
-                    j=j,
-                    J=_objective(disc, u, it.y) - float(it.phi @ r),
-                    delta=None,
-                    newton_iters=newton,
-                    cg_iters=None,
-                    measures=None,
-                    residual=it.residual,
-                    stop_reason=reason,
-                )
-            else:
-                eta = forcing_term(
-                    it.residual ** (1.0 + CG_FORCING_THETA),
-                    it.residual,
-                    CG_TOL_SHARE * cfg.outer_tol,
-                    cfg.inner_tol,
-                    CG_ETA_MAX,
-                )
-                u, y_next, record = _step(disc, j, it, eta, max_cg, newton)
-            if j == 0 and coarse_newton is not None:
-                record = replace(
-                    record,
-                    newton_iters=record.newton_iters + coarse_newton,
-                    coarse_level=disc.mesh.level - 1,
-                    coarse_newton_iters=coarse_newton,
-                )
-            records.append(record)
-            if reason is not None:
-                break
-            y = y_next
-            # the next iteration's factorization is a run's memory peak:
-            # this iteration's arrays need not be alive for it
-            del it, state
+        # no name here holds u0, which the level drops once it starts from
+        # the coarser solution
+        it, failure = _solve_level(
+            disc, cfg, _initial_control(cfg, disc.n_nodes), records
+        )
     except SolverError as exc:
         # the rows made so far replace the failed solve's own history,
         # which stays on __cause__
         raise type(exc)(str(exc), history=records) from exc
-    finally:
-        # the caller's disc outlives the run; its last LU need not
-        disc.release_factorization()
-
-    if reason == "residual":
-        return u, it.y, it.phi, records
-    if reason == "stagnation":
-        message = (
-            f"ssn: stagnation: scaled step {records[-2].delta:.3e} below "
-            f"{floor:.3e} with ||F||_h = {it.residual:.3e} above outer_tol "
-            f"{cfg.outer_tol:.3e}"
-        )
-    else:
-        message = (
-            f"ssn: no convergence in {cfg.max_outer} outer iterations "
-            f"(||F||_h = {it.residual:.3e}, outer_tol {cfg.outer_tol:.3e})"
-        )
-    raise SolverError(message, history=records)
+    if failure is not None:
+        raise SolverError(failure, history=records)
+    return it.u, it.y, it.phi, records
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Each test prints one machine-greppable verdict line before asserting, so a
 `pytest tests/test_acceptance.py -v -s` run reads as a checklist.  The
 anchor values for the level-7 run and the bound-attainment measures are
 frozen reference numbers for this benchmark configuration.
+
+Criteria 01-03 describe the paper's method from u0 on each mesh: they
+run on cold starts, with the nested start of the coarser levels turned
+off.  Criterion 11 compares the default, nested runs with them.
 """
 
 import math
@@ -16,6 +20,7 @@ import pytest
 from ssnbilinear import (
     Discretization,
     ProblemSpec,
+    SSNConfig,
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
@@ -23,6 +28,7 @@ from ssnbilinear import (
     run_ssn,
     verify_derivatives,
 )
+from ssnbilinear import ssn
 from ssnbilinear.cli import main as cli_main
 from ssnbilinear.verification import (
     _FLOOR_FACTOR,
@@ -43,8 +49,7 @@ def _report(num, name, ok, detail):
     assert ok, f"criterion {num:02d} [{name}]: {detail}"
 
 
-@pytest.fixture(scope="module")
-def bench_runs():
+def _solve_levels():
     """Solve the benchmark at levels 5, 6, 7 once; time each level."""
     spec = benchmark_instance()
     runs = {}
@@ -62,6 +67,20 @@ def bench_runs():
 
 
 @pytest.fixture(scope="module")
+def bench_runs():
+    """The default runs: levels 5-7 each start from the next coarser one."""
+    return _solve_levels()
+
+
+@pytest.fixture(scope="module")
+def cold_runs():
+    """Runs from u0 and a zero state on each mesh, no coarser level first."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssn, "COARSE_START_LEVEL", max(LEVELS) + 1)
+        return _solve_levels()
+
+
+@pytest.fixture(scope="module")
 def deriv_result():
     t0 = time.perf_counter()
     result = verify_derivatives(
@@ -74,8 +93,8 @@ def outer_count(records):
     return sum(1 for r in records if r.delta is not None)
 
 
-def test_objective_anchors_level7(bench_runs):
-    run = bench_runs[7]
+def test_objective_anchors_level7(cold_runs):
+    run = cold_runs[7]
     records, elapsed = run["records"], run["elapsed"]
     j0, jstar = records[0].J, records[-1].J
     e0 = abs(j0 - REF_J0) / abs(REF_J0)
@@ -89,11 +108,11 @@ def test_objective_anchors_level7(bench_runs):
     )
 
 
-def test_superlinear_decay(bench_runs):
+def test_superlinear_decay(cold_runs):
     worst = 0.0
     checked = 0
     for level in LEVELS:
-        deltas = [r.delta for r in bench_runs[level]["records"] if r.delta is not None]
+        deltas = [r.delta for r in cold_runs[level]["records"] if r.delta is not None]
         for j in range(1, len(deltas) - 1):
             if deltas[j] < 1e-12:
                 break
@@ -107,9 +126,9 @@ def test_superlinear_decay(bench_runs):
     )
 
 
-def test_mesh_independent_outer_counts(bench_runs):
-    counts = {level: outer_count(bench_runs[level]["records"]) for level in LEVELS}
-    total = sum(bench_runs[level]["elapsed"] for level in LEVELS)
+def test_mesh_independent_outer_counts(cold_runs):
+    counts = {level: outer_count(cold_runs[level]["records"]) for level in LEVELS}
+    total = sum(cold_runs[level]["elapsed"] for level in LEVELS)
     spread = max(counts.values()) - min(counts.values())
     ok = spread <= 1 and total < 180.0
     _report(
@@ -258,4 +277,26 @@ def test_identical_runs_bytewise(tmp_path):
         10, "bytewise repeatable runs", same,
         "two identical invocations wrote byte-identical convergence CSVs "
         "at levels 4 and 5",
+    )
+
+
+def test_nested_start_reaches_the_cold_solution(bench_runs, cold_runs):
+    # each level starts from the solution of the next coarser one: the same
+    # J*, a final ||F||_h within outer_tol, and an outer count on the level
+    # itself that does not rise with the level
+    outer_tol = SSNConfig().outer_tol
+    worst_j = worst_f = 0.0
+    counts = {}
+    for level in LEVELS:
+        nested, cold = bench_runs[level]["records"], cold_runs[level]["records"]
+        worst_j = max(worst_j, abs(nested[-1].J - cold[-1].J) / abs(cold[-1].J))
+        worst_f = max(worst_f, nested[-1].residual)
+        counts[level] = outer_count([r for r in nested if r.level == level])
+    rising = [lv for lv in LEVELS[1:] if counts[lv] > counts[lv - 1]]
+    ok = worst_j <= 1e-12 and worst_f <= outer_tol and not rising
+    _report(
+        11, "nested start", ok,
+        f"J* within {worst_j:.2e} of the cold runs (<= 1e-12), final "
+        f"||F||_h <= {worst_f:.2e} (outer_tol {outer_tol:.0e}), outer counts "
+        f"on the level itself {counts} (none rising)",
     )

@@ -19,6 +19,13 @@ def write_cfg(tmp_path, body):
     return str(path)
 
 
+def read_rows(path):
+    """convergence.csv as one dict per row, keyed by the header."""
+    header, *lines = Path(path).read_text().splitlines()
+    assert header == CSV_HEADER
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 def benchmark_cfg(tmp_path, out_dir, extra=""):
     return write_cfg(
         tmp_path,
@@ -50,11 +57,11 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     for name in ("control.vtk", "state.vtk", "adjoint.vtk", "complementarity.txt"):
         assert os.path.isfile(os.path.join(level_dir, name))
 
-    rows = Path(csv_path).read_text().strip().split("\n")
-    assert rows[0] == CSV_HEADER
-    assert len(rows) >= 3  # at least one full iteration plus the final row
-    last = rows[-1].split(",")
-    assert last[2] == "" and last[4] == ""  # final row carries J only
+    rows = read_rows(csv_path)
+    assert len(rows) >= 2  # at least one full iteration plus the final row
+    assert {row["level"] for row in rows} == {"2"}
+    last = rows[-1]
+    assert last["delta"] == "" and last["cg_iters"] == ""  # final row carries J only
 
     vtk = Path(level_dir, "state.vtk").read_text()
     assert "DIMENSIONS 5 5 1" in vtk
@@ -78,13 +85,13 @@ def test_run_writes_its_stats(tmp_path):
     level_dir = Path(out_dir, "level_2")
     first = (level_dir / "stats.json").read_bytes()
     stats = json.loads(first)
-    rows = (level_dir / "convergence.csv").read_text().strip().split("\n")[1:]
-    full = [row.split(",") for row in rows[:-1]]
+    rows = read_rows(level_dir / "convergence.csv")
+    full = rows[:-1]
     assert stats["stop_reason"] == "residual"
     assert 0.0 <= stats["residual"] <= 1e-12
     assert stats["outer_iters"] == len(full)
-    assert stats["cg_iters"] == sum(int(row[4]) for row in full)
-    assert stats["newton_iters"] == sum(int(row.split(",")[3]) for row in rows)
+    assert stats["cg_iters"] == sum(int(row["cg_iters"]) for row in full)
+    assert stats["newton_iters"] == sum(int(row["newton_iters"]) for row in rows)
     assert stats["factor_count"] >= 1 and stats["pcg_count"] >= 1
     assert stats["halvings_exhausted"] == 0
     # no timings: a re-run writes the same bytes
@@ -120,11 +127,10 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "solver error" in capsys.readouterr().err
-    rows = Path(out_dir, "level_2", "convergence.csv").read_text().strip().split("\n")
-    assert rows[0] == CSV_HEADER
-    # header, the single iteration that ran, and the final row of its control
-    assert len(rows) == 3
-    assert rows[2].split(",")[2] == "" and rows[2].split(",")[4] == ""
+    rows = read_rows(Path(out_dir, "level_2", "convergence.csv"))
+    # the single iteration that ran, and the final row of its control
+    assert len(rows) == 2
+    assert rows[1]["delta"] == "" and rows[1]["cg_iters"] == ""
     stats = json.loads(Path(out_dir, "level_2", "stats.json").read_text())
     assert stats["stop_reason"] == "budget"
     assert stats["outer_iters"] == 1
@@ -144,6 +150,30 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
     assert main(["run", cfg]) == 2
     assert "no convergence in 50 Newton" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
+
+
+def test_run_failure_on_a_coarser_level_writes_its_rows(tmp_path, capsys):
+    # level 5 first solves level 4, whose budget of one outer iteration
+    # runs out: its two rows are written, and level 5 makes none
+    out_dir = str(tmp_path / "results")
+    cfg = write_cfg(
+        tmp_path,
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 5\n\n"
+        f"[output]\ndirectory = {out_dir}\n\n[ssn]\nmax_outer = 1\n",
+    )
+    assert ssn.COARSE_START_LEVEL == 5
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "level 5: solver error" in err and "at level 4" in err
+    level_dir = Path(out_dir, "level_5")
+    rows = read_rows(level_dir / "convergence.csv")
+    assert [(row["level"], row["j"]) for row in rows] == [("4", "0"), ("4", "1")]
+    assert rows[1]["delta"] == ""
+    stats = json.loads((level_dir / "stats.json").read_text())
+    assert stats["stop_reason"] == "budget"
+    assert stats["outer_iters"] == 1
+    assert stats["factor_count"] >= 1
+    assert not (level_dir / "complementarity.txt").exists()
 
 
 def test_run_outer_loop_failure_writes_the_rows_made(tmp_path, capsys, monkeypatch):
@@ -166,10 +196,8 @@ def test_run_outer_loop_failure_writes_the_rows_made(tmp_path, capsys, monkeypat
     )
     assert main(["run", cfg]) == 2
     assert "nonpositive curvature (forced)" in capsys.readouterr().err
-    rows = Path(out_dir, "level_3", "convergence.csv").read_text().splitlines()
-    assert rows[0] == CSV_HEADER
-    assert len(rows) == 2
-    assert rows[1].startswith("0,")
+    rows = read_rows(Path(out_dir, "level_3", "convergence.csv"))
+    assert [(row["level"], row["j"]) for row in rows] == [("3", "0")]
 
 
 def test_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, monkeypatch):

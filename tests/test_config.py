@@ -37,7 +37,7 @@ def test_minimal_benchmark_config(tmp_path):
     assert cfg.levels == (3,)
     assert cfg.output_dir == "out"
     assert cfg.write_fields is True
-    assert cfg.ssn.outer_tol == 1e-12
+    assert cfg.ssn.outer_tol == 5e-14
     assert cfg.ssn.max_outer == 30
     assert cfg.ssn.u0 is None
     assert cfg.verify == VerifySettings(level=4, directions=5, seed=1234)

@@ -28,11 +28,16 @@ def test_run_benchmark_script():
     proc = run_script("run_benchmark.py", "3", "5")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("measures:") == 2
-    assert proc.stdout.count("factorizations 3") == 2
-    assert len(re.findall(r", pcg [1-9][0-9]*, coarse start ", proc.stdout)) == 2
+    assert len(re.findall(r", pcg [1-9][0-9]*\n", proc.stdout)) == 2
     assert "level 3 " in proc.stdout and "level 5 " in proc.stdout
-    assert "coarse start none\n" in proc.stdout
-    assert "coarse start level 4 newton 5\n" in proc.stdout
+    # level 3 starts cold; level 5 solves level 4 first, and both tables
+    # list every row with its level
+    assert "factorizations 3, " in proc.stdout
+    assert "factorizations 4, " in proc.stdout
+    assert "\nouter: level 3 4\n" in proc.stdout
+    assert "\nouter: level 4 4, level 5 5\n" in proc.stdout
+    assert len(re.findall(r"\n    4 +0 ", proc.stdout)) == 1
+    assert len(re.findall(r"\n    5 +0 ", proc.stdout)) == 1
 
 
 def test_check_derivatives_script():

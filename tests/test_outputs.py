@@ -17,11 +17,15 @@ from ssnbilinear.outputs import (
 def synthetic_records():
     return [
         IterationRecord(
-            j=0, J=2.5, delta=0.125, newton_iters=7, cg_iters=3,
+            level=4, j=0, J=2.5, delta=0.125, newton_iters=7, cg_iters=3,
             measures=(0.25, 0.25, 0.5),
         ),
         IterationRecord(
-            j=1, J=1.0 / 3.0, delta=None, newton_iters=1, cg_iters=None,
+            level=4, j=1, J=1.0 / 3.0, delta=None, newton_iters=1, cg_iters=None,
+            measures=None,
+        ),
+        IterationRecord(
+            level=5, j=0, J=0.25, delta=None, newton_iters=0, cg_iters=None,
             measures=None,
         ),
     ]
@@ -29,15 +33,18 @@ def synthetic_records():
 
 def test_format_csv_exact():
     expected = (
-        "j,J,delta,newton_iters,cg_iters\n"
-        "0,2.5000000000000000e+00,1.2500000000000000e-01,7,3\n"
-        "1,3.3333333333333331e-01,,1,\n"
+        "level,j,J,delta,newton_iters,cg_iters\n"
+        "4,0,2.5000000000000000e+00,1.2500000000000000e-01,7,3\n"
+        "4,1,3.3333333333333331e-01,,1,\n"
+        "5,0,2.5000000000000000e-01,,0,\n"
     )
     assert format_csv(synthetic_records()) == expected
 
 
 def test_csv_header_matches_columns():
-    assert CSV_HEADER.split(",") == ["j", "J", "delta", "newton_iters", "cg_iters"]
+    assert CSV_HEADER.split(",") == [
+        "level", "j", "J", "delta", "newton_iters", "cg_iters"
+    ]
 
 
 def test_csv_round_trips_doubles(tmp_path):
@@ -45,8 +52,8 @@ def test_csv_round_trips_doubles(tmp_path):
     write_convergence_csv(path, synthetic_records())
     rows = path.read_text().strip().split("\n")
     assert rows[0] == CSV_HEADER
-    assert len(rows) == 3
-    j_back = float(rows[2].split(",")[1])
+    assert len(rows) == 4
+    j_back = float(rows[2].split(",")[2])
     assert j_back == 1.0 / 3.0  # %.16e is lossless for float64
 
 

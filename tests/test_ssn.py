@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from test_pde import linear_problem
@@ -14,6 +14,7 @@ from ssnbilinear import (
     ConfigurationError,
     Discretization,
     NegativeCurvatureError,
+    ProblemSpec,
     SSNConfig,
     SolverError,
     benchmark_instance,
@@ -24,6 +25,8 @@ from ssnbilinear import (
     validate,
 )
 from ssnbilinear import ssn
+from ssnbilinear.expressions import Expression
+from ssnbilinear.mesh import inject
 from ssnbilinear.objective import _objective, hessian_vec
 from ssnbilinear.pde import MAX_NEWTON, cg_solve, forcing_term
 from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
@@ -274,8 +277,8 @@ def test_run_rejects_bad_initial_control_shape(bench):
 
 
 def test_coarse_start_from_a_per_node_control(bench, monkeypatch):
-    # the coarse solve starts from u0 injected onto its mesh, and the run
-    # takes as many outer steps as the cold start from y = 0
+    # u0 seeds the coarsest level, injected onto its mesh; the nested run
+    # reaches the solution of the cold start from y = 0 on the fine mesh
     mesh = build_uniform_mesh(ssn.COARSE_START_LEVEL)
     x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
     u0 = np.clip(2.0 * x1 - 1.0 + 0.5 * np.sin(5.0 * x2), bench.alpha, bench.beta)
@@ -283,24 +286,31 @@ def test_coarse_start_from_a_per_node_control(bench, monkeypatch):
     records = run_ssn(Discretization(bench, mesh), cfg)[-1]
     monkeypatch.setattr(ssn, "COARSE_START_LEVEL", mesh.level + 1)
     cold = run_ssn(Discretization(bench, mesh), cfg)[-1]
-    assert records[0].coarse_level == mesh.level - 1
-    assert cold[0].coarse_level is None
-    assert len(records) == len(cold)
+    coarse = Discretization(bench, build_uniform_mesh(mesh.level - 1))
+    u_c = inject(u0, mesh.level)
+    assert records[0].level == mesh.level - 1
+    assert records[0].J == _objective(coarse, u_c, coarse.solve_state(u_c).y)
+    assert {r.level for r in cold} == {mesh.level}
     assert records[-1].J == pytest.approx(cold[-1].J, rel=1e-12)
 
 
 def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
-    # y = 1/(1 + u0) is constant, so the prolonged coarse state already
-    # solves the fine equation: nothing is factored before outer step 0,
-    # which then factors Q itself
-    disc = Discretization(linear_problem(), build_uniform_mesh(ssn.COARSE_START_LEVEL))
+    # the solution is constant, y = 1/(1 + u), so the prolonged coarse
+    # solution already solves the fine problem: its state solve takes no
+    # Newton step and factors nothing, and outer step 0 factors Q itself
+    # for the adjoint and stops on the residual
+    level = ssn.COARSE_START_LEVEL
+    disc = Discretization(linear_problem(), build_uniform_mesh(level))
     u, y, _, records = run_ssn(disc, SSNConfig(u0=0.5))
-    assert records[0].newton_iters == records[0].coarse_newton_iters == 1
-    assert disc.factor_count == 3
+    own = [(r.j, r.newton_iters, r.stop_reason) for r in records if r.level == level]
+    assert own == [(0, 0, "residual")]
+    coarse_disc = Discretization(linear_problem(), build_uniform_mesh(level - 1))
+    run_ssn(coarse_disc, SSNConfig(u0=0.5))
+    assert disc.factor_count == coarse_disc.factor_count + 1
     assert np.max(np.abs(y * (1.0 + u) - 1.0)) <= 1e-12
 
 
-def test_coarse_solve_failure_propagates_with_its_history(bench, monkeypatch):
+def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypatch):
     levels = []
     solve_state = Discretization.solve_state
 
@@ -309,16 +319,39 @@ def test_coarse_solve_failure_propagates_with_its_history(bench, monkeypatch):
         return solve_state(self, *args, **kwargs)
 
     monkeypatch.setattr(Discretization, "solve_state", logged)
-    disc = Discretization(bench, build_uniform_mesh(ssn.COARSE_START_LEVEL))
-    # a state tolerance below rounding: the coarse Newton loop runs out
+    level = ssn.COARSE_START_LEVEL
+    disc = Discretization(bench, build_uniform_mesh(level))
+    # a state tolerance below rounding: the coarsest Newton loop runs out
     with pytest.raises(SolverError, match="no convergence in 50 Newton") as exc:
         run_ssn(disc, SSNConfig(inner_tol=1e-30))
-    assert levels == [ssn.COARSE_START_LEVEL - 1]
+    assert levels == [level - 1]
     # no row was made; the state solve's residuals stay on the cause
     assert exc.value.history == []
     assert len(exc.value.__cause__.history) == MAX_NEWTON + 1
     # the failed coarse solve's work is counted on the run's Discretization
     assert disc.newton_count == MAX_NEWTON
+
+    # negative curvature in the second outer CG of either level: the rows
+    # of the coarser level and those of the failing one so far
+    _, _, _, records = run_ssn(Discretization(bench, disc.mesh))
+    coarse_rows = [(r.level, r.j) for r in records if r.level == level - 1]
+    steps = len(coarse_rows) - 1
+    solve = ssn.cg_solve
+    failures = ((2, coarse_rows[:1]), (steps + 2, [*coarse_rows, (level, 0)]))
+    for fail_at, rows in failures:
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise NegativeCurvatureError("forced")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ssn, "cg_solve", failing)
+        with pytest.raises(NegativeCurvatureError, match="forced") as exc:
+            run_ssn(Discretization(bench, disc.mesh))
+        assert [(r.level, r.j) for r in exc.value.history] == rows
+        assert type(exc.value.__cause__) is NegativeCurvatureError
 
 
 def test_outer_loop_failure_carries_the_rows_made(bench, monkeypatch):
@@ -358,22 +391,68 @@ def _instance(nu, a0, alpha_share, beta):
     )
 
 
+def _check_returned_point(spec, level):
+    """A run meets outer_tol on its own level and on every nested one."""
+    disc = Discretization(spec, build_uniform_mesh(level))
+    u, y, phi, records = run_ssn(disc)
+    residual = disc.norm(optimality_residual(spec, u, y, phi))
+    tol = SSNConfig().outer_tol
+    assert records[-1].stop_reason == "residual"
+    assert residual == records[-1].residual <= tol
+    # the box holds to the residual: rounding in u + (bound - u) included
+    assert np.all(u >= spec.alpha - tol) and np.all(u <= spec.beta + tol)
+    # levels run from the coarsest up, each ending on the residual
+    first = min(level, ssn.COARSE_START_LEVEL - 1)
+    levels = [r.level for r in records]
+    assert levels == sorted(levels) and set(levels) == set(range(first, level + 1))
+    finals = [r for r in records if r.delta is None]
+    assert [r.level for r in finals] == list(range(first, level + 1))
+    assert all(r.stop_reason == "residual" and r.residual <= tol for r in finals)
+
+
+LEVELS_TO_CHECK = st.sampled_from([3, ssn.COARSE_START_LEVEL])
+
+
+@settings(max_examples=36)
 @given(
     nu=st.floats(0.01, 1.0),
     a0=st.floats(0.5, 4.0),
     alpha_share=st.floats(0.0, 0.9),
     beta=st.one_of(st.just(np.inf), st.floats(0.1, 3.0)),
+    level=LEVELS_TO_CHECK,
 )
-def test_every_returned_point_meets_outer_tol(nu, a0, alpha_share, beta):
-    spec = _instance(nu, a0, alpha_share, beta)
-    disc = Discretization(spec, build_uniform_mesh(3))
-    u, y, phi, records = run_ssn(disc)
-    residual = disc.norm(optimality_residual(spec, u, y, phi))
-    assert records[-1].stop_reason == "residual"
-    assert residual == records[-1].residual <= SSNConfig().outer_tol
-    # the box holds to the residual: rounding in u + (bound - u) included
-    tol = SSNConfig().outer_tol
-    assert np.all(u >= spec.alpha - tol) and np.all(u <= spec.beta + tol)
+def test_every_returned_point_meets_outer_tol(nu, a0, alpha_share, beta, level):
+    _check_returned_point(_instance(nu, a0, alpha_share, beta), level)
+
+
+@settings(max_examples=36)
+@given(
+    source=st.floats(10.0, 150.0),
+    target=st.floats(0.0, 64.0),
+    nu=st.floats(0.01, 1.0),
+    level=LEVELS_TO_CHECK,
+)
+def test_every_returned_point_of_an_expression_instance_meets_outer_tol(
+    source, target, nu, level
+):
+    # the README's expression problem with random coefficients in a and L
+    tracked = f"(y + {target!r} * x1 * (1 - x1) * x2 * (1 - x2))"
+    load = f"{source!r} * sin(2*pi*x1) * sin(pi*x2)"
+    spec = ProblemSpec(
+        a=Expression(f"y^3 * abs(y) + 2*y - {load}", True),
+        da_dy=Expression("4 * y^2 * abs(y) + 2", True),
+        d2a_dy2=Expression("12 * y * abs(y)", True),
+        L=Expression(f"0.5 * {tracked}^2", True),
+        dL_dy=Expression(tracked, True),
+        d2L_dy2=Expression("1", True),
+        g=Expression("0", False),
+        alpha=-1.0,
+        beta=1.0,
+        nu=nu,
+        a0=2.0,
+    )
+    assert validate(spec) == []
+    _check_returned_point(spec, level)
 
 
 @given(nu=st.floats(0.01, 1.0), a0=st.floats(0.5, 4.0), excess=st.floats(0.0, 2.0))
@@ -466,8 +545,7 @@ def test_run_iteration_budget_carries_history(bench):
 LADDER = (4, 5, 6, 7)
 
 
-@pytest.fixture(scope="module")
-def ladder_runs():
+def _ladder():
     """Benchmark runs at levels 4-7 for both tracking forms.
 
     Each run is (spec, disc, u, y, phi, records, sizes), sizes the order
@@ -492,10 +570,26 @@ def ladder_runs():
     return runs
 
 
+@pytest.fixture(scope="module")
+def ladder_runs():
+    """The default runs: from level 5 up each solves the levels below first."""
+    return _ladder()
+
+
+@pytest.fixture(scope="module")
+def cold_ladder_runs():
+    """The same runs from u0 and a zero state on each mesh alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssn, "COARSE_START_LEVEL", max(LADDER) + 1)
+        return _ladder()
+
+
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
-def test_outer_counts_equal_across_levels(ladder_runs, tracking):
+def test_outer_counts_equal_across_levels(cold_ladder_runs, tracking):
     counts = {
-        level: sum(1 for r in ladder_runs[tracking, level][5] if r.delta is not None)
+        level: sum(
+            1 for r in cold_ladder_runs[tracking, level][5] if r.delta is not None
+        )
         for level in LADDER
     }
     assert max(counts.values()) == min(counts.values()), counts
@@ -503,46 +597,45 @@ def test_outer_counts_equal_across_levels(ladder_runs, tracking):
 
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
 def test_ladder_newton_and_cg_columns(ladder_runs, tracking):
-    # From level 5 up, row 0 counts the 5 steps of the coarse solve from
-    # zero plus 3 (levels 5-6) or 2 (level 7) from its prolonged state; the
-    # cold start took 5.  Each later state solve starts from the state
-    # predicted by the step's linearized state, and takes 0-2 steps.  The
-    # outer CG runs to its forcing term: 1-4 iterations where it took 7.
-    later = {
-        ("quadratic", 4): [2, 1, 1, 0],
-        ("quadratic", 5): [2, 1, 1, 0],
-        ("quadratic", 6): [2, 1, 0, 0],
-        ("quadratic", 7): [2, 1, 0, 0],
-        ("linear", 4): [2, 2, 1, 0],
-        ("linear", 5): [2, 2, 1, 0],
-        ("linear", 6): [2, 1, 1, 0],
-        ("linear", 7): [2, 1, 0, 0],
+    # Level 4 starts cold: its state solve from zero takes 5 Newton steps.
+    # Each level above starts from the prolonged solution of the one below,
+    # whose rows come first, and its state solve takes 2-3 steps.  Each
+    # later state solve starts from the state predicted by the step's
+    # linearized state, and takes 0-2.  The outer CG runs to its forcing
+    # term; a nested level keeps its first factor, so its steps contract
+    # by 1e-2 to 1e-5 and the last one runs to a share of outer_tol.
+    columns = {
+        ("quadratic", 4): ([5, 2, 1, 1, 0], [1, 2, 4, 2]),
+        ("quadratic", 5): ([3, 2, 2, 1, 0, 0], [1, 3, 5, 4, 2]),
+        ("quadratic", 6): ([3, 2, 1, 0, 0], [1, 3, 4, 2]),
+        ("quadratic", 7): ([2, 1, 1, 0], [2, 4, 3]),
+        ("linear", 4): ([5, 2, 2, 1, 0], [1, 2, 4, 3]),
+        ("linear", 5): ([3, 2, 2, 0, 0], [2, 4, 4, 2]),
+        ("linear", 6): ([3, 2, 1, 0], [2, 5, 3]),
+        ("linear", 7): ([2, 1, 0, 0], [3, 4, 2]),
     }
     for level in LADDER:
         records = ladder_runs[tracking, level][5]
-        newton = [r.newton_iters for r in records]
-        if level == 4:
-            first = 5
-            assert records[0].coarse_level is None
-            assert records[0].coarse_newton_iters == 0
-        else:
-            first = 8 if level < 7 else 7
-            assert records[0].coarse_level == level - 1
-            assert records[0].coarse_newton_iters == 5
-        assert newton == [first, *later[tracking, level]], (level, newton)
-        assert [r.cg_iters for r in records[:-1]] == [1, 2, 4, 2]
-        assert all(r.coarse_level is None for r in records[1:])
+        assert [r.level for r in records if r.j == 0] == list(range(4, level + 1))
+        for lv in range(4, level + 1):
+            rows = [r for r in records if r.level == lv]
+            newton = [r.newton_iters for r in rows]
+            cg = [r.cg_iters for r in rows[:-1]]
+            assert (newton, cg) == columns[tracking, lv], (level, lv, newton, cg)
 
 
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
-def test_coarse_start_factors_the_fine_operator_twice(ladder_runs, tracking):
-    # the fine state solve's first Newton step, kept by outer step 0, and
-    # outer step 1; the coarse solve from zero factors once on its mesh
+def test_nested_start_factors_each_level_once(ladder_runs, tracking):
+    # level 4 factors three times (see the next test); each level above
+    # once, in its state solve's first Newton step, a factor that all its
+    # outer steps keep, since the first step is below REFACTOR_STEP
     for level in LADDER[1:]:
-        _, disc, _, _, _, _, sizes = ladder_runs[tracking, level]
-        coarse_nodes = (2 ** (level - 1) + 1) ** 2
-        assert sizes == [coarse_nodes, disc.n_nodes, disc.n_nodes], (level, sizes)
-        assert disc.factor_count == 3
+        _, disc, _, _, _, records, sizes = ladder_runs[tracking, level]
+        nodes = [(2**lv + 1) ** 2 for lv in range(4, level + 1)]
+        assert sizes == [nodes[0]] * 3 + nodes[1:], (level, sizes)
+        assert disc.factor_count == len(sizes)
+        first = [r for r in records if r.level > 4 and r.j == 0]
+        assert all(r.delta < ssn.REFACTOR_STEP for r in first)
 
 
 @pytest.mark.parametrize(
@@ -555,16 +648,6 @@ def test_level_4_keeps_the_cold_start(ladder_runs, tracking, pcg, newton):
     assert 4 < ssn.COARSE_START_LEVEL
     assert sizes == [disc.n_nodes] * 3
     assert (disc.factor_count, disc.pcg_count, disc.newton_count) == (3, pcg, newton)
-
-
-def test_run_factors_three_times(bench):
-    # the first Newton steps of the coarse and the fine state solve, then
-    # outer step 1; step 0 keeps the fine factor, and steps 2 and 3 follow
-    # small steps and keep the factor of step 1
-    disc = Discretization(bench, build_uniform_mesh(6))
-    _, _, _, records = run_ssn(disc)
-    assert len(records) - 1 == 4
-    assert disc.factor_count == 3
 
 
 def test_run_factors_only_after_large_steps(bench):
@@ -591,7 +674,8 @@ def test_run_factors_only_after_large_steps(bench):
         # Newton step factors (from the coarse start) and step 0 keeps it
         segments = " ".join(disc.log).split("state")[1:]
         made = [segment.split().count("factor") for segment in segments]
-        steps = records[:-1]
+        # the coarser levels run on their own Discretization, unlogged
+        steps = [r for r in records if r.level == disc.mesh.level][:-1]
         expected = [1] + [int(r.delta >= ssn.REFACTOR_STEP) for r in steps[:-1]]
         assert made == expected + [0], (tracking, made)
         assert any(r.delta < ssn.REFACTOR_STEP for r in steps[:-1])
@@ -600,7 +684,9 @@ def test_run_factors_only_after_large_steps(bench):
 @pytest.mark.parametrize("tracking", ["quadratic", "linear"])
 def test_kept_factor_matches_refactoring_every_step(monkeypatch, tracking):
     # REFACTOR_STEP = 0 factors Q at every outer iteration, as before the
-    # rule.  Both runs agree up to the first kept factor (step 2).  The
+    # rule: on level 4 after its state solve from zero, and on each nested
+    # level after outer step 0, which keeps its state solve's factor.  Both
+    # runs agree on level 4 up to its first kept factor (step 2).  The
     # state tolerance bounds how well a control is known: at the default
     # 5e-14 the two end points differ by up to 1.4e-11 in the max norm,
     # so both runs here solve the states to 2e-15 and stop at 1e-14.
@@ -614,7 +700,8 @@ def test_kept_factor_matches_refactoring_every_step(monkeypatch, tracking):
             disc = Discretization(spec, build_uniform_mesh(level))
             runs.append((disc, *run_ssn(disc, cfg)))
         (kept, u_kept, _, _, records_kept), (disc, u, _, _, records) = runs
-        assert kept.factor_count == 3
+        # three on level 4, one on each nested level
+        assert kept.factor_count == 3 + level - 4
         assert disc.factor_count == len(records) + 1
         assert records_kept[-1].residual <= cfg.outer_tol
         assert records[-1].residual <= cfg.outer_tol
@@ -630,15 +717,66 @@ def test_kept_factor_matches_refactoring_every_step(monkeypatch, tracking):
             assert a.J == pytest.approx(b.J, rel=1e-12)
 
 
-def test_step_nearest_the_refactoring_cut_keeps_the_counts(bench):
-    # nu = 0.01 at level 6: outer step 2 keeps the factor of step 1 after
-    # delta_1 = 1.9e-2, the nearest the cut among the level-6 variants
-    spec = dataclasses.replace(bench, nu=0.01)
-    disc = Discretization(spec, build_uniform_mesh(6))
-    _, _, _, records = run_ssn(disc)
-    assert len(records) - 1 == 4
-    assert 1e-2 < records[1].delta < ssn.REFACTOR_STEP
-    assert disc.factor_count == 3
+def test_step_nearest_the_refactoring_cut_keeps_the_counts():
+    # at level 5 the first nested step delta_0 lies nearest the cut on the
+    # benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 5-9):
+    # 0.095 keeps the factor of the state solve, and 0.103 factors Q anew
+    # in outer step 1; level 4 factors three times before either
+    cases = (("quadratic", 0.05, False, 5), ("linear", 0.01, True, 3))
+    for tracking, nu, refactors, steps in cases:
+        spec = dataclasses.replace(benchmark_instance(tracking), nu=nu)
+        disc = Discretization(spec, build_uniform_mesh(5))
+        _, _, _, records = run_ssn(disc)
+        own = [r for r in records if r.level == 5]
+        assert len(own) - 1 == steps
+        assert abs(own[0].delta - ssn.REFACTOR_STEP) < 0.006
+        assert (own[0].delta >= ssn.REFACTOR_STEP) == refactors
+        assert disc.factor_count == 3 + 1 + refactors
+
+
+def test_run_validates_once_for_all_levels(bench, monkeypatch):
+    calls = []
+    validate_spec = ssn.validate
+
+    def counted(spec, **kwargs):
+        calls.append(spec)
+        return validate_spec(spec, **kwargs)
+
+    monkeypatch.setattr(ssn, "validate", counted)
+    run_ssn(Discretization(bench, build_uniform_mesh(ssn.COARSE_START_LEVEL + 1)))
+    assert calls == [bench]
+
+
+def test_coarse_levels_are_dropped_before_the_fine_state_solve(bench, monkeypatch):
+    # the fine state solve's first Newton step factors Q, a run's memory
+    # peak: no coarser Discretization, and so no coarse LU, is alive then,
+    # nor the fine u0 the run no longer needs
+    made = []
+
+    class Coarse(Discretization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    initial_control = ssn._initial_control
+
+    def recorded(*args):
+        u0 = initial_control(*args)
+        made.append(weakref.ref(u0))
+        return u0
+
+    alive = []
+
+    class Fine(Discretization):
+        def solve_state(self, *args, **kwargs):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in made))
+            return super().solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(ssn, "Discretization", Coarse)
+    monkeypatch.setattr(ssn, "_initial_control", recorded)
+    run_ssn(Fine(bench, build_uniform_mesh(ssn.COARSE_START_LEVEL + 1)))
+    assert len(made) == 3 and alive == [0]
 
 
 def test_run_releases_its_last_factorization(bench):
@@ -675,17 +813,19 @@ def test_final_objective_is_that_of_the_exact_state(ladder_runs):
 
 
 def test_ladder_runs_stop_on_the_residual(ladder_runs):
-    # each run stops at the first control that meets outer_tol, before
+    # each level stops at the first control that meets outer_tol, before
     # that iteration's CG; every row carries ||F(u_j)||_h
     cfg = SSNConfig()
     for spec, disc, u, y, phi, records, _ in ladder_runs.values():
-        *full, final = records
-        assert final.stop_reason == "residual"
+        final = records[-1]
         assert final.residual == disc.norm(optimality_residual(spec, u, y, phi))
-        assert final.residual <= cfg.outer_tol
-        assert all(r.delta is not None for r in full)
-        assert all(r.stop_reason is None for r in full)
-        assert all(r.residual > cfg.outer_tol for r in full)
+        for level in range(min(disc.mesh.level, 4), disc.mesh.level + 1):
+            *full, last = [r for r in records if r.level == level]
+            assert last.stop_reason == "residual"
+            assert last.residual <= cfg.outer_tol
+            assert all(r.delta is not None for r in full)
+            assert all(r.stop_reason is None for r in full)
+            assert all(r.residual > cfg.outer_tol for r in full)
 
 
 def test_step_floor_is_the_stagnation_guard(bench):
@@ -710,7 +850,7 @@ def test_ssn_config_validation():
     with pytest.raises(ConfigurationError):
         SSNConfig(max_outer=0)
     cfg = SSNConfig()
-    assert cfg.outer_tol == 1e-12 and cfg.inner_tol == 5e-14
+    assert cfg.outer_tol == 5e-14 and cfg.inner_tol == 5e-14
     assert cfg.max_outer == 30 and cfg.max_cg is None and cfg.u0 is None
 
 

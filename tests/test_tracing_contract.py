@@ -9,15 +9,18 @@ The tracer's ssn.cg span must also see the outer CG and nothing else, so
 its iteration total can be checked against the cg_iters column, and its
 count of ssn._step calls must equal the rows with a delta.  Its
 pde.state_solve and pde.factor spans wrap Discretization.solve_state and
-LinearizedOperator.__init__ on the classes, so they also see the state
-solve a run makes on a coarser mesh; their totals must match the Newton
-column and factor_count.  On `verify`, objective.hessvec_count and
-objective.fd_evals count the calls of verification.hessian_vec and
-objective._fresh_objective, and the summed Newton steps of the state
-solves must match the result's newton_count.
+LinearizedOperator.__init__ on the classes, so they also see the solves
+of the coarser levels a run solves first; their totals must match the
+Newton column, which lists those levels' rows too, and factor_count.
+A traced `run` of such nested levels passes perfbench's own cross-check
+of its counts against convergence.csv.  On `verify`,
+objective.hessvec_count and objective.fd_evals count the calls of
+verification.hessian_vec and objective._fresh_objective, and the summed
+Newton steps of the state solves must match the result's newton_count.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -39,18 +42,19 @@ from ssnbilinear.verification import CURV_STEPS, GRAD_STEPS, VerifySettings
 # the package re-exports a function named objective over the submodule
 objective = sys.modules["ssnbilinear.objective"]
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+def load(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_hook_resolves(monkeypatch):
-    child = load_child()
+    child = load("child")
     # install() rebinds the two solver entries directly; put them back after
     for name in ("run_ssn", "verify_derivatives"):
         monkeypatch.setattr(cli, name, getattr(cli, name))
@@ -70,7 +74,7 @@ def test_every_traced_hook_resolves(monkeypatch):
 
 def test_factor_nnz_reads_the_operator_factors():
     op = LinearizedOperator(sp.identity(3, format="csc"))
-    assert load_child().Tracer().factor_nnz((op,), None) == 6
+    assert load("child").Tracer().factor_nnz((op,), None) == 6
 
 
 def test_ssn_cg_solve_sees_only_the_outer_cg(monkeypatch):
@@ -111,9 +115,12 @@ def test_traced_newton_and_factor_totals_match_the_run(monkeypatch):
     monkeypatch.setattr(LinearizedOperator, "__init__", traced_factor)
     disc = Discretization(benchmark_instance(), build_uniform_mesh(COARSE_START_LEVEL))
     _, _, _, records = run_ssn(disc)
-    assert records[0].coarse_level == COARSE_START_LEVEL - 1
-    # one coarse solve plus one fine solve per row
-    assert len(newton) == len(records) + 1
+    assert [r.level for r in records if r.j == 0] == [
+        COARSE_START_LEVEL - 1,
+        COARSE_START_LEVEL,
+    ]
+    # one state solve per row, on either level
+    assert len(newton) == len(records)
     assert sum(newton) == sum(r.newton_iters for r in records)
     assert len(factors) == disc.factor_count
 
@@ -140,9 +147,51 @@ def test_traced_outer_counts_match_a_run_that_stops_on_the_residual(monkeypatch)
     monkeypatch.setattr(ssn, "cg_solve", traced_cg)
     disc = Discretization(benchmark_instance(), build_uniform_mesh(5))
     _, _, _, records = run_ssn(disc)
-    assert records[-1].stop_reason == "residual"
-    assert len(steps) == sum(1 for r in records if r.delta is not None) == 4
+    # levels 4 and 5 each stop on the residual
+    assert [r.stop_reason for r in records if r.delta is None] == ["residual"] * 2
+    assert len(steps) == sum(1 for r in records if r.delta is not None) == 4 + 5
     assert sum(iterations) == sum(r.cg_iters for r in records if r.cg_iters)
+
+
+def test_traced_cli_run_of_nested_levels_matches_its_table(
+    tmp_path, monkeypatch, capsys
+):
+    # the traced benchmark child's install, undone after the test, then
+    # the checks a traced perfbench child makes on its run's outputs
+    child, bench = load("child"), load("run")
+    for name in ("run_ssn", "verify_derivatives"):
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+
+    def undone(owner, attr, make):
+        original = getattr(owner, attr, None)
+        if original is not None:
+            monkeypatch.setattr(owner, attr, make(original))
+
+    monkeypatch.setattr(child, "_patch", undone)
+    tracer = child.Tracer()
+    child.install(tracer, traced=True)
+    workload = {"verb": "run", "levels": (6,), "write_fields": False}
+    monkeypatch.setitem(bench.WORKLOADS, "nested-l6", workload)
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    bench.write_config("nested-l6", 1, config, out_dir)
+
+    assert cli.main(["run", str(config)]) == 0
+    record = {"entries": tracer.entries, "spans": tracer.spans, "counts": tracer.counts}
+    layers = bench.layer_metrics(record)
+    totals = bench.csv_totals("nested-l6", out_dir)
+    assert bench.trace_mismatches(layers, totals) == []
+    assert bench.check_outputs("nested-l6", out_dir, None) == []
+    assert len(tracer.entries) == 1
+    rows = bench.read_csv(out_dir / "level_6" / "convergence.csv")
+    assert [int(row["level"]) for row in rows if row["j"] == "0"] == [4, 5, 6]
+    stats = json.loads((out_dir / "level_6" / "stats.json").read_text())
+    assert stats["factor_count"] == layers["pde.factor_count"]
+    assert stats["outer_iters"] == totals["ssn.outer_iters"]
+    # the command line reports the outer count of its own level
+    own = sum(1 for row in rows if row["level"] == "6" and row["delta"])
+    assert own < totals["ssn.outer_iters"]
+    assert f"level 6: {own} outer iterations" in capsys.readouterr().out
 
 
 def test_traced_verify_counts_match_the_result(monkeypatch):
