@@ -3,9 +3,12 @@
 
 Usage: python3 scripts/run_benchmark.py [level ...]   (default: 5 6 7)
 
-From ssnbilinear.ssn.COARSE_START_LEVEL up, a run first solves the
-coarser levels, and the table lists their rows too; the outer line gives
-each level's count of outer iterations.
+From ssnbilinear.ssn.COARSE_START_LEVEL up, a level starts from the
+solution of the next coarser one.  Each level hands its solution to the
+next, as `ssnbilinear run` does, when that is finer and the solution is
+from level COARSE_START_LEVEL - 1 up; so `5 6 7 8 9` solves levels 4-9
+once each, and `3 5` solves level 4 for level 5.  A level's table, its
+factorization count and its outer line cover the levels solved for it.
 """
 
 import sys
@@ -19,17 +22,22 @@ from ssnbilinear import (
     optimality_residual,
     run_ssn,
 )
+from ssnbilinear.ssn import can_start_from
 
 
 def main(argv):
     levels = [int(tok) for tok in argv] or [5, 6, 7]
     spec = benchmark_instance()
+    coarse = None
     for level in levels:
         t0 = time.perf_counter()
         disc = Discretization(spec, build_uniform_mesh(level))
         t1 = time.perf_counter()
-        u, y, phi, records = run_ssn(disc)
+        if coarse is not None and not can_start_from(level, coarse[0]):
+            coarse = None
+        u, y, phi, records = run_ssn(disc, coarse=coarse)
         t2 = time.perf_counter()
+        coarse = (level, u, y)
 
         print(
             f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, "

@@ -10,20 +10,25 @@ non-convergence, 3 verification failure.
 
 Per level, `run` writes into <output_dir>/level_<k>/:
     convergence.csv     level, j, J, delta, newton_iters, cg_iters per
-                        iteration, of the coarser levels solved first too
+                        iteration of every level solved for it
     control.vtk         u* as a legacy-ASCII structured grid
     state.vtk           y*
     adjoint.vtk         phi*
     complementarity.txt bound-attainment measures and the sigma estimate
-    stats.json          stop reason, final ||F(u)||_h and work counts,
-                        those of the coarser levels included
+    stats.json          stop reason, final ||F(u)||_h and work counts of
+                        the levels solved for it
 
-From level 5 up a level's run solves the coarser levels first (see
-ssn.run_ssn); the line printed per level counts its own outer
-iterations.  A run that stagnates or exhausts max_outer, on its level or
-a coarser one, still writes its table and stats.json; one whose state,
-adjoint or CG solve fails writes its table if it made a row.  A failed run removes the files of this list that it
-does not write, so none left by an earlier run reads as its own.
+From level 5 up a level starts from the solution of the next coarser one
+(see ssn.run_ssn).  Each configured level hands its solution to the next
+when that is finer and the solution is from level 4 up, so a level is
+solved only from the previous configured level on: levels = 4 5 6 7
+solves each level once, and levels = 7 alone solves levels 4-7.  The
+line printed per level counts its own outer iterations.  A run that
+stagnates or exhausts max_outer, on its level or a coarser one, still
+writes its table and stats.json, and hands nothing on; one whose state,
+adjoint or CG solve fails writes its table if it made a row.  A failed
+run removes the files of this list that it does not write, so none left
+by an earlier run reads as its own.
 """
 
 import argparse
@@ -40,7 +45,7 @@ from .outputs import (
     write_structured_vtk,
 )
 from .pde import Discretization
-from .ssn import complementarity_report, run_ssn
+from .ssn import can_start_from, complementarity_report, run_ssn
 from .verification import format_verification, verify_derivatives
 
 _RUN_OUTPUTS = (
@@ -55,14 +60,19 @@ _RUN_OUTPUTS = (
 
 def _cmd_run(config: RunConfig) -> int:
     status = 0
+    # (level, u, y) of the previous configured level, if it converged
+    coarse = None
     for level in config.levels:
         mesh = build_uniform_mesh(level)
         disc = Discretization(config.spec, mesh)
         out_dir = os.path.join(config.output_dir, f"level_{level}")
         os.makedirs(out_dir, exist_ok=True)
+        if coarse is not None and not can_start_from(level, coarse[0]):
+            coarse = None
         try:
-            u, y, phi, records = run_ssn(disc, config.ssn)
+            u, y, phi, records = run_ssn(disc, config.ssn, coarse=coarse)
         except SolverError as exc:
+            coarse = None
             written = []
             # history holds the rows made before the failure
             if exc.history:
@@ -80,6 +90,7 @@ def _cmd_run(config: RunConfig) -> int:
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             status = 2
             continue
+        coarse = (level, u, y)
         write_convergence_csv(os.path.join(out_dir, "convergence.csv"), records)
         write_stats(os.path.join(out_dir, "stats.json"), records, disc)
         if config.write_fields:

@@ -93,6 +93,10 @@ def _parse_levels(raw: str | None, errors: list[str]) -> tuple[int, ...]:
         if not 1 <= lev <= MAX_LEVEL:
             errors.append(f"[mesh] level {lev} outside [1, {MAX_LEVEL}]")
             continue
+        if lev in levels:
+            # a second solve would overwrite the level's own outputs
+            errors.append(f"[mesh] level {lev} listed twice")
+            continue
         levels.append(lev)
     return tuple(levels)
 

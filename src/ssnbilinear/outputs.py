@@ -17,7 +17,7 @@ CSV_HEADER = "level,j,J,delta,newton_iters,cg_iters"
 
 
 def format_csv(records: list[IterationRecord]) -> str:
-    """One line per record, of every mesh level the run solved."""
+    """One line per record, of every mesh level the run_ssn call solved."""
     lines = [CSV_HEADER]
     for r in records:
         delta = f"{r.delta:.16e}" if r.delta is not None else ""
@@ -81,9 +81,10 @@ def write_stats(path, records: list[IterationRecord], disc) -> None:
     """Why a run stopped, its final ||F||_h and its work counts, as JSON.
 
     records end with the run's final row; disc is its Discretization.
-    The totals are those of the CSV's columns, over every level the run
-    solved, as disc's counters are.  No timings are written, so a re-run
-    writes the same bytes.
+    The totals are those of the CSV's columns, over every level the
+    run_ssn call solved (not a coarser level whose solution it was handed),
+    as disc's counters are.  No timings are written, so a re-run writes
+    the same bytes.
     """
     final = records[-1]
     stats = {

@@ -52,7 +52,12 @@ outer_tol; the default outer_tol is set low enough for that (see
 SSNConfig).  Every level appends its rows to the run's records, with j
 from 0; the refactoring rule and the stagnation test read only the
 level's own rows.  A coarse Discretization lives only for its level's
-solve, and its work counters are added to the run's.
+solve, and its work counters are added to the run's.  A caller that has
+already solved a coarser level of the same problem hands its solution
+to run_ssn as coarse, and the recursion stops there: the level above it
+starts from its prolonged control and state, the same start the
+recursion would have computed, so a sweep over levels solves each one
+once.
 
 Outer step j is an inexact semismooth Newton step.  After the state and
 adjoint solves at u_j, w = -F(u_j) at every node, so the residual
@@ -360,32 +365,42 @@ def _solve_level(
     cfg: SSNConfig,
     u: np.ndarray,
     records: list[IterationRecord],
+    coarse: tuple[int, np.ndarray, np.ndarray] | None,
 ) -> tuple[Iterate, str | None]:
     """The outer loop on disc's mesh from u, after the levels below it.
 
-    From COARSE_START_LEVEL up the whole problem is first solved on the
-    next coarser mesh from u injected, and this level starts from that
-    solution's control and state, prolonged.  Every level appends its rows
-    to records.  Returns the final iterate and None once it meets
-    outer_tol, or the message of a stop on stagnation or budget (on this
-    level or one below), which ends the run.
+    From COARSE_START_LEVEL up this level starts from the control and
+    state of the next coarser level's solution, prolonged: coarse's
+    (level, u, y) when it is that level's, otherwise the whole problem
+    solved on that mesh from u injected, with coarse passed down.  u is
+    used only on a level solved cold.  Every level appends its rows to
+    records.  Returns the final iterate and None once it meets outer_tol,
+    or the message of a stop on stagnation or budget (on this level or one
+    below), which ends the run.
     """
     level = disc.mesh.level
     nested = level >= COARSE_START_LEVEL
     y: np.ndarray | None = None
     try:
         if nested:
-            coarse = Discretization(disc.spec, build_uniform_mesh(level - 1))
-            try:
-                it, failure = _solve_level(coarse, cfg, inject(u, level), records)
-            finally:
-                disc.add_work(coarse)
-            if failure is not None:
-                return it, failure
-            u, y = prolong(it.u, level), prolong(it.y, level)
+            if coarse is not None and coarse[0] == level - 1:
+                _, u_coarse, y_coarse = coarse
+            else:
+                below = Discretization(disc.spec, build_uniform_mesh(level - 1))
+                try:
+                    it, failure = _solve_level(
+                        below, cfg, inject(u, level), records, coarse
+                    )
+                finally:
+                    disc.add_work(below)
+                if failure is not None:
+                    return it, failure
+                u_coarse, y_coarse = it.u, it.y
+                del below, it
+            u, y = prolong(u_coarse, level), prolong(y_coarse, level)
             # this level's state solve factors Q, its memory peak: nothing
-            # coarse is alive for it
-            del coarse, it
+            # coarse that this call made is alive for it
+            del u_coarse, y_coarse
             disc.release_factorization()
         floor = step_floor(disc.n_nodes)
         max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
@@ -452,8 +467,33 @@ def _solve_level(
     )
 
 
+def can_start_from(level: int, coarse_level: int) -> bool:
+    """Whether run_ssn on level can start from a solution on coarse_level."""
+    return COARSE_START_LEVEL - 1 <= coarse_level < level
+
+
+def _check_coarse(
+    disc: Discretization, coarse: tuple[int, np.ndarray, np.ndarray]
+) -> None:
+    level, u, y = coarse
+    if not can_start_from(disc.mesh.level, level):
+        raise ConfigurationError(
+            f"coarse solution of level {level} outside "
+            f"[{COARSE_START_LEVEL - 1}, {disc.mesh.level - 1}] "
+            f"for a level-{disc.mesh.level} run"
+        )
+    n = (2**level + 1) ** 2
+    if np.shape(u) != (n,) or np.shape(y) != (n,):
+        raise ConfigurationError(
+            f"coarse u and y must hold one value per node of level {level} "
+            f"({n}), got shapes {np.shape(u)} and {np.shape(y)}"
+        )
+
+
 def run_ssn(
-    disc: Discretization, cfg: SSNConfig | None = None
+    disc: Discretization,
+    cfg: SSNConfig | None = None,
+    coarse: tuple[int, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
@@ -467,6 +507,14 @@ def run_ssn(
     is raised again as the same class with all the rows made so far.
     u0 seeds the coarsest level, injected onto its mesh.
 
+    coarse = (level, u, y) is the solution that an earlier run_ssn of the
+    same problem and cfg returned on a coarser level, from
+    COARSE_START_LEVEL - 1 up.  The run then solves only the levels above
+    it, each exactly as a run without coarse would, and records, like
+    disc's work counters, hold only theirs; u0 seeds nothing.  A level
+    outside [COARSE_START_LEVEL - 1, disc's level - 1], or arrays with
+    other than one value per node of that level, raise ConfigurationError.
+
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
     are checked first, once for all levels.  The sampled
@@ -475,6 +523,8 @@ def run_ssn(
     off, and validate(spec) runs it for library callers.
     """
     cfg = cfg if cfg is not None else SSNConfig()
+    if coarse is not None:
+        _check_coarse(disc, coarse)
     violations = validate(disc.spec, derivative_check=False)
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
@@ -483,7 +533,7 @@ def run_ssn(
         # no name here holds u0, which the level drops once it starts from
         # the coarser solution
         it, failure = _solve_level(
-            disc, cfg, _initial_control(cfg, disc.n_nodes), records
+            disc, cfg, _initial_control(cfg, disc.n_nodes), records, coarse
         )
     except SolverError as exc:
         # the rows made so far replace the failed solve's own history,

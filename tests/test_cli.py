@@ -26,10 +26,10 @@ def read_rows(path):
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
-def benchmark_cfg(tmp_path, out_dir, extra=""):
+def benchmark_cfg(tmp_path, out_dir, extra="", levels=2):
     return write_cfg(
         tmp_path,
-        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 2\n\n"
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = {levels}\n\n"
         f"[output]\ndirectory = {out_dir}\n{extra}",
     )
 
@@ -154,26 +154,92 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
 
 def test_run_failure_on_a_coarser_level_writes_its_rows(tmp_path, capsys):
     # level 5 first solves level 4, whose budget of one outer iteration
-    # runs out: its two rows are written, and level 5 makes none
+    # runs out: its two rows are written, and level 5 makes none.  Level 6
+    # is handed nothing, so it solves level 4 itself and fails the same way
     out_dir = str(tmp_path / "results")
     cfg = write_cfg(
         tmp_path,
-        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 5\n\n"
+        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 5 6\n\n"
         f"[output]\ndirectory = {out_dir}\n\n[ssn]\nmax_outer = 1\n",
     )
     assert ssn.COARSE_START_LEVEL == 5
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    assert "level 5: solver error" in err and "at level 4" in err
-    level_dir = Path(out_dir, "level_5")
+    for level in (5, 6):
+        assert f"level {level}: solver error" in err
+        level_dir = Path(out_dir, f"level_{level}")
+        rows = read_rows(level_dir / "convergence.csv")
+        assert [(row["level"], row["j"]) for row in rows] == [("4", "0"), ("4", "1")]
+        assert rows[1]["delta"] == ""
+        stats = json.loads((level_dir / "stats.json").read_text())
+        assert stats["stop_reason"] == "budget"
+        assert stats["outer_iters"] == 1
+        assert stats["factor_count"] >= 1
+        assert not (level_dir / "complementarity.txt").exists()
+    assert err.count("at level 4") == 2
+    assert Path(out_dir, "level_5", "convergence.csv").read_bytes() == Path(
+        out_dir, "level_6", "convergence.csv"
+    ).read_bytes()
+
+
+_FIELDS = ("control.vtk", "state.vtk", "adjoint.vtk", "complementarity.txt")
+
+
+@pytest.fixture(scope="module")
+def lone_runs(tmp_path_factory):
+    """The output directory of each of levels 4-7 run alone, fields on."""
+    dirs = {}
+    for level in (4, 5, 6, 7):
+        tmp = tmp_path_factory.mktemp(f"lone_{level}")
+        assert main(["run", benchmark_cfg(tmp, tmp / "out", levels=level)]) == 0
+        dirs[level] = tmp / "out" / f"level_{level}"
+    return dirs
+
+
+def test_a_sweep_solves_each_level_as_its_lone_run_does(tmp_path, lone_runs):
+    # each level starts from the previous one's solution, the start its
+    # lone run computes, and its table lists its own rows alone
+    out_dir = tmp_path / "results"
+    assert main(["run", benchmark_cfg(tmp_path, out_dir, levels="4 5 6")]) == 0
+    for level in (4, 5, 6):
+        level_dir = out_dir / f"level_{level}"
+        for name in _FIELDS:
+            assert (level_dir / name).read_bytes() == (
+                lone_runs[level] / name
+            ).read_bytes(), (level, name)
+        rows = read_rows(level_dir / "convergence.csv")
+        lone = read_rows(lone_runs[level] / "convergence.csv")
+        assert rows == [row for row in lone if row["level"] == str(level)]
+        stats = json.loads((level_dir / "stats.json").read_text())
+        assert stats["outer_iters"] == sum(1 for row in rows if row["delta"])
+        assert stats["newton_iters"] == sum(int(row["newton_iters"]) for row in rows)
+    # the preset's level 5 keeps the factor of its first state solve
+    stats = json.loads((out_dir / "level_5" / "stats.json").read_text())
+    assert stats["factor_count"] == 1
+
+
+def test_a_sweep_solves_the_levels_between_its_entries(tmp_path, lone_runs):
+    out_dir = tmp_path / "results"
+    assert main(["run", benchmark_cfg(tmp_path, out_dir, levels="5 7")]) == 0
+    level_dir = out_dir / "level_7"
     rows = read_rows(level_dir / "convergence.csv")
-    assert [(row["level"], row["j"]) for row in rows] == [("4", "0"), ("4", "1")]
-    assert rows[1]["delta"] == ""
-    stats = json.loads((level_dir / "stats.json").read_text())
-    assert stats["stop_reason"] == "budget"
-    assert stats["outer_iters"] == 1
-    assert stats["factor_count"] >= 1
-    assert not (level_dir / "complementarity.txt").exists()
+    lone = read_rows(lone_runs[7] / "convergence.csv")
+    assert [row["level"] for row in rows if row["j"] == "0"] == ["6", "7"]
+    assert rows == [row for row in lone if row["level"] in ("6", "7")]
+    for name in _FIELDS:
+        assert (level_dir / name).read_bytes() == (lone_runs[7] / name).read_bytes()
+
+
+def test_a_finer_level_hands_nothing_to_a_coarser_one(tmp_path, lone_runs):
+    out_dir = tmp_path / "results"
+    assert main(["run", benchmark_cfg(tmp_path, out_dir, levels="7 5")]) == 0
+    for level in (7, 5):
+        written = sorted(p.name for p in (out_dir / f"level_{level}").iterdir())
+        assert written == sorted(p.name for p in lone_runs[level].iterdir())
+        for name in written:
+            assert (out_dir / f"level_{level}" / name).read_bytes() == (
+                lone_runs[level] / name
+            ).read_bytes(), (level, name)
 
 
 def test_run_outer_loop_failure_writes_the_rows_made(tmp_path, capsys, monkeypatch):

@@ -76,7 +76,12 @@ def test_levels_parsing(tmp_path):
 
 @pytest.mark.parametrize(
     "levels, fragment",
-    [("2 wide", "must be integers"), ("0", "outside"), ("99", "outside")],
+    [
+        ("2 wide", "must be integers"),
+        ("0", "outside"),
+        ("99", "outside"),
+        ("4 5, 5", r"\[mesh\] level 5 listed twice"),
+    ],
 )
 def test_bad_levels(tmp_path, levels, fragment):
     text = f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = {levels}\n"

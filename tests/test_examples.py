@@ -38,6 +38,14 @@ def test_run_benchmark_script():
     assert "\nouter: level 4 4, level 5 5\n" in proc.stdout
     assert len(re.findall(r"\n    4 +0 ", proc.stdout)) == 1
     assert len(re.findall(r"\n    5 +0 ", proc.stdout)) == 1
+    # level 4 hands its solution to level 5, which solves only itself and
+    # keeps the factor of its first state solve
+    proc = run_script("run_benchmark.py", "4", "5")
+    assert proc.returncode == 0, proc.stderr
+    level_5 = proc.stdout.split("\nlevel 5 ", 1)[1]
+    assert "factorizations 1, " in level_5
+    assert "\nouter: level 5 5\n" in level_5
+    assert re.findall(r"\n +([0-9]+) +[0-9]+ +[0-9]\.", level_5) == ["5"] * 6
 
 
 def test_check_derivatives_script():
@@ -72,7 +80,8 @@ def test_readme_library_example(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
-    assert len(blocks) == 2
+    # a level-6 run; one level handing its solution to the next; verify
+    assert len(blocks) == 3
     # the blocks run in turn in one namespace, as a reader would type them
     namespace = {}
     for code in blocks:

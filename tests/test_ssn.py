@@ -310,6 +310,41 @@ def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
     assert np.max(np.abs(y * (1.0 + u) - 1.0)) <= 1e-12
 
 
+def test_a_run_from_a_coarse_solution_solves_only_the_levels_above_it(bench):
+    # the handed level-4 solution is the start the recursion would compute,
+    # so levels 5 and 6 repeat the lone run's rows and solution bit for bit
+    level = ssn.COARSE_START_LEVEL + 1
+    lone = Discretization(bench, build_uniform_mesh(level))
+    *solution, records = run_ssn(lone)
+    below = Discretization(bench, build_uniform_mesh(level - 2))
+    u4, y4, _, _ = run_ssn(below)
+    disc = Discretization(bench, lone.mesh)
+    *handed, handed_records = run_ssn(disc, coarse=(level - 2, u4, y4))
+    assert handed_records == [r for r in records if r.level > level - 2]
+    for a, b in zip(handed, solution):
+        assert np.array_equal(a, b)
+    assert disc.factor_count == lone.factor_count - below.factor_count
+    assert disc.newton_count == lone.newton_count - below.newton_count
+
+
+@pytest.mark.parametrize(
+    "run_level, coarse_level, n",
+    [
+        (6, 3, 81),  # below COARSE_START_LEVEL - 1
+        (6, 6, 4225),  # not coarser than the run
+        (4, 3, 81),  # a level-4 run starts cold
+        (6, 4, 1089),  # arrays of level 5
+    ],
+)
+def test_run_rejects_a_coarse_solution_it_cannot_start_from(
+    bench, run_level, coarse_level, n
+):
+    disc = Discretization(bench, build_uniform_mesh(run_level))
+    with pytest.raises(ConfigurationError, match="coarse"):
+        run_ssn(disc, coarse=(coarse_level, np.zeros(n), np.zeros(n)))
+    assert disc.factor_count == 0
+
+
 def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypatch):
     levels = []
     solve_state = Discretization.solve_state

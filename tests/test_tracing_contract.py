@@ -13,7 +13,8 @@ LinearizedOperator.__init__ on the classes, so they also see the solves
 of the coarser levels a run solves first; their totals must match the
 Newton column, which lists those levels' rows too, and factor_count.
 A traced `run` of such nested levels passes perfbench's own cross-check
-of its counts against convergence.csv.  On `verify`,
+of its counts against convergence.csv, and so does one of the benchmark's
+sweep workload, whose levels each hand their solution to the next.  On `verify`,
 objective.hessvec_count and objective.fd_evals count the calls of
 verification.hessian_vec and objective._fresh_objective, and the summed
 Newton steps of the state solves must match the result's newton_count.
@@ -24,6 +25,7 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.sparse as sp
 
 from ssnbilinear import (
@@ -153,14 +155,31 @@ def test_traced_outer_counts_match_a_run_that_stops_on_the_residual(monkeypatch)
     assert sum(iterations) == sum(r.cg_iters for r in records if r.cg_iters)
 
 
+@pytest.mark.parametrize(
+    "name, workload, tables",
+    [
+        (
+            "nested-l6",
+            {"verb": "run", "levels": (6,), "write_fields": False},
+            {6: [4, 5, 6]},
+        ),
+        # each level starts from the one before it and solves only itself
+        (
+            "sweep-fields",
+            load("run").WORKLOADS["sweep-fields"],
+            {4: [4], 5: [5], 6: [6], 7: [7]},
+        ),
+    ],
+    ids=["nested-l6", "sweep-fields"],
+)
 def test_traced_cli_run_of_nested_levels_matches_its_table(
-    tmp_path, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys, name, workload, tables
 ):
     # the traced benchmark child's install, undone after the test, then
     # the checks a traced perfbench child makes on its run's outputs
     child, bench = load("child"), load("run")
-    for name in ("run_ssn", "verify_derivatives"):
-        monkeypatch.setattr(cli, name, getattr(cli, name))
+    for entry in ("run_ssn", "verify_derivatives"):
+        monkeypatch.setattr(cli, entry, getattr(cli, entry))
 
     def undone(owner, attr, make):
         original = getattr(owner, attr, None)
@@ -170,28 +189,31 @@ def test_traced_cli_run_of_nested_levels_matches_its_table(
     monkeypatch.setattr(child, "_patch", undone)
     tracer = child.Tracer()
     child.install(tracer, traced=True)
-    workload = {"verb": "run", "levels": (6,), "write_fields": False}
-    monkeypatch.setitem(bench.WORKLOADS, "nested-l6", workload)
+    monkeypatch.setitem(bench.WORKLOADS, name, workload)
     out_dir = tmp_path / "out"
     config = tmp_path / "run.cfg"
-    bench.write_config("nested-l6", 1, config, out_dir)
+    bench.write_config(name, 1, config, out_dir)
 
     assert cli.main(["run", str(config)]) == 0
     record = {"entries": tracer.entries, "spans": tracer.spans, "counts": tracer.counts}
     layers = bench.layer_metrics(record)
-    totals = bench.csv_totals("nested-l6", out_dir)
+    totals = bench.csv_totals(name, out_dir)
     assert bench.trace_mismatches(layers, totals) == []
-    assert bench.check_outputs("nested-l6", out_dir, None) == []
-    assert len(tracer.entries) == 1
-    rows = bench.read_csv(out_dir / "level_6" / "convergence.csv")
-    assert [int(row["level"]) for row in rows if row["j"] == "0"] == [4, 5, 6]
-    stats = json.loads((out_dir / "level_6" / "stats.json").read_text())
-    assert stats["factor_count"] == layers["pde.factor_count"]
-    assert stats["outer_iters"] == totals["ssn.outer_iters"]
-    # the command line reports the outer count of its own level
-    own = sum(1 for row in rows if row["level"] == "6" and row["delta"])
-    assert own < totals["ssn.outer_iters"]
-    assert f"level 6: {own} outer iterations" in capsys.readouterr().out
+    assert bench.check_outputs(name, out_dir, None) == []
+    assert len(tracer.entries) == len(workload["levels"])
+    stats = [
+        json.loads((out_dir / f"level_{level}" / "stats.json").read_text())
+        for level in workload["levels"]
+    ]
+    assert sum(s["factor_count"] for s in stats) == layers["pde.factor_count"]
+    assert sum(s["outer_iters"] for s in stats) == totals["ssn.outer_iters"]
+    printed = capsys.readouterr().out
+    for level, solved in tables.items():
+        rows = bench.read_csv(out_dir / f"level_{level}" / "convergence.csv")
+        assert [int(row["level"]) for row in rows if row["j"] == "0"] == solved
+        # the command line reports the outer count of its own level
+        own = sum(1 for row in rows if row["level"] == str(level) and row["delta"])
+        assert f"level {level}: {own} outer iterations" in printed
 
 
 def test_traced_verify_counts_match_the_result(monkeypatch):
