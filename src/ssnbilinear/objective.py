@@ -55,11 +55,12 @@ def _hessian_term(
     phi: np.ndarray,
     v: np.ndarray,
     operator: LinearizedOperator,
-) -> np.ndarray:
-    """phi*z_v + y*eta_v: the linearized state and adjoint solves for v."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi*z_v + y*eta_v, z_v, eta_v): the linearized state and adjoint
+    solves for v, and the term they make."""
     z = disc.solve_linearized_state(y, v, operator=operator)
     eta = disc.solve_linearized_adjoint(y, phi, z, v, operator=operator)
-    return phi * z + y * eta
+    return phi * z + y * eta, z, eta
 
 
 def hessian_vec(
@@ -70,7 +71,7 @@ def hessian_vec(
     operator: LinearizedOperator,
 ) -> np.ndarray:
     """Apply the reduced Hessian at the point of (y, phi, operator) to v."""
-    return disc.spec.nu * v - _hessian_term(disc, y, phi, v, operator)
+    return disc.spec.nu * v - _hessian_term(disc, y, phi, v, operator)[0]
 
 
 def evaluate_reduced(disc: Discretization, u: np.ndarray) -> ReducedEval:

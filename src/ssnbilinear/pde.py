@@ -23,7 +23,12 @@ solve without a supplied operator) runs matrix-free preconditioned CG,
 applying Q as K p + d*p with d = w*(da_dy + u), preconditioned by the
 most recent factorization the Discretization keeps.  Both matrices share K and the lumped diagonal
 c = da_dy + u > 0, so the preconditioned operator's condition number is
-at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.
+at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  A
+Newton step's PCG starts from zero; an adjoint's starts from phi_init
+when the caller has one (the outer loop passes the adjoint its last step
+predicted, see ssn), and zero otherwise.  The stop is the same from any
+start, a residual of at most rtol times that of the zero start, ||rhs||,
+and a start that meets it costs no preconditioner application.
 
 These one-off solves and the outer loop's reduced system (ssn) run the
 same conjugate-gradient routine, cg_solve, which returns only a
@@ -147,19 +152,30 @@ def cg_solve(
     max_iters: int,
     inner=np.dot,
     precondition=None,
+    x0: np.ndarray | None = None,
+    on_step=None,
 ) -> tuple[np.ndarray, int]:
-    """Preconditioned conjugate gradients from zero; returns (x, iterations).
+    """Preconditioned conjugate gradients from x0; returns (x, iterations).
 
     apply and precondition must be symmetric positive definite in the
     inner product inner (by default the plain dot product); without a
     preconditioner z = r.  Converged means
     sqrt(inner(r, r)) <= tol * sqrt(inner(rhs, rhs)) for the residual
-    r = rhs - apply(x) within max_iters iterations.  No other iterate is
-    returned: nonpositive curvature raises NegativeCurvatureError, and a
-    nonfinite value or an exhausted budget raises SolverError.
+    r = rhs - apply(x) within max_iters iterations; the target does not
+    depend on the start, and a start that meets it is returned after 0
+    iterations.  x0 = None starts from zero without applying the operator.
+    on_step(step), when given, is called after each update x += step * p,
+    p the direction of the latest apply, so a caller can sum what its
+    apply computed for p alongside x.  No other iterate is returned:
+    nonpositive curvature raises NegativeCurvatureError, and a nonfinite
+    value or an exhausted budget raises SolverError.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    if x0 is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = rhs - apply(x)
     target = tol * np.sqrt(inner(rhs, rhs))
     rr = inner(r, r)
     if np.sqrt(rr) <= target:
@@ -178,6 +194,8 @@ def cg_solve(
             )
         step = rz / pap
         x += step * p
+        if on_step is not None:
+            on_step(step)
         r -= step * ap
         rr = inner(r, r)
         if np.sqrt(rr) <= target:
@@ -282,13 +300,19 @@ class Discretization:
         self._last_factor = None
 
     def _solve_once(
-        self, u: np.ndarray, y: np.ndarray, rhs: np.ndarray, rtol: float = PCG_RTOL
+        self,
+        u: np.ndarray,
+        y: np.ndarray,
+        rhs: np.ndarray,
+        rtol: float = PCG_RTOL,
+        x0: np.ndarray | None = None,
     ) -> np.ndarray:
         """Q(u, y) x = rhs for one right-hand side, to relative residual rtol.
 
-        Matrix-free PCG (Q p = K p + d*p) preconditioned by the kept
-        factorization; Q is assembled and factored only when there is no
-        kept factor or cg_solve raises, so no unconverged iterate escapes.
+        Matrix-free PCG (Q p = K p + d*p) from x0 (zero if None),
+        preconditioned by the kept factorization; Q is assembled and
+        factored only when there is no kept factor or cg_solve raises, so
+        no unconverged iterate escapes.  The direct solve ignores x0.
         """
         d = self._reaction(u, y)
         factor = self._last_factor
@@ -305,6 +329,7 @@ class Discretization:
                     rtol,
                     PCG_MAX_ITERS,
                     precondition=precondition,
+                    x0=x0,
                 )
                 return x
             except SolverError:  # NegativeCurvatureError too: factor instead
@@ -376,10 +401,16 @@ class Discretization:
         u: np.ndarray,
         y: np.ndarray,
         operator: LinearizedOperator | None = None,
+        phi_init: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Q(u, y) phi = w * dL_dy(x, y), by operator if given, else one-off.
+
+        A one-off solve starts its PCG from phi_init (zero if None); its
+        stop, a relative residual of PCG_RTOL, does not depend on the start.
+        """
         rhs = self.weights * nodal(self.spec.dL_dy, self.x, y)
         if operator is None:
-            return self._solve_once(u, y, rhs)
+            return self._solve_once(u, y, rhs, x0=phi_init)
         return operator.solve(rhs)
 
     def solve_linearized_state(

@@ -16,7 +16,10 @@ when the reduced Hessian is not positive definite on the inactive set,
 SolverError on a nonfinite value or an exhausted max_cg budget, each
 with the table rows made so far.  One CG operator application costs two
 linear PDE solves with a factorization of the operator Q(u, y) of the
-linearized equations (see pde).
+linearized equations (see pde): the linearized state z and adjoint eta
+of its direction.  The right-hand side costs two more for the
+correction w_A on the active sets, and none when w_A is zero, as it is
+once the active nodes sit on their bounds (Q^-1 0 = 0).
 
 Q(u_j, y_j) is factored afresh only at j = 0 and after a scaled step
 delta_{j-1} of at least REFACTOR_STEP.  Once the steps are small u hardly
@@ -75,14 +78,24 @@ terms that fall to 0 keep the superlinear rate (Ulbrich, above); the
 term c*outer_tol/||F_j|| keeps the last step from solving far below what
 outer_tol needs.
 
-Step j also returns y_j + z_j, z_j the linearized state of its step v_j
-(one solve with the step's factor), as the start of the state solve at
-u_{j+1}.  It is first-order accurate, so the state solves need fewer
-Newton steps, and the last ones none: their start is then the state to
-within O(|v_j|^2), where a start from y_j would leave an error of order
-|v_j| that the residual norm of the state solve cannot see (that norm
-weighs a nodal error e_i with the lumped weight w_i ~ h^2), and that
-moves ||F||_h by 1e-13 at levels 6-7.
+Step j also returns y_j + z_j and phi_j + eta_j, z_j and eta_j the
+linearized state and adjoint of its step v_j, and costs no solve for
+them: z and eta are linear in v, so they are those of w_A plus the sum
+of step_k times those of each CG direction p_k, which CG adds up as it
+goes (pde.cg_solve's on_step), two vectors whatever its iteration count.
+y_j + z_j starts the state solve at u_{j+1}.  It is first-order
+accurate, so the state solves need fewer Newton steps, and the last ones
+none: their start is then the state to within O(|v_j|^2), where a start
+from y_j would leave an error of order |v_j| that the residual norm of
+the state solve cannot see (that norm weighs a nodal error e_i with the
+lumped weight w_i ~ h^2), and that moves ||F||_h by 1e-13 at levels 6-7.
+phi_j + eta_j starts the one-off adjoint PCG at u_{j+1}, whose stop, a
+relative residual of pde.PCG_RTOL, does not depend on its start, so the
+step stays an inexact Newton step of the same accuracy (Ulbrich, above);
+the level-8 adjoints of the benchmark take 4, 2, 1 and 1 PCG iterations
+where a start from zero took 4 each.  An outer step that factors Q
+solves its adjoint directly and drops the prediction before the new LU
+is built.
 
 ||F(u_j)||_h is that of the computed state and adjoint, which is what
 the returned (u, y, phi) satisfy.  The final row's objective is
@@ -105,7 +118,11 @@ whose residual is still above outer_tol after such a step stops on
 stagnation, and one that has made max_outer steps stops on its budget;
 either raises SolverError with the rows made, the last of which names
 the reason.  Every row records ||F(u_j)||_h in residual, and the final
-row its stop_reason.
+row its stop_reason.  A target below rounding (outer_tol = 1e-20) stops
+a nested level on stagnation, but a level solved cold reaches
+||F||_h = 0.0: once its steps are small, its state and adjoint solves
+return their predictions untouched, and u_{j+1} lands on
+Proj(y_{j+1} phi_{j+1}/nu) in floating point.
 """
 
 from dataclasses import dataclass
@@ -148,8 +165,10 @@ CG_ETA_MAX = 0.1
 # The last step's CG runs to CG_TOL_SHARE * outer_tol / ||F_j||.  With
 # cold starts and outer_tol 1e-12 the final ||F||_h was 3e-17 to 1.4e-14
 # on the benchmark and the sup-norm of F below 1.1e-13 (a share of 0.1
-# left 2.6e-13 at levels 5-7).  With nested levels and the default
-# outer_tol it is 6e-18 to 1.3e-14, and the sup-norm at most 6.7e-14.
+# left 2.6e-13 at levels 5-7).  With nested levels, predicted adjoint
+# starts and the default outer_tol it is 7e-18 to 3.5e-14 at levels 4-9,
+# and the sup-norm at most 3.4e-14 at levels 4-7, 1.2e-13 at level 8 and
+# 1.7e-13 at level 9 (see SSNConfig).
 CG_TOL_SHARE = 0.01
 
 
@@ -193,7 +212,12 @@ class SSNConfig:
     outer_tol is the target for ||F(u)||_h on every level.  A nested
     level's steps keep a factor made at its start and contract slowly, so
     its stop lands anywhere below outer_tol; at 1e-12 the sup-norm of F
-    reached 1.3e-12, and the default keeps it below 1e-13.  inner_tol is
+    reached 1.3e-12.  With the default it stays below 3.5e-14 at levels
+    4-7 on the benchmark (both trackings, nu in {0.01, 0.05, 0.2}), and
+    reaches 1.2e-13 at level 8 and 1.7e-13 at level 9 (quadratic, nu =
+    0.01), where the last step lands closer to outer_tol: the returned
+    adjoint is within 1.2e-14 relative of the exact one, and F at the
+    exact adjoint reads the same.  inner_tol is
     the tolerance of the state solves and the smallest relative tolerance
     of the outer CG.  max_outer and max_cg hold per level; max_cg = None
     means "number of nodes".  u0 = None means the zero control, and a
@@ -247,14 +271,18 @@ def apply_Mj(
     sets: ActiveSets,
     v: np.ndarray,
     operator: LinearizedOperator,
+    solved: list | None = None,
 ) -> np.ndarray:
     """CG operator: (1/nu) * reduced Hessian restricted to the inactive set.
 
     v is masked to the inactive set, z and eta are solved with load
     chi_I*v, and the result chi_I*(v - (phi*z + eta*y)/nu) is returned.
+    A list passed as solved is set to [z, eta].
     """
     vi = np.where(sets.inactive, v, 0.0)
-    term = _hessian_term(disc, y, phi, vi, operator)
+    term, z, eta = _hessian_term(disc, y, phi, vi, operator)
+    if solved is not None:
+        solved[:] = z, eta
     return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
@@ -276,20 +304,25 @@ class Iterate:
 
 
 def _linearize(
-    disc: Discretization, u: np.ndarray, y: np.ndarray, refactor: bool
+    disc: Discretization,
+    u: np.ndarray,
+    y: np.ndarray,
+    refactor: bool,
+    phi_init: np.ndarray | None = None,
 ) -> Iterate:
     """Solve the adjoint at (u, y), classify the nodes and form w = -F(u).
 
     With refactor = True Q(u, y) is factored and solves the adjoint;
-    otherwise the adjoint is a one-off solve against Q(u, y), and the
-    Discretization keeps the factor of an earlier Q (or one that solve
-    makes).  The step's Hessian solves use the factor kept either way.
+    otherwise the adjoint is a one-off solve against Q(u, y) started from
+    phi_init, and the Discretization keeps the factor of an earlier Q (or
+    one that solve makes).  The step's Hessian solves use the factor kept
+    either way.
     """
     spec = disc.spec
     if refactor:
         phi = disc.solve_adjoint(u, y, operator=disc.linearized_operator(u, y))
     else:
-        phi = disc.solve_adjoint(u, y)
+        phi = disc.solve_adjoint(u, y, phi_init=phi_init)
     sets = classify(spec, y, phi)
     w = y * phi / spec.nu - u
     w[sets.upper] = spec.beta - u[sets.upper]
@@ -304,13 +337,13 @@ def _step(
     eta: float,
     max_cg: int,
     newton_iters: int,
-) -> tuple[np.ndarray, np.ndarray, IterationRecord]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, IterationRecord]:
     """Lines 4-11 of one outer iteration: the Newton step from it.
 
     The reduced system on the inactive set is solved by CG to the
     relative residual eta; newton_iters is the row's Newton count.
-    Returns u_{j+1}, the state predicted there to first order, and the
-    row.
+    Returns u_{j+1}, the state and adjoint predicted there to first
+    order, and the row.
     """
     spec = disc.spec
     y, phi, sets, w = it.y, it.phi, it.sets, it.w
@@ -318,18 +351,32 @@ def _step(
     # step would keep this LU alive while _factor builds the next one
     op = disc.kept_factor
     w_active = np.where(sets.inactive, 0.0, w)
-    term = _hessian_term(disc, y, phi, w_active, op)
-    rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
+    if w_active.any():
+        term, z_v, eta_v = _hessian_term(disc, y, phi, w_active, op)
+        rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
+    else:  # Q^-1 0 = 0: no solves, and w + 0 / nu = w
+        z_v, eta_v = disc.zeros(), disc.zeros()
+        rhs = np.where(sets.inactive, w, 0.0)
+    solved: list[np.ndarray] = []
 
-    def apply(v):
-        return apply_Mj(disc, y, phi, sets, v, op)
+    def apply(p):
+        return apply_Mj(disc, y, phi, sets, p, op, solved)
 
-    v_inactive, cg_iters = cg_solve(apply, rhs, eta, max_cg, inner=disc.inner)
+    def add_solves(step):
+        # z and eta are linear in v: CG's x += step * p adds step times p's
+        nonlocal z_v, eta_v
+        z_v += step * solved[0]
+        eta_v += step * solved[1]
+
+    v_inactive, cg_iters = cg_solve(
+        apply, rhs, eta, max_cg, inner=disc.inner, on_step=add_solves
+    )
 
     v = np.where(sets.inactive, v_inactive, w)
     u_next = it.u + v
-    # the state at u_{j+1} to first order: the next state solve's start
-    y_next = y + disc.solve_linearized_state(y, v, operator=op)
+    # z and eta of v = v_I + w_A: the state and adjoint at u_{j+1} to
+    # first order, the starts of the next state and adjoint solves
+    y_next, phi_next = y + z_v, phi + eta_v
     record = IterationRecord(
         level=disc.mesh.level,
         j=j,
@@ -344,7 +391,7 @@ def _step(
         ),
         residual=it.residual,
     )
-    return u_next, y_next, record
+    return u_next, y_next, phi_next, record
 
 
 def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
@@ -405,6 +452,7 @@ def _solve_level(
         floor = step_floor(disc.n_nodes)
         max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
         last: IterationRecord | None = None
+        phi: np.ndarray | None = None
         reason = None
         for j in range(cfg.max_outer + 1):
             state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
@@ -413,7 +461,11 @@ def _solve_level(
             else:
                 # a nested state solve that took no Newton step factored nothing
                 refactor = not nested or disc.kept_factor is None
-            it = _linearize(disc, u, state.y, refactor)
+            if refactor:
+                # the new factor solves the adjoint directly: no start is
+                # alive while it is built
+                phi = None
+            it = _linearize(disc, u, state.y, refactor, phi)
             if it.residual <= cfg.outer_tol:
                 reason = "residual"
             elif last is not None and last.delta < floor:
@@ -429,7 +481,7 @@ def _solve_level(
                 cfg.inner_tol,
                 CG_ETA_MAX,
             )
-            u, y, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
+            u, y, phi, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
             records.append(last)
             # the next iteration's factorization is a run's memory peak:
             # this iteration's arrays need not be alive for it

@@ -354,6 +354,29 @@ def test_adjoint_reuses_supplied_factorization(base_state3, disc3):
     np.testing.assert_array_equal(disc3.solve_adjoint(u, y, operator=op), phi)
 
 
+def test_one_off_adjoint_starts_from_phi_init(bench):
+    # the kept factor of Q at the zero control preconditions the adjoint at
+    # u = 0.5: a start near the adjoint takes fewer iterations than one
+    # from zero, to the same target, and one that meets it takes none
+    disc = Discretization(bench, build_uniform_mesh(4))
+    disc.solve_state(disc.zeros())
+    u = np.full(disc.n_nodes, 0.5)
+    y = disc.solve_state(u).y
+    q = disc.linearized_matrix(u, y)
+    rhs = disc.weights * bench.dL_dy(disc.x, y)
+    exact = LinearizedOperator(q).solve(rhs)
+    assert np.linalg.norm(rhs - q @ exact) <= PCG_RTOL * np.linalg.norm(rhs)
+    counts = []
+    for start in (None, exact * (1.0 + 1e-6 * np.sin(7.0 * disc.x[:, 0])), exact):
+        before = disc.pcg_count
+        phi = disc.solve_adjoint(u, y, phi_init=start)
+        counts.append(disc.pcg_count - before)
+        assert np.linalg.norm(rhs - q @ phi) <= PCG_RTOL * np.linalg.norm(rhs)
+    np.testing.assert_array_equal(phi, exact)
+    assert counts[0] > counts[1] > counts[2] == 0
+    assert disc.factor_count == 1
+
+
 # --- linearized solves --------------------------------------------------
 
 

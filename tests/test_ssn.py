@@ -28,7 +28,7 @@ from ssnbilinear import ssn
 from ssnbilinear.expressions import Expression
 from ssnbilinear.mesh import inject
 from ssnbilinear.objective import _objective, hessian_vec
-from ssnbilinear.pde import MAX_NEWTON, cg_solve, forcing_term
+from ssnbilinear.pde import MAX_NEWTON, LinearizedOperator, cg_solve, forcing_term
 from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
 
 finite_fields = hnp.arrays(
@@ -126,6 +126,73 @@ def test_cg_iteration_budget():
         cg_solve(lambda p: a @ p, np.array([1.0, 1.0]), 1e-12, 1)
 
 
+def test_cg_without_a_start_applies_only_its_directions():
+    # no start: the first residual is rhs itself, with no apply; a zero
+    # start given explicitly costs one apply and gives the same bits
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((6, 6))
+    a = b @ b.T + 6.0 * np.eye(6)
+    rhs = rng.standard_normal(6)
+    applied = []
+
+    def apply(p):
+        applied.append(1)
+        return a @ p
+
+    x, iters = cg_solve(apply, rhs, 1e-13, 50)
+    assert len(applied) == iters >= 1
+    applied.clear()
+    x0, iters0 = cg_solve(apply, rhs, 1e-13, 50, x0=np.zeros(6))
+    assert iters0 == iters and len(applied) == iters + 1
+    np.testing.assert_array_equal(x0, x)
+
+
+def test_cg_returns_a_start_that_meets_the_target_after_0_iterations():
+    a = np.diag([1.0, 100.0])
+    rhs = np.array([1.0, 1.0])
+    exact = rhs / np.diag(a)
+    tol = 1e-6
+    target = tol * np.linalg.norm(rhs)
+
+    def refuse(r):
+        raise AssertionError("preconditioned a start that met the target")
+
+    # its residual 0.5*target is far above tol times itself: the target
+    # is tol * ||rhs||, whatever the start
+    near = exact + np.array([0.0, 0.5 * target / 100.0])
+    x, iters = cg_solve(lambda p: a @ p, rhs, tol, 10, precondition=refuse, x0=near)
+    assert iters == 0
+    np.testing.assert_array_equal(x, near)
+    assert x is not near
+    # twice the target: one iteration along the residual's eigenvector
+    far = exact + np.array([0.0, 2.0 * target / 100.0])
+    x, iters = cg_solve(lambda p: a @ p, rhs, tol, 10, x0=far)
+    assert iters == 1
+    assert np.linalg.norm(rhs - a @ x) <= target
+
+
+def test_cg_reports_each_step_for_the_directions_it_applied():
+    # summing step * (A p) over the steps rebuilds A x: what a caller sums
+    # alongside x is that of x
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((5, 5))
+    a = b @ b.T + 5.0 * np.eye(5)
+    rhs = rng.standard_normal(5)
+    last = []
+    total = np.zeros(5)
+
+    def apply(p):
+        last[:] = [a @ p]
+        return last[0]
+
+    def on_step(step):
+        total[:] += step * last[0]
+
+    x, iters = cg_solve(apply, rhs, 1e-13, 50, on_step=on_step)
+    assert iters >= 2
+    np.testing.assert_allclose(total, a @ x, rtol=0, atol=1e-13 * np.abs(rhs).max())
+
+
 def test_negative_curvature_is_solver_error():
     assert issubclass(NegativeCurvatureError, SolverError)
 
@@ -185,7 +252,7 @@ def one_step(disc, u, y_init=None):
     cfg = SSNConfig()
     state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
     it = _linearize(disc, u, state.y, refactor=True)
-    u_next, _, record = _step(
+    u_next, _, _, record = _step(
         disc, 0, it, cfg.inner_tol, disc.n_nodes, state.newton_iters
     )
     return u_next, record
@@ -222,6 +289,76 @@ def test_step_solves_reduced_system_to_tolerance(bench, disc3, base_state3):
     vi = np.where(sets.inactive, u_next - u, 0.0)
     resid = apply_Mj(disc3, y, phi, sets, vi, op) - rhs
     assert disc3.norm(resid) <= 1e-12 * disc3.norm(rhs)
+
+
+def _counting_solves(monkeypatch):
+    """Count the triangular solve pairs of every LinearizedOperator."""
+    solves = []
+    solve = LinearizedOperator.solve
+
+    def counted(self, rhs):
+        solves.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(LinearizedOperator, "solve", counted)
+    return solves
+
+
+def test_step_predicts_the_state_and_adjoint_without_a_solve(
+    bench, disc3, monkeypatch
+):
+    # z(v) and eta(v) are summed from the solves of w_A and of CG's
+    # directions: they match solves for v with the step's factor to
+    # rounding, and the step makes only those solves
+    cfg = SSNConfig()
+    u = disc3.zeros()
+    state = disc3.solve_state(u, tol=cfg.inner_tol)
+    it = _linearize(disc3, u, state.y, refactor=True)
+    assert np.where(it.sets.inactive, 0.0, it.w).any()
+    solves = _counting_solves(monkeypatch)
+    u_next, y_next, phi_next, record = _step(
+        disc3, 0, it, cfg.inner_tol, disc3.n_nodes, state.newton_iters
+    )
+    assert len(solves) == 2 * record.cg_iters + 2
+    op = disc3.kept_factor
+    v = u_next  # u = 0
+    z = disc3.solve_linearized_state(it.y, v, operator=op)
+    eta = disc3.solve_linearized_adjoint(it.y, it.phi, z, v, operator=op)
+    assert np.max(np.abs(y_next - (it.y + z))) <= 1e-14 * np.max(np.abs(z))
+    assert np.max(np.abs(phi_next - (it.phi + eta))) <= 1e-14 * np.max(np.abs(eta))
+
+
+def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
+    bench, disc3, solved3, monkeypatch
+):
+    # at the solution the active nodes already sit on their bounds: w_A = 0,
+    # and Q^-1 0 = 0 needs no solve; the step is the one that solves it
+    u, y, _, _ = solved3
+    state = disc3.solve_state(u, y_init=y)
+    it = _linearize(disc3, u, state.y, refactor=True)
+    sets, w = it.sets, it.w
+    w_active = np.where(sets.inactive, 0.0, w)
+    assert (~sets.inactive).any() and not w_active.any()
+    solves = _counting_solves(monkeypatch)
+    u_next, _, _, record = _step(disc3, 0, it, 1e-12, disc3.n_nodes, 0)
+    assert len(solves) == 2 * record.cg_iters
+    # the step with the two solves of w_A made: the same bits
+    op = disc3.kept_factor
+    z_a = disc3.solve_linearized_state(it.y, w_active, operator=op)
+    eta_a = disc3.solve_linearized_adjoint(it.y, it.phi, z_a, w_active, operator=op)
+    rhs = np.where(sets.inactive, w + (it.phi * z_a + it.y * eta_a) / bench.nu, 0.0)
+    v_inactive, cg_iters = cg_solve(
+        lambda p: apply_Mj(disc3, it.y, it.phi, sets, p, op),
+        rhs,
+        1e-12,
+        disc3.n_nodes,
+        inner=disc3.inner,
+    )
+    assert len(solves) == 4 * record.cg_iters + 2
+    v = np.where(sets.inactive, v_inactive, w)
+    np.testing.assert_array_equal(u_next, u + v)
+    assert cg_iters == record.cg_iters
+    assert record.delta == disc3.norm(v) / max(1.0, disc3.norm(u + v))
 
 
 def test_step_from_converged_control_is_a_fixed_point(bench, disc3, solved3):
@@ -546,6 +683,34 @@ def test_state_solves_start_from_the_predicted_state(bench, monkeypatch):
         assert disc.norm(start - y) <= 1e-2 * disc.norm(y_prev - y)
 
 
+def test_adjoint_solves_start_from_the_predicted_adjoint(bench, monkeypatch):
+    # phi_j + eta_j, eta_j the linearized adjoint of step j, is far closer
+    # to the adjoint at u_{j+1} than phi_j is; a step that refactors
+    # solves its adjoint directly, from no start
+    starts = []
+    solve_adjoint = Discretization.solve_adjoint
+
+    def recorded(self, u, y, operator=None, phi_init=None):
+        phi = solve_adjoint(self, u, y, operator=operator, phi_init=phi_init)
+        starts.append((operator, phi_init, phi))
+        return phi
+
+    monkeypatch.setattr(Discretization, "solve_adjoint", recorded)
+    disc = Discretization(bench, build_uniform_mesh(4))
+    _, _, _, records = run_ssn(disc)
+    refactored = [True] + [r.delta >= ssn.REFACTOR_STEP for r in records[:-1]]
+    assert [op is not None for op, _, _ in starts] == refactored
+    assert [start is None for _, start, _ in starts] == refactored
+    warm = [
+        (prev, start, phi)
+        for (_, _, prev), (_, start, phi) in zip(starts, starts[1:])
+        if start is not None
+    ]
+    assert len(warm) >= 2
+    for prev, start, phi in warm:
+        assert disc.norm(start - phi) <= 1e-2 * disc.norm(prev - phi)
+
+
 def test_run_validates_problem_data():
     spec = dataclasses.replace(benchmark_instance(), nu=0.0)
     with pytest.raises(ConfigurationError, match="nu"):
@@ -674,11 +839,13 @@ def test_nested_start_factors_each_level_once(ladder_runs, tracking):
 
 
 @pytest.mark.parametrize(
-    "tracking, pcg, newton", [("quadratic", 42, 9), ("linear", 46, 10)]
+    "tracking, pcg, newton", [("quadratic", 36, 9), ("linear", 37, 10)]
 )
 def test_level_4_keeps_the_cold_start(ladder_runs, tracking, pcg, newton):
     # below COARSE_START_LEVEL the run starts from y = 0 and factors
-    # Q(u0, 0), then Q(u0, y0) in outer step 0, then in outer step 1
+    # Q(u0, 0), then Q(u0, y0) in outer step 0, then in outer step 1; the
+    # one-off adjoint solves of the later steps start from the adjoint
+    # their previous step predicted
     _, disc, _, _, _, _, sizes = ladder_runs[tracking, 4]
     assert 4 < ssn.COARSE_START_LEVEL
     assert sizes == [disc.n_nodes] * 3
@@ -867,10 +1034,16 @@ def test_step_floor_is_the_stagnation_guard(bench):
     eps = np.finfo(float).eps
     assert step_floor(1) == 10 * eps
     assert step_floor(66049) == 10 * eps * 66049
-    # a target below rounding: the steps fall below the floor first
-    disc = Discretization(bench, build_uniform_mesh(3))
+    # a target below rounding: the steps fall below the floor first.  A
+    # level solved cold ends on ||F||_h = 0.0 once its state and adjoint
+    # solves return their first-order predictions untouched; a nested
+    # level keeps the factor of its start, so its predictions are off by
+    # a share of each step and its solves leave rounding noise in F
+    cfg = SSNConfig(outer_tol=1e-20)
+    u, y, _, _ = run_ssn(Discretization(bench, build_uniform_mesh(4)), cfg)
+    disc = Discretization(bench, build_uniform_mesh(5))
     with pytest.raises(SolverError, match="stagnation") as exc:
-        run_ssn(disc, SSNConfig(outer_tol=1e-20))
+        run_ssn(disc, cfg, coarse=(4, u, y))
     *full, final = exc.value.history
     assert final.stop_reason == "stagnation"
     assert full[-1].delta < step_floor(disc.n_nodes)
