@@ -19,7 +19,6 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
-    optimality_residual,
     run_ssn,
 )
 from ssnbilinear.ssn import can_start_from
@@ -55,12 +54,12 @@ def main(argv):
             outer[r.level] = outer.get(r.level, 0) + (r.delta is not None)
 
         rep = complementarity_report(disc, u, y, phi)
-        resid = disc.norm(optimality_residual(spec, u, y, phi))
         print("outer: " + ", ".join(f"level {k} {n}" for k, n in outer.items()))
         print(
             f"measures: upper {rep.upper:.4f}, lower {rep.lower:.4f}, "
             f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
-            f"||u - Proj(y*phi/nu)||_h {resid:.2e}, "
+            f"||u - Proj(y*phi/nu)||_h {records[-1].residual:.2e} "
+            f"(stop: {records[-1].stop_reason}), "
             f"factorizations {disc.factor_count}, "
             f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}"
         )

@@ -16,8 +16,7 @@ are the grid segments on the sides of the square.
 Consecutive levels nest: the level-(k-1) nodes are the level-k nodes with
 even row and column, and every coarse triangle is the union of four fine
 ones.  prolong maps nodal values from level k-1 to level k exactly in P1
-(the coarse function, read at the fine nodes), and inject restricts
-nodal values from level k to level k-1 by keeping the shared nodes.
+(the coarse function, read at the fine nodes).
 """
 
 from dataclasses import dataclass
@@ -89,8 +88,3 @@ def prolong(coarse: np.ndarray, level: int) -> np.ndarray:
     fine[1::2, 1::2] = 0.5 * (c[:-1, :-1] + c[1:, 1:])
     return fine.ravel()
 
-
-def inject(fine: np.ndarray, level: int) -> np.ndarray:
-    """Nodal values on level restricted to level - 1 by injection."""
-    side = 2 ** int(level) + 1
-    return np.asarray(fine, dtype=float).reshape(side, side)[::2, ::2].ravel()

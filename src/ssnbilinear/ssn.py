@@ -36,31 +36,30 @@ CG stays valid with the stale factor: the Hessian term it applies is
 symmetric for every symmetric Q.  The kept factor also preconditions
 the state solves' Newton steps and the adjoint solves.
 
-From mesh level COARSE_START_LEVEL up, a run on level k first solves the
-whole optimality system on level k-1, recursively down to level
-COARSE_START_LEVEL - 1, which starts from u0 injected onto its mesh and
-its state from zero (nested iteration; mesh.inject, mesh.prolong).
-Level k then starts from the prolonged control and state of that
-solution.  Semismooth Newton converges mesh-independently (Hintermueller
-and Ulbrich, Math. Program. 101 (2004)), so the prolonged solution lies
-in level k's region of fast convergence.  Its state solve's first Newton
-step factors Q(P u_c, P y_c), and outer step 0 keeps that factor.  The
-first scaled step falls 2-4x per level: on the benchmark (both
-trackings, nu in {0.01, 0.05, 0.2}) it is at most 0.035 from level 7 up
-(a cold start's is about 0.9), below REFACTOR_STEP, so level k factors
-Q once.  At levels 5-6 it lands above the cut in 3 of 12 variants, and
-outer step 1 factors again.  Steps with a factor kept from the start
-contract by only 1e-2 to 1e-5 each, so the stop lands anywhere below
-outer_tol; the default outer_tol is set low enough for that (see
-SSNConfig).  Every level appends its rows to the run's records, with j
-from 0; the refactoring rule and the stagnation test read only the
-level's own rows.  A coarse Discretization lives only for its level's
-solve, and its work counters are added to the run's.  A caller that has
-already solved a coarser level of the same problem hands its solution
-to run_ssn as coarse, and the recursion stops there: the level above it
-starts from its prolonged control and state, the same start the
-recursion would have computed, so a sweep over levels solves each one
-once.
+From mesh level COARSE_START_LEVEL up, a run on level k solves the levels
+COARSE_START_LEVEL - 1, ..., k in one ascending loop (nested iteration;
+mesh.prolong).  The first level starts from the constant control u0 and
+its state from zero; every level above it starts from the prolonged
+control and state of the solution below it.  Semismooth Newton converges
+mesh-independently (Hintermueller and Ulbrich, Math. Program. 101
+(2004)), so the prolonged solution lies in level k's region of fast
+convergence.  Its state solve's first Newton step factors Q(P u_c, P
+y_c), and outer step 0 keeps that factor.  The first scaled step falls
+2-4x per level: on the benchmark (both trackings, nu in {0.01, 0.05,
+0.2}) it is at most 0.035 from level 7 up (a cold start's is about 0.9),
+below REFACTOR_STEP, so level k factors Q once.  At levels 5-6 it lands
+above the cut in 3 of 12 variants, and outer step 1 factors again.
+Steps with a factor kept from the start contract by only 1e-2 to 1e-5
+each, so the stop lands anywhere below outer_tol; the default outer_tol
+is set low enough for that (see SSNConfig).  Every level appends its rows
+to the run's records, with j from 0; the refactoring rule and the
+stagnation test read only the level's own rows.  A level below k is
+solved on its own Discretization, which lives only for that level's
+solve, and whose work counters are added to the run's.  A caller that
+has already solved a coarser level of the same problem hands its
+solution to run_ssn as coarse, and the loop starts above it from its
+prolonged control and state, the start the loop would have computed
+itself, so a sweep over levels solves each one once.
 
 Outer step j is an inexact semismooth Newton step.  After the state and
 adjoint solves at u_j, w = -F(u_j) at every node, so the residual
@@ -126,11 +125,12 @@ Proj(y_{j+1} phi_{j+1}/nu) in floating point.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .mesh import build_uniform_mesh, inject, prolong
+from .mesh import build_uniform_mesh, prolong
 from .objective import _hessian_term, _objective
 from .pde import (
     DEFAULT_TOL,
@@ -220,22 +220,23 @@ class SSNConfig:
     exact adjoint reads the same.  inner_tol is
     the tolerance of the state solves and the smallest relative tolerance
     of the outer CG.  max_outer and max_cg hold per level; max_cg = None
-    means "number of nodes".  u0 = None means the zero control, and a
-    scalar u0 is broadcast to a constant control; an array u0 has one
-    value per node of the run's mesh and is injected onto the coarsest.
+    means "number of nodes".  u0 is the constant control that the first
+    level a run solves starts from, a finite real.
     """
 
     outer_tol: float = 5e-14
     inner_tol: float = DEFAULT_TOL
     max_outer: int = 30
     max_cg: int | None = None
-    u0: np.ndarray | float | None = None
+    u0: float = 0.0
 
     def __post_init__(self):
         if not self.outer_tol > 0 or not self.inner_tol > 0:
             raise ConfigurationError("tolerances must be positive")
         if self.max_outer < 1:
             raise ConfigurationError("max_outer must be at least 1")
+        if not isinstance(self.u0, Real) or not np.isfinite(self.u0):
+            raise ConfigurationError(f"u0 must be a finite real, got {self.u0!r}")
 
 
 def step_floor(n_nodes: int) -> float:
@@ -394,61 +395,24 @@ def _step(
     return u_next, y_next, phi_next, record
 
 
-def _initial_control(cfg: SSNConfig, n: int) -> np.ndarray:
-    if cfg.u0 is None:
-        return np.zeros(n)
-    u0 = np.asarray(cfg.u0, dtype=float)
-    if u0.ndim == 0:
-        return np.full(n, float(u0))
-    if u0.shape != (n,):
-        raise ConfigurationError(
-            f"u0 must be scalar or one value per node ({n}), got shape {u0.shape}"
-        )
-    return u0.copy()
-
-
 def _solve_level(
     disc: Discretization,
     cfg: SSNConfig,
     u: np.ndarray,
+    y: np.ndarray | None,
     records: list[IterationRecord],
-    coarse: tuple[int, np.ndarray, np.ndarray] | None,
-) -> tuple[Iterate, str | None]:
-    """The outer loop on disc's mesh from u, after the levels below it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outer loop on disc's mesh from the control u and state start y.
 
-    From COARSE_START_LEVEL up this level starts from the control and
-    state of the next coarser level's solution, prolonged: coarse's
-    (level, u, y) when it is that level's, otherwise the whole problem
-    solved on that mesh from u injected, with coarse passed down.  u is
-    used only on a level solved cold.  Every level appends its rows to
-    records.  Returns the final iterate and None once it meets outer_tol,
-    or the message of a stop on stagnation or budget (on this level or one
-    below), which ends the run.
+    y = None solves the level cold: its state solve starts from zero.
+    Appends the level's rows to records and returns (u, y, phi) once it
+    meets outer_tol; a stop on stagnation or budget raises SolverError.
     """
     level = disc.mesh.level
-    nested = level >= COARSE_START_LEVEL
-    y: np.ndarray | None = None
+    cold = y is None
+    # a factor kept from an earlier solve on disc preconditions nothing here
+    disc.release_factorization()
     try:
-        if nested:
-            if coarse is not None and coarse[0] == level - 1:
-                _, u_coarse, y_coarse = coarse
-            else:
-                below = Discretization(disc.spec, build_uniform_mesh(level - 1))
-                try:
-                    it, failure = _solve_level(
-                        below, cfg, inject(u, level), records, coarse
-                    )
-                finally:
-                    disc.add_work(below)
-                if failure is not None:
-                    return it, failure
-                u_coarse, y_coarse = it.u, it.y
-                del below, it
-            u, y = prolong(u_coarse, level), prolong(y_coarse, level)
-            # this level's state solve factors Q, its memory peak: nothing
-            # coarse that this call made is alive for it
-            del u_coarse, y_coarse
-            disc.release_factorization()
         floor = step_floor(disc.n_nodes)
         max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
         last: IterationRecord | None = None
@@ -459,8 +423,8 @@ def _solve_level(
             if last is not None:
                 refactor = last.delta >= REFACTOR_STEP
             else:
-                # a nested state solve that took no Newton step factored nothing
-                refactor = not nested or disc.kept_factor is None
+                # a warm state solve that took no Newton step factored nothing
+                refactor = cold or disc.kept_factor is None
             if refactor:
                 # the new factor solves the adjoint directly: no start is
                 # alive while it is built
@@ -506,14 +470,14 @@ def _solve_level(
         disc.release_factorization()
 
     if reason == "residual":
-        return it, None
+        return it.u, it.y, it.phi
     if reason == "stagnation":
-        return it, (
+        raise SolverError(
             f"ssn: stagnation at level {level}: scaled step {last.delta:.3e} "
             f"below {floor:.3e} with ||F||_h = {it.residual:.3e} above "
             f"outer_tol {cfg.outer_tol:.3e}"
         )
-    return it, (
+    raise SolverError(
         f"ssn: no convergence in {cfg.max_outer} outer iterations at level "
         f"{level} (||F||_h = {it.residual:.3e}, outer_tol {cfg.outer_tol:.3e})"
     )
@@ -549,23 +513,26 @@ def run_ssn(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
-    records holds the rows of every level the run solved, coarsest first
-    and disc's own last: per level one full row per outer step plus a
-    final row with the objective, ||F||_h and stop_reason of its accepted
-    control, which satisfies ||F(u)||_h <= outer_tol.  When a level
-    stagnates or exhausts max_outer the run raises SolverError with the
-    records, whose final row names the reason; a SolverError or
+    The run solves the levels from COARSE_START_LEVEL - 1 (or disc's own
+    level, if that is lower) up to disc's, the first from the constant
+    control u0 and every other from the prolonged solution below it; see
+    the module docstring.  records holds the rows of every level solved,
+    coarsest first and disc's own last: per level one full row per outer
+    step plus a final row with the objective, ||F||_h and stop_reason of
+    its accepted control, which satisfies ||F(u)||_h <= outer_tol.  When a
+    level stagnates or exhausts max_outer the run raises SolverError with
+    the records, whose final row names the reason; a SolverError or
     NegativeCurvatureError of a state, adjoint or CG solve on any level
     is raised again as the same class with all the rows made so far.
-    u0 seeds the coarsest level, injected onto its mesh.
 
     coarse = (level, u, y) is the solution that an earlier run_ssn of the
     same problem and cfg returned on a coarser level, from
-    COARSE_START_LEVEL - 1 up.  The run then solves only the levels above
-    it, each exactly as a run without coarse would, and records, like
-    disc's work counters, hold only theirs; u0 seeds nothing.  A level
-    outside [COARSE_START_LEVEL - 1, disc's level - 1], or arrays with
-    other than one value per node of that level, raise ConfigurationError.
+    COARSE_START_LEVEL - 1 up.  The run then starts from it and solves
+    only the levels above it, each exactly as a run without coarse would,
+    and records, like disc's work counters, hold only theirs; u0 seeds
+    nothing.  A level outside [COARSE_START_LEVEL - 1, disc's level - 1],
+    or arrays with other than one value per node of that level, raise
+    ConfigurationError.
 
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
@@ -580,20 +547,33 @@ def run_ssn(
     violations = validate(disc.spec, derivative_check=False)
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
+    top = disc.mesh.level
+    if coarse is None:
+        first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
+    else:
+        first, u, y = coarse[0] + 1, coarse[1], coarse[2]
     records: list[IterationRecord] = []
     try:
-        # no name here holds u0, which the level drops once it starts from
-        # the coarser solution
-        it, failure = _solve_level(
-            disc, cfg, _initial_control(cfg, disc.n_nodes), records, coarse
-        )
+        for level in range(first, top + 1):
+            level_disc = disc
+            if level < top:
+                level_disc = Discretization(disc.spec, build_uniform_mesh(level))
+            if y is None:
+                u = np.full(level_disc.n_nodes, float(cfg.u0))
+            else:
+                # this level's state solve factors Q, a run's memory peak:
+                # nothing of the coarser level is alive for it
+                u, y, phi = prolong(u, level), prolong(y, level), None
+            try:
+                u, y, phi = _solve_level(level_disc, cfg, u, y, records)
+            finally:
+                if level < top:
+                    disc.add_work(level_disc)
     except SolverError as exc:
         # the rows made so far replace the failed solve's own history,
         # which stays on __cause__
         raise type(exc)(str(exc), history=records) from exc
-    if failure is not None:
-        raise SolverError(failure, history=records)
-    return it.u, it.y, it.phi, records
+    return u, y, phi, records
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def test_minimal_benchmark_config(tmp_path):
     assert cfg.write_fields is True
     assert cfg.ssn.outer_tol == 5e-14
     assert cfg.ssn.max_outer == 30
-    assert cfg.ssn.u0 is None
+    assert cfg.ssn.u0 == 0.0
     assert cfg.verify == VerifySettings(level=4, directions=5, seed=1234)
     assert cfg.spec.nu == 0.05
     # the parsed spec evaluates like the built-in benchmark
@@ -187,6 +187,8 @@ def test_ssn_overrides(tmp_path):
         ("[ssn]\nouter_tol = 0\n", "positive"),
         ("[ssn]\nmax_outer = 0\n", "at least 1"),
         ("[ssn]\nmax_outer = soon\n", "integer"),
+        ("[ssn]\nu0 = nan\n", r"\[ssn\] u0 must be a finite real"),
+        ("[ssn]\nu0 = inf\n", r"\[ssn\] u0 must be a finite real"),
         ("[verify]\nlevel = 0\n", "outside"),
         ("[verify]\ndirections = 0\n", "at least 1"),
         ("[output]\nwrite_fields = maybe\n", "on/off"),

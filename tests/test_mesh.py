@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ssnbilinear import ConfigurationError, build_uniform_mesh
 from ssnbilinear.assembly import assemble_stiffness
-from ssnbilinear.mesh import MAX_LEVEL, inject, prolong
+from ssnbilinear.mesh import MAX_LEVEL, prolong
 
 levels = st.integers(min_value=1, max_value=6)
 
@@ -171,5 +171,3 @@ def test_prolongation_reproduces_linear_functions(level):
             return c0 + c1 * x[:, 0] + c2 * x[:, 1]
 
         np.testing.assert_array_equal(prolong(f(coarse), level), f(fine))
-    v = np.random.default_rng(level).standard_normal(len(coarse))
-    np.testing.assert_array_equal(inject(prolong(v, level), level), v)

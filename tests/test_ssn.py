@@ -26,7 +26,6 @@ from ssnbilinear import (
 )
 from ssnbilinear import ssn
 from ssnbilinear.expressions import Expression
-from ssnbilinear.mesh import inject
 from ssnbilinear.objective import _objective, hessian_vec
 from ssnbilinear.pde import MAX_NEWTON, LinearizedOperator, cg_solve, forcing_term
 from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
@@ -413,22 +412,35 @@ def test_run_rejects_bad_initial_control_shape(bench):
         run_ssn(disc, SSNConfig(u0=np.zeros(3)))
 
 
-def test_coarse_start_from_a_per_node_control(bench, monkeypatch):
-    # u0 seeds the coarsest level, injected onto its mesh; the nested run
-    # reaches the solution of the cold start from y = 0 on the fine mesh
+def test_coarse_start_from_a_constant_control(bench, monkeypatch):
+    # u0 seeds the coarsest level; the nested run reaches the solution of
+    # the cold start from y = 0 on the fine mesh
     mesh = build_uniform_mesh(ssn.COARSE_START_LEVEL)
-    x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    u0 = np.clip(2.0 * x1 - 1.0 + 0.5 * np.sin(5.0 * x2), bench.alpha, bench.beta)
-    cfg = SSNConfig(u0=u0)
+    cfg = SSNConfig(u0=-0.75)
     records = run_ssn(Discretization(bench, mesh), cfg)[-1]
     monkeypatch.setattr(ssn, "COARSE_START_LEVEL", mesh.level + 1)
     cold = run_ssn(Discretization(bench, mesh), cfg)[-1]
     coarse = Discretization(bench, build_uniform_mesh(mesh.level - 1))
-    u_c = inject(u0, mesh.level)
+    u_c = np.full(coarse.n_nodes, -0.75)
     assert records[0].level == mesh.level - 1
     assert records[0].J == _objective(coarse, u_c, coarse.solve_state(u_c).y)
     assert {r.level for r in cold} == {mesh.level}
     assert records[-1].J == pytest.approx(cold[-1].J, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_a_run_ignores_a_factor_its_discretization_holds(bench, level):
+    # the kept factor preconditions one-off solves; one left from before
+    # the run must not precondition the run's first state solve
+    fresh = Discretization(bench, build_uniform_mesh(level))
+    *solution, records = run_ssn(fresh)
+    disc = Discretization(bench, fresh.mesh)
+    disc.linearized_operator(0.9, 1)
+    *held, held_records = run_ssn(disc)
+    assert held_records == records
+    assert disc.factor_count == fresh.factor_count + 1
+    for a, b in zip(held, solution):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
@@ -448,7 +460,7 @@ def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
 
 
 def test_a_run_from_a_coarse_solution_solves_only_the_levels_above_it(bench):
-    # the handed level-4 solution is the start the recursion would compute,
+    # the handed level-4 solution is the start the level loop would compute,
     # so levels 5 and 6 repeat the lone run's rows and solution bit for bit
     level = ssn.COARSE_START_LEVEL + 1
     lone = Discretization(bench, build_uniform_mesh(level))
@@ -950,35 +962,35 @@ def test_run_validates_once_for_all_levels(bench, monkeypatch):
 
 
 def test_coarse_levels_are_dropped_before_the_fine_state_solve(bench, monkeypatch):
-    # the fine state solve's first Newton step factors Q, a run's memory
-    # peak: no coarser Discretization, and so no coarse LU, is alive then,
-    # nor the fine u0 the run no longer needs
+    # each level's state solve first factors Q, a run's memory peak: no
+    # coarser Discretization (and so no coarse LU) is alive then, nor a
+    # coarser iterate or its arrays
     made = []
 
-    class Coarse(Discretization):
+    class Level(Discretization):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append(weakref.ref(self))
+            made.append((self.mesh.level, weakref.ref(self)))
 
-    initial_control = ssn._initial_control
-
-    def recorded(*args):
-        u0 = initial_control(*args)
-        made.append(weakref.ref(u0))
-        return u0
-
-    alive = []
-
-    class Fine(Discretization):
         def solve_state(self, *args, **kwargs):
-            if not alive:
-                alive.append(sum(ref() is not None for ref in made))
+            coarser = [ref for level, ref in made if level < self.mesh.level]
+            alive.setdefault(self.mesh.level, sum(ref() is not None for ref in coarser))
             return super().solve_state(*args, **kwargs)
 
-    monkeypatch.setattr(ssn, "Discretization", Coarse)
-    monkeypatch.setattr(ssn, "_initial_control", recorded)
-    run_ssn(Fine(bench, build_uniform_mesh(ssn.COARSE_START_LEVEL + 1)))
-    assert len(made) == 3 and alive == [0]
+    linearize = ssn._linearize
+
+    def recorded(disc, *args):
+        it = linearize(disc, *args)
+        for obj in (it, it.u, it.y, it.phi):
+            made.append((disc.mesh.level, weakref.ref(obj)))
+        return it
+
+    alive = {}
+    monkeypatch.setattr(ssn, "Discretization", Level)
+    monkeypatch.setattr(ssn, "_linearize", recorded)
+    run_ssn(Level(bench, build_uniform_mesh(7)))
+    assert sorted({level for level, _ in made}) == [4, 5, 6, 7]
+    assert alive == {4: 0, 5: 0, 6: 0, 7: 0}
 
 
 def test_run_releases_its_last_factorization(bench):
@@ -1057,9 +1069,12 @@ def test_ssn_config_validation():
         SSNConfig(inner_tol=-1e-10)
     with pytest.raises(ConfigurationError):
         SSNConfig(max_outer=0)
+    for u0 in (np.nan, np.inf, np.zeros(3), None):
+        with pytest.raises(ConfigurationError, match="u0 must be a finite real"):
+            SSNConfig(u0=u0)
     cfg = SSNConfig()
     assert cfg.outer_tol == 5e-14 and cfg.inner_tol == 5e-14
-    assert cfg.max_outer == 30 and cfg.max_cg is None and cfg.u0 is None
+    assert cfg.max_outer == 30 and cfg.max_cg is None and cfg.u0 == 0.0
 
 
 # --- complementarity -----------------------------------------------------
