@@ -12,6 +12,10 @@ linearized adjoint solve:
 
     H v = nu*v - (phi*z_v + y*eta_v).
 
+Both are solved by the factorization the Discretization keeps, so the
+product is the Hessian at u while that is the factor of Q(u, y), as
+evaluate_reduced leaves it.
+
 The finite-difference functions are deliberately independent oracles:
 they only ever call the nonlinear state solver and the objective sum, so
 they validate the gradient and Hessian routes rather than sharing code
@@ -28,20 +32,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pde import Discretization, LinearizedOperator
+from .pde import Discretization
 from .problem import nodal
 
 
 @dataclass
 class ReducedEval:
-    """One full evaluation of the reduced problem at a control u."""
+    """One full evaluation of the reduced problem at a control u.
+
+    The Discretization it was made on keeps the factorization of Q(u, y),
+    so hessian_vec(disc, y, phi, v) is the Hessian at u until a solve on
+    disc replaces that factor.
+    """
 
     u: np.ndarray
     y: np.ndarray
     phi: np.ndarray
     J: float
     grad: np.ndarray
-    operator: LinearizedOperator  # the factorization of Q(u, y)
 
 
 def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
@@ -50,43 +58,37 @@ def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
 
 
 def _hessian_term(
-    disc: Discretization,
-    y: np.ndarray,
-    phi: np.ndarray,
-    v: np.ndarray,
-    operator: LinearizedOperator,
+    disc: Discretization, y: np.ndarray, phi: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi*z_v + y*eta_v, z_v, eta_v): the linearized state and adjoint
-    solves for v, and the term they make."""
-    z = disc.solve_linearized_state(y, v, operator=operator)
-    eta = disc.solve_linearized_adjoint(y, phi, z, v, operator=operator)
+    solves for v by disc's kept factor, and the term they make."""
+    z = disc.solve_linearized_state(y, v)
+    eta = disc.solve_linearized_adjoint(y, phi, z, v)
     return phi * z + y * eta, z, eta
 
 
 def hessian_vec(
-    disc: Discretization,
-    y: np.ndarray,
-    phi: np.ndarray,
-    v: np.ndarray,
-    operator: LinearizedOperator,
+    disc: Discretization, y: np.ndarray, phi: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Apply the reduced Hessian at the point of (y, phi, operator) to v."""
-    return disc.spec.nu * v - _hessian_term(disc, y, phi, v, operator)[0]
+    """Apply the reduced Hessian at (y, phi) to v, by disc's kept factor."""
+    return disc.spec.nu * v - _hessian_term(disc, y, phi, v)[0]
 
 
 def evaluate_reduced(disc: Discretization, u: np.ndarray) -> ReducedEval:
-    """Solve state and adjoint at u and package J with its gradient."""
-    report = disc.solve_state(u)
-    y = report.y
-    op = disc.linearized_operator(u, y)
-    phi = disc.solve_adjoint(u, y, operator=op)
+    """Solve state and adjoint at u and package J with its gradient.
+
+    The adjoint factors Q(u, y) afresh and disc keeps that factor, so the
+    Hessian products that follow are those at u.
+    """
+    y = disc.solve_state(u).y
+    disc.release_factorization()
+    phi = disc.solve_adjoint(u, y)
     return ReducedEval(
         u=u,
         y=y,
         phi=phi,
         J=_objective(disc, u, y),
         grad=disc.spec.nu * u - y * phi,
-        operator=op,
     )
 
 

@@ -12,18 +12,22 @@ with K the stiffness matrix and w the lumped mass weights:
     linearized adjoint Q eta = w * ((d2L_dy2 - phi*d2a_dy2)*z - phi*v)
 
 Q is symmetric, and positive definite whenever da_dy + u > 0 at every
-node.  A system solved for many right-hand sides with one Q (the CG
-solves of the outer loop, the Hessian of `verify`) gets its own sparse
-direct factorization; the outer loop makes one only in its first steps
-and keeps it through the later ones, and on a level started from a
-coarser one its first step keeps the one the state solve's first Newton
-step made (see ssn).
-A system solved only once (every state Newton step, and an adjoint
-solve without a supplied operator) runs matrix-free preconditioned CG,
+node.  Every solve with Q goes through the Discretization, which keeps
+at most one sparse direct factorization of it.  The linearized state and
+adjoint solves (the Hessian products of the outer loop's CG and of
+`verify`) are solved by the kept factor, whatever Q it was made for; a
+caller that wants the Q at (u, y) releases the factor and makes one
+solve at (u, y), which factors that Q.  The outer loop does so only in
+its first steps and keeps the factor through the later ones, and on a
+level started from a coarser one its first step keeps the one the state
+solve's first Newton step made (see ssn).
+Every other solve (each state Newton step and each adjoint) is a one-off
+solve.  With a factor kept it runs matrix-free preconditioned CG,
 applying Q as K p + d*p with d = w*(da_dy + u), preconditioned by the
-most recent factorization the Discretization keeps.  Both matrices share K and the lumped diagonal
-c = da_dy + u > 0, so the preconditioned operator's condition number is
-at most max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  A
+kept factor; with none it factors Q, solves directly and keeps the
+factor.  Both matrices share K and the lumped diagonal c = da_dy + u > 0,
+so the preconditioned operator's condition number is at most
+max(c/c0) / min(c/c0), c0 the preconditioner's diagonal.  A
 Newton step's PCG starts from zero; an adjoint's starts from phi_init
 when the caller has one (the outer loop passes the adjoint its last step
 predicted, see ssn), and zero otherwise.  The stop is the same from any
@@ -35,8 +39,8 @@ same conjugate-gradient routine, cg_solve, which returns only a
 converged iterate: nonpositive curvature raises NegativeCurvatureError,
 and a nonfinite value or an exhausted budget raises SolverError.  The
 outer loop passes either on.  A one-off solve catches it (PCG_MAX_ITERS
-is its budget), assembles, factors and solves Q directly instead, and
-keeps that factor in place of the old one.
+is its budget), drops the old factor, then assembles, factors and
+solves Q directly instead, and keeps that factor.
 
 SuperLU factors Q in symmetric mode: columns are ordered by multiple
 minimum degree on the pattern of Q^T + Q (MMD_AT_PLUS_A), and the pivots
@@ -222,12 +226,13 @@ class Discretization:
     Every solve, objective evaluation and outer loop goes through one
     instance, which the outer loop keeps alive for its whole run.
 
-    The instance keeps its most recent factorization as the preconditioner
-    of one-off solves (at most one is kept; release_factorization drops it),
-    counts the factorizations it makes in factor_count, the
-    preconditioner applications of its PCG solves in pcg_count, the state
-    Newton steps in newton_count, and those accepted after every halving
-    failed in halvings_exhausted.
+    The instance keeps its most recent factorization, which solves the
+    linearized state and adjoint and preconditions one-off solves (at most
+    one is kept; release_factorization drops it).  It counts the
+    factorizations it makes in factor_count, the preconditioner
+    applications of its PCG solves in pcg_count, the state Newton steps in
+    newton_count, and those accepted after every halving failed in
+    halvings_exhausted.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -278,10 +283,6 @@ class Discretization:
         """The most recent factorization, or None once released."""
         return self._last_factor
 
-    def linearized_operator(self, u: np.ndarray, y: np.ndarray) -> LinearizedOperator:
-        """A fresh factorization of Q(u, y), kept as the preconditioner."""
-        return self._factor(self.linearized_matrix(u, y))
-
     def _factor(self, matrix: sp.csc_matrix) -> LinearizedOperator:
         self._last_factor = None  # let the old LU go before the new one exists
         self._last_factor = LinearizedOperator(matrix)
@@ -312,7 +313,8 @@ class Discretization:
         Matrix-free PCG (Q p = K p + d*p) from x0 (zero if None),
         preconditioned by the kept factorization; Q is assembled and
         factored only when there is no kept factor or cg_solve raises, so
-        no unconverged iterate escapes.  The direct solve ignores x0.
+        no unconverged iterate escapes.  The direct solve ignores x0, and
+        the new factor is kept in place of the old one.
         """
         d = self._reaction(u, y)
         factor = self._last_factor
@@ -333,7 +335,9 @@ class Discretization:
                 )
                 return x
             except SolverError:  # NegativeCurvatureError too: factor instead
-                pass
+                # precondition holds the old LU too: let it go before the
+                # new one is built
+                factor = None
         return self._factor(self._matrix(d)).solve(rhs)
 
     def solve_state(
@@ -400,36 +404,31 @@ class Discretization:
         self,
         u: np.ndarray,
         y: np.ndarray,
-        operator: LinearizedOperator | None = None,
         phi_init: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Q(u, y) phi = w * dL_dy(x, y), by operator if given, else one-off.
+        """Q(u, y) phi = w * dL_dy(x, y), a one-off solve from phi_init.
 
-        A one-off solve starts its PCG from phi_init (zero if None); its
-        stop, a relative residual of PCG_RTOL, does not depend on the start.
+        Its PCG starts from phi_init (zero if None); its stop, a relative
+        residual of PCG_RTOL, does not depend on the start.  With no factor
+        kept it factors Q(u, y) and keeps that factor.
         """
         rhs = self.weights * nodal(self.spec.dL_dy, self.x, y)
-        if operator is None:
-            return self._solve_once(u, y, rhs, x0=phi_init)
-        return operator.solve(rhs)
+        return self._solve_once(u, y, rhs, x0=phi_init)
 
-    def solve_linearized_state(
-        self,
-        y: np.ndarray,
-        v: np.ndarray,
-        operator: LinearizedOperator,
-    ) -> np.ndarray:
-        return operator.solve(-(self.weights * y * v))
+    def _kept(self) -> LinearizedOperator:
+        if self._last_factor is None:
+            raise SolverError("linearized solve: no factorization is kept")
+        return self._last_factor
+
+    def solve_linearized_state(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Q z = -w * y * v, by the kept factor."""
+        return self._kept().solve(-(self.weights * y * v))
 
     def solve_linearized_adjoint(
-        self,
-        y: np.ndarray,
-        phi: np.ndarray,
-        z: np.ndarray,
-        v: np.ndarray,
-        operator: LinearizedOperator,
+        self, y: np.ndarray, phi: np.ndarray, z: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
+        """Q eta = w * ((d2L_dy2 - phi*d2a_dy2)*z - phi*v), by the kept factor."""
         curv = nodal(self.spec.d2L_dy2, self.x, y) - phi * nodal(
             self.spec.d2a_dy2, self.x, y
         )
-        return operator.solve(self.weights * (curv * z - phi * v))
+        return self._kept().solve(self.weights * (curv * z - phi * v))

@@ -15,11 +15,12 @@ run too.  Its typed failures reach the caller: NegativeCurvatureError
 when the reduced Hessian is not positive definite on the inactive set,
 SolverError on a nonfinite value or an exhausted max_cg budget, each
 with the table rows made so far.  One CG operator application costs two
-linear PDE solves with a factorization of the operator Q(u, y) of the
-linearized equations (see pde): the linearized state z and adjoint eta
-of its direction.  The right-hand side costs two more for the
-correction w_A on the active sets, and none when w_A is zero, as it is
-once the active nodes sit on their bounds (Q^-1 0 = 0).
+linear PDE solves with the factorization of the operator Q(u, y) of the
+linearized equations that the Discretization keeps (see pde): the
+linearized state z and adjoint eta of its direction.  The right-hand
+side costs two more for the correction w_A on the active sets, and none
+when w_A is zero, as it is once the active nodes sit on their bounds
+(Q^-1 0 = 0).
 
 Q(u_j, y_j) is factored afresh only at j = 0 and after a scaled step
 delta_{j-1} of at least REFACTOR_STEP.  Once the steps are small u hardly
@@ -132,13 +133,7 @@ import numpy as np
 from .errors import ConfigurationError, SolverError
 from .mesh import build_uniform_mesh, prolong
 from .objective import _hessian_term, _objective
-from .pde import (
-    DEFAULT_TOL,
-    Discretization,
-    LinearizedOperator,
-    cg_solve,
-    forcing_term,
-)
+from .pde import DEFAULT_TOL, Discretization, cg_solve, forcing_term
 from .problem import ProblemSpec, validate
 
 # An outer step after a scaled step below this reuses the kept factor of Q.
@@ -271,17 +266,17 @@ def apply_Mj(
     phi: np.ndarray,
     sets: ActiveSets,
     v: np.ndarray,
-    operator: LinearizedOperator,
     solved: list | None = None,
 ) -> np.ndarray:
     """CG operator: (1/nu) * reduced Hessian restricted to the inactive set.
 
     v is masked to the inactive set, z and eta are solved with load
-    chi_I*v, and the result chi_I*(v - (phi*z + eta*y)/nu) is returned.
+    chi_I*v by disc's kept factor, and the result
+    chi_I*(v - (phi*z + eta*y)/nu) is returned.
     A list passed as solved is set to [z, eta].
     """
     vi = np.where(sets.inactive, v, 0.0)
-    term, z, eta = _hessian_term(disc, y, phi, vi, operator)
+    term, z, eta = _hessian_term(disc, y, phi, vi)
     if solved is not None:
         solved[:] = z, eta
     return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
@@ -308,22 +303,17 @@ def _linearize(
     disc: Discretization,
     u: np.ndarray,
     y: np.ndarray,
-    refactor: bool,
     phi_init: np.ndarray | None = None,
 ) -> Iterate:
     """Solve the adjoint at (u, y), classify the nodes and form w = -F(u).
 
-    With refactor = True Q(u, y) is factored and solves the adjoint;
-    otherwise the adjoint is a one-off solve against Q(u, y) started from
-    phi_init, and the Discretization keeps the factor of an earlier Q (or
-    one that solve makes).  The step's Hessian solves use the factor kept
-    either way.
+    The adjoint is a one-off solve against Q(u, y) started from phi_init.
+    It is preconditioned by the factor disc keeps, of an earlier Q; with
+    none kept it factors Q(u, y) and solves directly.  The step's Hessian
+    solves use the factor kept after it either way.
     """
     spec = disc.spec
-    if refactor:
-        phi = disc.solve_adjoint(u, y, operator=disc.linearized_operator(u, y))
-    else:
-        phi = disc.solve_adjoint(u, y, phi_init=phi_init)
+    phi = disc.solve_adjoint(u, y, phi_init=phi_init)
     sets = classify(spec, y, phi)
     w = y * phi / spec.nu - u
     w[sets.upper] = spec.beta - u[sets.upper]
@@ -339,21 +329,19 @@ def _step(
     max_cg: int,
     newton_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, IterationRecord]:
-    """Lines 4-11 of one outer iteration: the Newton step from it.
+    """The Newton step of one outer iteration from it.
 
     The reduced system on the inactive set is solved by CG to the
-    relative residual eta; newton_iters is the row's Newton count.
+    relative residual eta, its Hessian products solved by disc's kept
+    factor; newton_iters is the row's Newton count.
     Returns u_{j+1}, the state and adjoint predicted there to first
     order, and the row.
     """
     spec = disc.spec
     y, phi, sets, w = it.y, it.phi, it.sets, it.w
-    # read here, not held by the iterate: a reference that outlived the
-    # step would keep this LU alive while _factor builds the next one
-    op = disc.kept_factor
     w_active = np.where(sets.inactive, 0.0, w)
     if w_active.any():
-        term, z_v, eta_v = _hessian_term(disc, y, phi, w_active, op)
+        term, z_v, eta_v = _hessian_term(disc, y, phi, w_active)
         rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
     else:  # Q^-1 0 = 0: no solves, and w + 0 / nu = w
         z_v, eta_v = disc.zeros(), disc.zeros()
@@ -361,7 +349,7 @@ def _step(
     solved: list[np.ndarray] = []
 
     def apply(p):
-        return apply_Mj(disc, y, phi, sets, p, op, solved)
+        return apply_Mj(disc, y, phi, sets, p, solved)
 
     def add_solves(step):
         # z and eta are linear in v: CG's x += step * p adds step times p's
@@ -426,10 +414,11 @@ def _solve_level(
                 # a warm state solve that took no Newton step factored nothing
                 refactor = cold or disc.kept_factor is None
             if refactor:
-                # the new factor solves the adjoint directly: no start is
-                # alive while it is built
+                # the adjoint factors Q(u, y) and solves directly: neither
+                # the old LU nor a start is alive while the new one is built
+                disc.release_factorization()
                 phi = None
-            it = _linearize(disc, u, state.y, refactor, phi)
+            it = _linearize(disc, u, state.y, phi)
             if it.residual <= cfg.outer_tol:
                 reason = "residual"
             elif last is not None and last.delta < floor:

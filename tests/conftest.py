@@ -28,10 +28,19 @@ def solved3(disc3):
 
 
 @pytest.fixture(scope="session")
-def base_state3(bench, disc3):
-    """State, adjoint, and operator at the zero control on level 3."""
+def zero_state3(disc3):
+    """The zero control on level 3 and its state."""
     u = np.zeros(disc3.n_nodes)
-    report = disc3.solve_state(u)
-    op = disc3.linearized_operator(u, report.y)
-    phi = disc3.solve_adjoint(u, report.y, operator=op)
-    return u, report.y, phi, op
+    return u, disc3.solve_state(u).y
+
+
+@pytest.fixture
+def base_state3(disc3, zero_state3):
+    """Control, state and adjoint at the zero control on level 3.
+
+    disc3 keeps the factorization of Q there, which its linearized solves
+    and Hessian products use.
+    """
+    u, y = zero_state3
+    disc3.release_factorization()
+    return u, y, disc3.solve_adjoint(u, y)

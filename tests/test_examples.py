@@ -76,10 +76,32 @@ def test_check_derivatives_script_rejects_bad_arguments(args, message):
     assert proc.stdout == ""
 
 
+def fenced_blocks(text):
+    """The (info string, code) of each fenced code block of text.
+
+    Only a bare ``` closes a block: a fence with text after it is a line of
+    the block, and what follows it would render as code.
+    """
+    blocks, info, code = [], None, []
+    for number, line in enumerate(text.splitlines(), 1):
+        if info is None:
+            if line.startswith("```"):
+                info, code = line[3:], []
+        elif line.startswith("```"):
+            assert line == "```", f"line {number}: text after a closing fence"
+            blocks.append((info, "".join(code)))
+            info = None
+        else:
+            code.append(line + "\n")
+    assert info is None, "a code block is never closed"
+    return blocks
+
+
 def test_readme_library_example(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    fenced_blocks(readme)  # every block of the README closes
     section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    blocks = [code for info, code in fenced_blocks(section) if info == "python"]
     # a level-6 run; one level handing its solution to the next; verify
     assert len(blocks) == 3
     # the blocks run in turn in one namespace, as a reader would type them

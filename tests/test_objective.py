@@ -48,12 +48,12 @@ def test_evaluate_reduced_is_consistent(bench, disc3):
 
 def test_evaluate_reduced_carries_its_factorization(bench):
     # a cold start factors at its first Newton step; the adjoint's
-    # factorization at (u, y) is the second and is handed to the caller
+    # factorization at (u, y) is the second, and disc keeps it
     disc = Discretization(bench, build_uniform_mesh(3))
     ev = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     assert disc.factor_count == 2
     rhs = disc.weights * nodal(bench.dL_dy, disc.x, ev.y)
-    np.testing.assert_array_equal(ev.operator.solve(rhs), ev.phi)
+    np.testing.assert_array_equal(disc.kept_factor.solve(rhs), ev.phi)
 
 
 def test_gradient_matches_finite_differences(bench):
@@ -80,12 +80,11 @@ def test_gradient_matches_finite_differences(bench):
 def test_hessian_quadratic_form_matches_second_differences(bench):
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
-    op = base.operator
     jscale = max(1.0, abs(base.J))
     rng = np.random.default_rng(43)
     v = rng.standard_normal(disc.n_nodes)
     v /= disc.norm(v)
-    hv = hessian_vec(disc, base.y, base.phi, v, op)
+    hv = hessian_vec(disc, base.y, base.phi, v)
     quad = disc.inner(hv, v)
     ts = (1e-1, 3e-2, 1e-2)
     errs = {
@@ -170,24 +169,24 @@ def test_warm_and_cold_started_oracles_agree_to_the_roundoff_floor(bench, level)
 
 
 def test_hessian_linear_in_direction(bench, base_state3, disc3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     rng = np.random.default_rng(44)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    h = lambda v: hessian_vec(disc3, y, phi, v, op)
+    h = lambda v: hessian_vec(disc3, y, phi, v)
     np.testing.assert_allclose(
         h(1.5 * v1 - 2.0 * v2), 1.5 * h(v1) - 2.0 * h(v2), rtol=1e-11, atol=1e-14
     )
 
 
 def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     rng = np.random.default_rng(45)
     for _ in range(5):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        hv1 = hessian_vec(disc3, y, phi, v1, op)
-        hv2 = hessian_vec(disc3, y, phi, v2, op)
+        hv1 = hessian_vec(disc3, y, phi, v1)
+        hv2 = hessian_vec(disc3, y, phi, v2)
         a = disc3.inner(hv1, v2)
         b = disc3.inner(v1, hv2)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
@@ -195,13 +194,13 @@ def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
 
 def test_gradient_sensitivity_route(bench, base_state3, disc3):
     # J'(u)v computed through the adjoint equals the linearized-state route
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     grad = bench.nu * u - y * phi
     dl = nodal(bench.dL_dy, disc3.x, y)
     rng = np.random.default_rng(46)
     for _ in range(4):
         v = rng.standard_normal(disc3.n_nodes)
-        z = disc3.solve_linearized_state(y, v, operator=op)
+        z = disc3.solve_linearized_state(y, v)
         adjoint_route = disc3.inner(grad, v)
         sensitivity_route = disc3.inner(dl, z) + bench.nu * disc3.inner(u, v)
         assert adjoint_route == pytest.approx(sensitivity_route, rel=1e-11, abs=1e-13)
@@ -209,12 +208,13 @@ def test_gradient_sensitivity_route(bench, base_state3, disc3):
 
 def test_hessian_positive_at_solution(bench, disc3, solved3):
     u, y, phi, _ = solved3
-    op = disc3.linearized_operator(u, y)
+    disc3.release_factorization()
+    disc3.solve_adjoint(u, y)  # disc3 keeps the factor of Q(u, y)
     rng = np.random.default_rng(47)
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         v /= disc3.norm(v)
-        hv = hessian_vec(disc3, y, phi, v, op)
+        hv = hessian_vec(disc3, y, phi, v)
         assert disc3.inner(hv, v) > 0.0
 
 

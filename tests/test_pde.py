@@ -79,7 +79,8 @@ def test_newton_residuals_decrease_monotonically(disc3):
     for _ in range(50):
         if rnorm <= 5e-14:
             break
-        step = disc3.linearized_operator(u, y).solve(-disc3.state_residual(u, y))
+        q = disc3.linearized_matrix(u, y)
+        step = LinearizedOperator(q).solve(-disc3.state_residual(u, y))
         scale = 1.0
         for _ in range(31):
             y_new = y + scale * step
@@ -349,9 +350,28 @@ def test_adjoint_constant_solution():
     assert np.max(np.abs(phi - r)) <= 1e-12
 
 
-def test_adjoint_reuses_supplied_factorization(base_state3, disc3):
-    u, y, phi, op = base_state3
-    np.testing.assert_array_equal(disc3.solve_adjoint(u, y, operator=op), phi)
+def test_adjoint_without_a_kept_factor_factors_and_solves_directly(bench):
+    disc = Discretization(bench, build_uniform_mesh(3))
+    u = np.full(disc.n_nodes, 0.5)
+    y = disc.solve_state(u).y
+    disc.release_factorization()
+    factors, pcg = disc.factor_count, disc.pcg_count
+    phi = disc.solve_adjoint(u, y)
+    assert disc.factor_count == factors + 1
+    assert disc.pcg_count == pcg
+    rhs = disc.weights * bench.dL_dy(disc.x, y)
+    exact = LinearizedOperator(disc.linearized_matrix(u, y)).solve(rhs)
+    np.testing.assert_array_equal(phi, exact)
+    np.testing.assert_array_equal(disc.kept_factor.solve(rhs), exact)
+
+
+def test_linearized_solves_need_a_kept_factor(bench):
+    disc = Discretization(bench, build_uniform_mesh(2))
+    y, v = np.ones(disc.n_nodes), np.ones(disc.n_nodes)
+    with pytest.raises(SolverError, match="no factorization"):
+        disc.solve_linearized_state(y, v)
+    with pytest.raises(SolverError, match="no factorization"):
+        disc.solve_linearized_adjoint(y, y, v, v)
 
 
 def test_one_off_adjoint_starts_from_phi_init(bench):
@@ -381,29 +401,29 @@ def test_one_off_adjoint_starts_from_phi_init(bench):
 
 
 def test_linearized_state_zero_direction(base_state3, disc3):
-    _, y, _, op = base_state3
-    z = disc3.solve_linearized_state(y, disc3.zeros(), operator=op)
+    _, y, _ = base_state3
+    z = disc3.solve_linearized_state(y, disc3.zeros())
     assert np.max(np.abs(z)) == 0.0
 
 
 def test_linearized_state_linear_in_direction(base_state3, disc3):
-    _, y, _, op = base_state3
+    _, y, _ = base_state3
     rng = np.random.default_rng(2)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    z = disc3.solve_linearized_state(y, 2.0 * v1 - 3.0 * v2, operator=op)
+    z = disc3.solve_linearized_state(y, 2.0 * v1 - 3.0 * v2)
     z12 = 2.0 * disc3.solve_linearized_state(
-        y, v1, operator=op
-    ) - 3.0 * disc3.solve_linearized_state(y, v2, operator=op)
+        y, v1
+    ) - 3.0 * disc3.solve_linearized_state(y, v2)
     np.testing.assert_allclose(z, z12, rtol=1e-12, atol=1e-15)
 
 
 def test_linearized_state_matches_difference_quotient(base_state3, disc3):
-    u, y, _, op = base_state3
+    u, y, _ = base_state3
     rng = np.random.default_rng(5)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(y, v, operator=op)
+    z = disc3.solve_linearized_state(y, v)
     errs = []
     for t in (1e-2, 1e-3):
         yp = disc3.solve_state(u + t * v).y
@@ -414,12 +434,12 @@ def test_linearized_state_matches_difference_quotient(base_state3, disc3):
 
 
 def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     rng = np.random.default_rng(6)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(y, v, operator=op)
-    eta = disc3.solve_linearized_adjoint(y, phi, z, v, operator=op)
+    z = disc3.solve_linearized_state(y, v)
+    eta = disc3.solve_linearized_adjoint(y, phi, z, v)
     errs = []
     for t in (1e-2, 1e-3):
         php = disc3.solve_adjoint(u + t * v, disc3.solve_state(u + t * v).y)
@@ -431,13 +451,13 @@ def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
 
 def test_linearized_solve_transpose_identity(base_state3, disc3):
     # z_v = Q^{-1}(-W y v) makes (W y w)^T z_v symmetric in v and w
-    _, y, _, op = base_state3
+    _, y, _ = base_state3
     rng = np.random.default_rng(9)
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         w = rng.standard_normal(disc3.n_nodes)
-        zv = disc3.solve_linearized_state(y, v, operator=op)
-        zw = disc3.solve_linearized_state(y, w, operator=op)
+        zv = disc3.solve_linearized_state(y, v)
+        zw = disc3.solve_linearized_state(y, w)
         lhs = float(np.sum(disc3.weights * y * w * zv))
         rhs = float(np.sum(disc3.weights * y * v * zw))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)

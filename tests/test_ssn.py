@@ -1,6 +1,7 @@
 """Outer loop: classification, CG subproblem, convergence, reports."""
 
 import dataclasses
+import gc
 import weakref
 
 import numpy as np
@@ -23,12 +24,14 @@ from ssnbilinear import (
     optimality_residual,
     run_ssn,
     validate,
+    verify_derivatives,
 )
-from ssnbilinear import ssn
+from ssnbilinear import pde, ssn
 from ssnbilinear.expressions import Expression
 from ssnbilinear.objective import _objective, hessian_vec
 from ssnbilinear.pde import MAX_NEWTON, LinearizedOperator, cg_solve, forcing_term
 from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
+from ssnbilinear.verification import VerifySettings
 
 finite_fields = hnp.arrays(
     np.float64,
@@ -200,27 +203,27 @@ def test_negative_curvature_is_solver_error():
 
 
 def test_apply_Mj_vanishes_on_active_set(bench, base_state3, disc3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     sets = classify(bench, y, phi)
     rng = np.random.default_rng(21)
     v = rng.standard_normal(disc3.n_nodes)
-    out = apply_Mj(disc3, y, phi, sets, v, op)
+    out = apply_Mj(disc3, y, phi, sets, v)
     assert np.max(np.abs(out[~sets.inactive])) == 0.0
     # masking the input first changes nothing
     vi = np.where(sets.inactive, v, 0.0)
-    out2 = apply_Mj(disc3, y, phi, sets, vi, op)
+    out2 = apply_Mj(disc3, y, phi, sets, vi)
     np.testing.assert_array_equal(out, out2)
 
 
 def test_apply_Mj_self_adjoint(bench, base_state3, disc3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     sets = classify(bench, y, phi)
     rng = np.random.default_rng(22)
     for _ in range(3):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        a1 = apply_Mj(disc3, y, phi, sets, v1, op)
-        a2 = apply_Mj(disc3, y, phi, sets, v2, op)
+        a1 = apply_Mj(disc3, y, phi, sets, v1)
+        a2 = apply_Mj(disc3, y, phi, sets, v2)
         lhs = disc3.inner(a1, v2)
         rhs = disc3.inner(v1, a2)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
@@ -232,14 +235,14 @@ def test_apply_Mj_scales_hessian_when_nothing_is_active():
     disc = Discretization(spec, build_uniform_mesh(2))
     u = np.zeros(disc.n_nodes)
     y = disc.solve_state(u).y
-    op = disc.linearized_operator(u, y)
-    phi = disc.solve_adjoint(u, y, operator=op)
+    disc.release_factorization()
+    phi = disc.solve_adjoint(u, y)
     sets = classify(spec, y, phi)
     assert np.all(sets.inactive)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(disc.n_nodes)
-    av = apply_Mj(disc, y, phi, sets, v, op)
-    hv = hessian_vec(disc, y, phi, v, op)
+    av = apply_Mj(disc, y, phi, sets, v)
+    hv = hessian_vec(disc, y, phi, v)
     np.testing.assert_allclose(spec.nu * av, hv, atol=1e-13)
 
 
@@ -250,7 +253,8 @@ def one_step(disc, u, y_init=None):
     """One outer iteration from u, its CG run to inner_tol."""
     cfg = SSNConfig()
     state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
-    it = _linearize(disc, u, state.y, refactor=True)
+    disc.release_factorization()
+    it = _linearize(disc, u, state.y)
     u_next, _, _, record = _step(
         disc, 0, it, cfg.inner_tol, disc.n_nodes, state.newton_iters
     )
@@ -258,7 +262,7 @@ def one_step(disc, u, y_init=None):
 
 
 def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     sets = classify(bench, y, phi)
     w = y * phi / bench.nu - u
     w[sets.upper] = bench.beta - u[sets.upper]
@@ -274,19 +278,21 @@ def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
 
 
 def test_step_solves_reduced_system_to_tolerance(bench, disc3, base_state3):
-    u, y, phi, op = base_state3
+    u, y, phi = base_state3
     sets = classify(bench, y, phi)
     w = y * phi / bench.nu - u
     w[sets.upper] = bench.beta - u[sets.upper]
     w[sets.lower] = bench.alpha - u[sets.lower]
     w_active = np.where(sets.inactive, 0.0, w)
-    z_a = disc3.solve_linearized_state(y, w_active, operator=op)
-    eta_a = disc3.solve_linearized_adjoint(y, phi, z_a, w_active, operator=op)
-    rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / bench.nu, 0.0)
-
     u_next, _ = one_step(disc3, u)
+    # the Hessian at the base point again, in place of the step's factor
+    disc3.release_factorization()
+    disc3.solve_adjoint(u, y)
+    z_a = disc3.solve_linearized_state(y, w_active)
+    eta_a = disc3.solve_linearized_adjoint(y, phi, z_a, w_active)
+    rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / bench.nu, 0.0)
     vi = np.where(sets.inactive, u_next - u, 0.0)
-    resid = apply_Mj(disc3, y, phi, sets, vi, op) - rhs
+    resid = apply_Mj(disc3, y, phi, sets, vi) - rhs
     assert disc3.norm(resid) <= 1e-12 * disc3.norm(rhs)
 
 
@@ -312,17 +318,17 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     cfg = SSNConfig()
     u = disc3.zeros()
     state = disc3.solve_state(u, tol=cfg.inner_tol)
-    it = _linearize(disc3, u, state.y, refactor=True)
+    disc3.release_factorization()
+    it = _linearize(disc3, u, state.y)
     assert np.where(it.sets.inactive, 0.0, it.w).any()
     solves = _counting_solves(monkeypatch)
     u_next, y_next, phi_next, record = _step(
         disc3, 0, it, cfg.inner_tol, disc3.n_nodes, state.newton_iters
     )
     assert len(solves) == 2 * record.cg_iters + 2
-    op = disc3.kept_factor
     v = u_next  # u = 0
-    z = disc3.solve_linearized_state(it.y, v, operator=op)
-    eta = disc3.solve_linearized_adjoint(it.y, it.phi, z, v, operator=op)
+    z = disc3.solve_linearized_state(it.y, v)
+    eta = disc3.solve_linearized_adjoint(it.y, it.phi, z, v)
     assert np.max(np.abs(y_next - (it.y + z))) <= 1e-14 * np.max(np.abs(z))
     assert np.max(np.abs(phi_next - (it.phi + eta))) <= 1e-14 * np.max(np.abs(eta))
 
@@ -334,7 +340,8 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     # and Q^-1 0 = 0 needs no solve; the step is the one that solves it
     u, y, _, _ = solved3
     state = disc3.solve_state(u, y_init=y)
-    it = _linearize(disc3, u, state.y, refactor=True)
+    disc3.release_factorization()
+    it = _linearize(disc3, u, state.y)
     sets, w = it.sets, it.w
     w_active = np.where(sets.inactive, 0.0, w)
     assert (~sets.inactive).any() and not w_active.any()
@@ -342,12 +349,11 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     u_next, _, _, record = _step(disc3, 0, it, 1e-12, disc3.n_nodes, 0)
     assert len(solves) == 2 * record.cg_iters
     # the step with the two solves of w_A made: the same bits
-    op = disc3.kept_factor
-    z_a = disc3.solve_linearized_state(it.y, w_active, operator=op)
-    eta_a = disc3.solve_linearized_adjoint(it.y, it.phi, z_a, w_active, operator=op)
+    z_a = disc3.solve_linearized_state(it.y, w_active)
+    eta_a = disc3.solve_linearized_adjoint(it.y, it.phi, z_a, w_active)
     rhs = np.where(sets.inactive, w + (it.phi * z_a + it.y * eta_a) / bench.nu, 0.0)
     v_inactive, cg_iters = cg_solve(
-        lambda p: apply_Mj(disc3, it.y, it.phi, sets, p, op),
+        lambda p: apply_Mj(disc3, it.y, it.phi, sets, p),
         rhs,
         1e-12,
         disc3.n_nodes,
@@ -435,7 +441,7 @@ def test_a_run_ignores_a_factor_its_discretization_holds(bench, level):
     fresh = Discretization(bench, build_uniform_mesh(level))
     *solution, records = run_ssn(fresh)
     disc = Discretization(bench, fresh.mesh)
-    disc.linearized_operator(0.9, 1)
+    disc.solve_adjoint(np.full(disc.n_nodes, 0.9), np.ones(disc.n_nodes))
     *held, held_records = run_ssn(disc)
     assert held_records == records
     assert disc.factor_count == fresh.factor_count + 1
@@ -698,20 +704,21 @@ def test_state_solves_start_from_the_predicted_state(bench, monkeypatch):
 def test_adjoint_solves_start_from_the_predicted_adjoint(bench, monkeypatch):
     # phi_j + eta_j, eta_j the linearized adjoint of step j, is far closer
     # to the adjoint at u_{j+1} than phi_j is; a step that refactors
-    # solves its adjoint directly, from no start
+    # solves its adjoint directly, with no factor kept and from no start
     starts = []
     solve_adjoint = Discretization.solve_adjoint
 
-    def recorded(self, u, y, operator=None, phi_init=None):
-        phi = solve_adjoint(self, u, y, operator=operator, phi_init=phi_init)
-        starts.append((operator, phi_init, phi))
+    def recorded(self, u, y, phi_init=None):
+        direct = self.kept_factor is None
+        phi = solve_adjoint(self, u, y, phi_init=phi_init)
+        starts.append((direct, phi_init, phi))
         return phi
 
     monkeypatch.setattr(Discretization, "solve_adjoint", recorded)
     disc = Discretization(bench, build_uniform_mesh(4))
     _, _, _, records = run_ssn(disc)
     refactored = [True] + [r.delta >= ssn.REFACTOR_STEP for r in records[:-1]]
-    assert [op is not None for op, _, _ in starts] == refactored
+    assert [direct for direct, _, _ in starts] == refactored
     assert [start is None for _, start, _ in starts] == refactored
     warm = [
         (prev, start, phi)
@@ -1008,6 +1015,32 @@ def test_run_releases_its_last_factorization(bench):
     assert all(ref() is None for ref in made)
 
 
+@pytest.mark.parametrize("solve", ["verify-l3-no-pcg", "run-l6"])
+def test_no_older_factorization_is_alive_when_one_is_built(bench, monkeypatch, solve):
+    # a factorization is the memory peak: no older LU may be alive while
+    # the next one is built, also when a one-off solve's PCG gives up and
+    # falls back to a new factor (a budget of 0 makes every one do so)
+    live = weakref.WeakSet()
+    alive = []
+    factor = LinearizedOperator.__init__
+
+    def counted(self, matrix):
+        if live:  # a collection can only lower the count
+            gc.collect()
+        alive.append(len(live))
+        factor(self, matrix)
+        live.add(self)
+
+    monkeypatch.setattr(LinearizedOperator, "__init__", counted)
+    if solve == "verify-l3-no-pcg":
+        monkeypatch.setattr(pde, "PCG_MAX_ITERS", 0)
+        result = verify_derivatives(bench, VerifySettings(level=3))
+        assert result.factor_count > 2 + result.settings.directions
+    else:
+        run_ssn(Discretization(bench, build_uniform_mesh(6)))
+    assert alive and max(alive) == 0
+
+
 def test_ladder_runs_satisfy_projection_identity(ladder_runs):
     for spec, _, u, y, phi, _, _ in ladder_runs.values():
         assert np.max(np.abs(optimality_residual(spec, u, y, phi))) <= 1e-13
@@ -1019,7 +1052,7 @@ def test_final_objective_is_that_of_the_exact_state(ladder_runs):
     for spec, disc, u, y, _, records, _ in ladder_runs.values():
         exact = y.copy()
         for _ in range(3):
-            step = disc.linearized_operator(u, exact).solve(
+            step = LinearizedOperator(disc.linearized_matrix(u, exact)).solve(
                 disc.state_residual(u, exact)
             )
             exact -= step

@@ -14,7 +14,7 @@ from ssnbilinear import (
     format_verification,
     verify_derivatives,
 )
-from ssnbilinear import verification
+from ssnbilinear import pde, verification
 from ssnbilinear.verification import VerifySettings
 
 COARSE = VerifySettings(level=2, directions=2, seed=99)
@@ -112,3 +112,31 @@ def test_verify_fails_on_a_slightly_wrong_derivative(field, factor):
     spec = benchmark_instance()
     wrong = dataclasses.replace(spec, **{field: scaled(getattr(spec, field), factor)})
     assert not verify_derivatives(wrong).passed
+
+
+def test_verify_hessian_products_stay_at_the_base_point(monkeypatch):
+    # with no PCG budget every state solve of the ladders factors Q anew;
+    # each Hessian product must still use the factor of Q at the base
+    # point that evaluate_reduced left
+    monkeypatch.setattr(pde, "PCG_MAX_ITERS", 0)
+    base, used = [], []
+    evaluate_reduced = verification.evaluate_reduced
+    hessian_vec = verification.hessian_vec
+
+    def evaluated(disc, u):
+        ev = evaluate_reduced(disc, u)
+        base.append(disc.kept_factor)
+        return ev
+
+    def recorded(disc, *args):
+        used.append(disc.kept_factor)
+        return hessian_vec(disc, *args)
+
+    monkeypatch.setattr(verification, "evaluate_reduced", evaluated)
+    monkeypatch.setattr(verification, "hessian_vec", recorded)
+    settings = VerifySettings(level=3)
+    result = verify_derivatives(benchmark_instance(), settings)
+    assert result.factor_count > 2 + settings.directions
+    assert len(base) == 1 and base[0] is not None
+    assert len(used) == settings.directions
+    assert all(factor is base[0] for factor in used)
