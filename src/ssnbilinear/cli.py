@@ -26,9 +26,9 @@ solves each level once, and levels = 7 alone solves levels 4-7.  The
 line printed per level counts its own outer iterations.  A run that
 stagnates or exhausts max_outer, on its level or a coarser one, still
 writes its table and stats.json, and hands nothing on; one whose state,
-adjoint or CG solve fails writes its table if it made a row.  A failed
-run removes the files of this list that it does not write, so none left
-by an earlier run reads as its own.
+adjoint or CG solve fails writes its table if it made a row.  Every
+level removes the files of this list from its directory before it runs,
+so none left by an earlier run reads as its own.
 """
 
 import argparse
@@ -67,26 +67,23 @@ def _cmd_run(config: RunConfig) -> int:
         disc = Discretization(config.spec, mesh)
         out_dir = os.path.join(config.output_dir, f"level_{level}")
         os.makedirs(out_dir, exist_ok=True)
+        for name in _RUN_OUTPUTS:
+            path = os.path.join(out_dir, name)
+            if os.path.exists(path):
+                os.remove(path)
         if coarse is not None and not can_start_from(level, coarse[0]):
             coarse = None
         try:
             u, y, phi, records = run_ssn(disc, config.ssn, coarse=coarse)
         except SolverError as exc:
             coarse = None
-            written = []
             # history holds the rows made before the failure
             if exc.history:
                 write_convergence_csv(
                     os.path.join(out_dir, "convergence.csv"), exc.history
                 )
-                written.append("convergence.csv")
                 if exc.history[-1].stop_reason is not None:
                     write_stats(os.path.join(out_dir, "stats.json"), exc.history, disc)
-                    written.append("stats.json")
-            for name in _RUN_OUTPUTS:
-                path = os.path.join(out_dir, name)
-                if name not in written and os.path.exists(path):
-                    os.remove(path)
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             status = 2
             continue

@@ -18,8 +18,6 @@ import configparser
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .expressions import compile_expression
 from .mesh import MAX_LEVEL
@@ -148,20 +146,7 @@ def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
     complete = len(funcs) == len(_PROBLEM_FUNCS) and len(reals) == len(_PROBLEM_REALS)
     if not complete or flux is None:
         return None
-    return ProblemSpec(
-        a=funcs["a"],
-        da_dy=funcs["da_dy"],
-        d2a_dy2=funcs["d2a_dy2"],
-        L=funcs["L"],
-        dL_dy=funcs["dL_dy"],
-        d2L_dy2=funcs["d2L_dy2"],
-        g=flux,
-        alpha=reals["alpha"],
-        beta=reals["beta"],
-        nu=reals["nu"],
-        a0=reals["a0"],
-        diffusion=np.eye(2),
-    )
+    return ProblemSpec(**funcs, g=flux, **reals)
 
 
 def parse_config(path: str) -> RunConfig:

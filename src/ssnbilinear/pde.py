@@ -268,9 +268,6 @@ class Discretization:
         ay = nodal(self.spec.a, self.x, y)
         return self.stiffness @ y + self.weights * (ay + u * y) - self.boundary_load
 
-    def linearized_matrix(self, u: np.ndarray, y: np.ndarray) -> sp.csc_matrix:
-        return self._matrix(self._reaction(u, y))
-
     def _reaction(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The diagonal w*(da_dy(x, y) + u) that Q(u, y) adds to K."""
         return self.weights * (nodal(self.spec.da_dy, self.x, y) + u)

@@ -56,11 +56,12 @@ is set low enough for that (see SSNConfig).  Every level appends its rows
 to the run's records, with j from 0; the refactoring rule and the
 stagnation test read only the level's own rows.  A level below k is
 solved on its own Discretization, which lives only for that level's
-solve, and whose work counters are added to the run's.  A caller that
-has already solved a coarser level of the same problem hands its
-solution to run_ssn as coarse, and the loop starts above it from its
-prolonged control and state, the start the loop would have computed
-itself, so a sweep over levels solves each one once.
+solve, and whose work counters are added to the run's; the level loop
+releases each level's last LU when the level ends, whatever its
+outcome.  A caller that has already solved a coarser level of the same
+problem hands its solution to run_ssn as coarse, and the loop starts
+above it from its prolonged control and state, the start the loop would
+have computed itself, so a sweep over levels solves each one once.
 
 Outer step j is an inexact semismooth Newton step.  After the state and
 adjoint solves at u_j, w = -F(u_j) at every node, so the residual
@@ -393,70 +394,65 @@ def _solve_level(
     """The outer loop on disc's mesh from the control u and state start y.
 
     y = None solves the level cold: its state solve starts from zero.
-    Appends the level's rows to records and returns (u, y, phi) once it
-    meets outer_tol; a stop on stagnation or budget raises SolverError.
+    disc keeps no factor on entry (run_ssn releases it), and keeps the
+    level's last LU on return, also when the level fails; only an outer
+    step that refactors releases one here.  Appends the level's rows to
+    records and returns (u, y, phi) once it meets outer_tol; a stop on
+    stagnation or budget raises SolverError.
     """
     level = disc.mesh.level
     cold = y is None
-    # a factor kept from an earlier solve on disc preconditions nothing here
-    disc.release_factorization()
-    try:
-        floor = step_floor(disc.n_nodes)
-        max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
-        last: IterationRecord | None = None
-        phi: np.ndarray | None = None
-        reason = None
-        for j in range(cfg.max_outer + 1):
-            state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
-            if last is not None:
-                refactor = last.delta >= REFACTOR_STEP
-            else:
-                # a warm state solve that took no Newton step factored nothing
-                refactor = cold or disc.kept_factor is None
-            if refactor:
-                # the adjoint factors Q(u, y) and solves directly: neither
-                # the old LU nor a start is alive while the new one is built
-                disc.release_factorization()
-                phi = None
-            it = _linearize(disc, u, state.y, phi)
-            if it.residual <= cfg.outer_tol:
-                reason = "residual"
-            elif last is not None and last.delta < floor:
-                reason = "stagnation"
-            elif j == cfg.max_outer:
-                reason = "budget"
-            if reason is not None:
-                break
-            eta = forcing_term(
-                it.residual ** (1.0 + CG_FORCING_THETA),
-                it.residual,
-                CG_TOL_SHARE * cfg.outer_tol,
-                cfg.inner_tol,
-                CG_ETA_MAX,
-            )
-            u, y, phi, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
-            records.append(last)
-            # the next iteration's factorization is a run's memory peak:
-            # this iteration's arrays need not be alive for it
-            del it, state
-        # the state error Q^-1 r moves J by -phi.r to first order
-        r = disc.state_residual(u, it.y)
-        records.append(
-            IterationRecord(
-                level=level,
-                j=j,
-                J=_objective(disc, u, it.y) - float(it.phi @ r),
-                delta=None,
-                newton_iters=state.newton_iters,
-                cg_iters=None,
-                measures=None,
-                residual=it.residual,
-                stop_reason=reason,
-            )
+    floor = step_floor(disc.n_nodes)
+    max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
+    last: IterationRecord | None = None
+    phi: np.ndarray | None = None
+    reason = None
+    for j in range(cfg.max_outer + 1):
+        state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
+        # a warm level keeps the factor its state solve's first Newton step
+        # made; with none kept, the adjoint factors Q itself
+        refactor = cold if last is None else last.delta >= REFACTOR_STEP
+        if refactor:
+            # the adjoint factors Q(u, y) and solves directly: neither
+            # the old LU nor a start is alive while the new one is built
+            disc.release_factorization()
+            phi = None
+        it = _linearize(disc, u, state.y, phi)
+        if it.residual <= cfg.outer_tol:
+            reason = "residual"
+        elif last is not None and last.delta < floor:
+            reason = "stagnation"
+        elif j == cfg.max_outer:
+            reason = "budget"
+        if reason is not None:
+            break
+        eta = forcing_term(
+            it.residual ** (1.0 + CG_FORCING_THETA),
+            it.residual,
+            CG_TOL_SHARE * cfg.outer_tol,
+            cfg.inner_tol,
+            CG_ETA_MAX,
         )
-    finally:
-        # the caller's disc outlives the run; its last LU need not
-        disc.release_factorization()
+        u, y, phi, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
+        records.append(last)
+        # the next iteration's factorization is a run's memory peak:
+        # this iteration's arrays need not be alive for it
+        del it, state
+    # the state error Q^-1 r moves J by -phi.r to first order
+    r = disc.state_residual(u, it.y)
+    records.append(
+        IterationRecord(
+            level=level,
+            j=j,
+            J=_objective(disc, u, it.y) - float(it.phi @ r),
+            delta=None,
+            newton_iters=state.newton_iters,
+            cg_iters=None,
+            measures=None,
+            residual=it.residual,
+            stop_reason=reason,
+        )
+    )
 
     if reason == "residual":
         return it.u, it.y, it.phi
@@ -523,6 +519,11 @@ def run_ssn(
     or arrays with other than one value per node of that level, raise
     ConfigurationError.
 
+    The run releases disc's kept factor on entry, so no factor of an
+    earlier solve preconditions its own, and releases each level's last
+    LU when that level ends, whatever its outcome: disc keeps no factor
+    after the run.
+
     The structural invariants of disc.spec (bounds, nu, a0, da_dy >= a0,
     diffusion), which make every linearized operator positive definite,
     are checked first, once for all levels.  The sampled
@@ -530,6 +531,8 @@ def run_ssn(
     repeated here: config files run it at load time unless fd_check =
     off, and validate(spec) runs it for library callers.
     """
+    # a factor kept from an earlier solve on disc preconditions nothing here
+    disc.release_factorization()
     cfg = cfg if cfg is not None else SSNConfig()
     if coarse is not None:
         _check_coarse(disc, coarse)
@@ -556,6 +559,8 @@ def run_ssn(
             try:
                 u, y, phi = _solve_level(level_disc, cfg, u, y, records)
             finally:
+                # the caller's disc outlives the run; no level's LU need
+                level_disc.release_factorization()
                 if level < top:
                     disc.add_work(level_disc)
     except SolverError as exc:
@@ -589,11 +594,7 @@ def complementarity_report(
     tol_sigma: float = 1e-8,
 ) -> ComplementarityReport:
     spec = disc.spec
-    at_upper = (
-        np.abs(u - spec.beta) <= tol_sigma
-        if np.isfinite(spec.beta)
-        else np.zeros(len(u), dtype=bool)
-    )
+    at_upper = np.abs(u - spec.beta) <= tol_sigma
     at_lower = np.abs(u - spec.alpha) <= tol_sigma
     interior = ~(at_upper | at_lower)
     grad = spec.nu * u - y * phi

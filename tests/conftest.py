@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 from ssnbilinear import Discretization, benchmark_instance, build_uniform_mesh, run_ssn
+from ssnbilinear.problem import nodal
 
 # Solver-backed property tests are not wall-clock uniform; disable deadlines.
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
+
+
+def linearized_matrix(disc, u, y):
+    """Q(u, y) = K + diag(w*(da_dy(x, y) + u)) in CSC, assembled as disc
+    assembles it, so factors of it match disc's bit for bit."""
+    d = disc.weights * (nodal(disc.spec.da_dy, disc.x, y) + u)
+    return (disc.stiffness + sp.diags(d)).tocsc()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ssnbilinear import NegativeCurvatureError, ssn
-from ssnbilinear.cli import main
+from ssnbilinear.cli import _RUN_OUTPUTS, main
 from ssnbilinear.outputs import CSV_HEADER
 
 
@@ -291,6 +291,31 @@ def test_failed_run_removes_the_outputs_of_an_earlier_run(tmp_path, monkeypatch)
     assert main(["run", cfg]) == 2
     assert [p.name for p in level_dir.iterdir()] == ["convergence.csv"]
     assert len((level_dir / "convergence.csv").read_text().splitlines()) == 2
+
+
+def test_run_without_fields_removes_the_fields_of_an_earlier_run(tmp_path):
+    # a run with fields, then one without into the same directory: only
+    # the new run's files are left
+    out_dir = str(tmp_path / "results")
+    assert main(["run", benchmark_cfg(tmp_path, out_dir, levels=3)]) == 0
+    level_dir = Path(out_dir, "level_3")
+    assert sorted(p.name for p in level_dir.iterdir()) == sorted(_RUN_OUTPUTS)
+    cfg = benchmark_cfg(tmp_path, out_dir, extra="write_fields = off\n", levels=3)
+    assert main(["run", cfg]) == 0
+    assert sorted(p.name for p in level_dir.iterdir()) == [
+        "complementarity.txt",
+        "convergence.csv",
+        "stats.json",
+    ]
+
+
+def test_readme_output_list_is_the_run_outputs():
+    # the files every level removes before it runs are those README lists
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Outputs", 1)[1]
+    block = section.split("```", 2)[1]
+    names = [line.split()[0].rsplit("/", 1)[1] for line in block.split("\n")[1:-1]]
+    assert tuple(names) == _RUN_OUTPUTS
 
 
 # README expression problem with dL_dy and d2L_dy2 both 1% too large: the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import linearized_matrix
 
 from ssnbilinear import (
     Discretization,
@@ -79,7 +80,7 @@ def test_newton_residuals_decrease_monotonically(disc3):
     for _ in range(50):
         if rnorm <= 5e-14:
             break
-        q = disc3.linearized_matrix(u, y)
+        q = linearized_matrix(disc3, u, y)
         step = LinearizedOperator(q).solve(-disc3.state_residual(u, y))
         scale = 1.0
         for _ in range(31):
@@ -122,8 +123,8 @@ def test_pcg_past_the_cap_factors_directly():
     disc = Discretization(linear_problem(), build_uniform_mesh(4))
     disc.solve_state(disc.zeros())
     u = np.random.default_rng(3).uniform(0.0, 1e6, disc.n_nodes)
-    q = disc.linearized_matrix(u, disc.zeros())
-    kept = LinearizedOperator(disc.linearized_matrix(disc.zeros(), disc.zeros()))
+    q = linearized_matrix(disc, u, disc.zeros())
+    kept = LinearizedOperator(linearized_matrix(disc, disc.zeros(), disc.zeros()))
     for rtol in (PCG_RTOL, NEWTON_ETA_MAX):
         with pytest.raises(SolverError, match="no convergence"):
             cg_solve(
@@ -146,7 +147,7 @@ def test_fallback_on_a_later_newton_step():
     disc = Discretization(linear_problem(), build_uniform_mesh(4))
     disc.solve_state(disc.zeros())
     u = np.random.default_rng(3).uniform(0.0, 1e4, disc.n_nodes)
-    q = disc.linearized_matrix(u, disc.zeros())
+    q = linearized_matrix(disc, u, disc.zeros())
     report = disc.solve_state(u)
     assert disc.factor_count == 2
     assert report.newton_iters == 2
@@ -160,7 +161,7 @@ def test_linear_state_solve_without_a_new_factorization():
     u = np.random.default_rng(4).uniform(0.0, 1.0, disc.n_nodes)
     report = disc.solve_state(u)
     assert disc.factor_count == 1
-    direct = spla.spsolve(disc.linearized_matrix(u, disc.zeros()), disc.weights)
+    direct = spla.spsolve(linearized_matrix(disc, u, disc.zeros()), disc.weights)
     assert np.max(np.abs(report.y - direct)) <= 1e-12
 
 
@@ -206,7 +207,7 @@ def test_newton_steps_meet_their_forcing_terms(bench):
             if factored:
                 continue
             assert eta <= 1e-2
-            q = disc.linearized_matrix(u_k, y_k)
+            q = linearized_matrix(disc, u_k, y_k)
             assert np.linalg.norm(q @ x - rhs) <= eta * np.linalg.norm(rhs)
             checked += 1
     assert checked >= 6
@@ -360,7 +361,7 @@ def test_adjoint_without_a_kept_factor_factors_and_solves_directly(bench):
     assert disc.factor_count == factors + 1
     assert disc.pcg_count == pcg
     rhs = disc.weights * bench.dL_dy(disc.x, y)
-    exact = LinearizedOperator(disc.linearized_matrix(u, y)).solve(rhs)
+    exact = LinearizedOperator(linearized_matrix(disc, u, y)).solve(rhs)
     np.testing.assert_array_equal(phi, exact)
     np.testing.assert_array_equal(disc.kept_factor.solve(rhs), exact)
 
@@ -382,7 +383,7 @@ def test_one_off_adjoint_starts_from_phi_init(bench):
     disc.solve_state(disc.zeros())
     u = np.full(disc.n_nodes, 0.5)
     y = disc.solve_state(u).y
-    q = disc.linearized_matrix(u, y)
+    q = linearized_matrix(disc, u, y)
     rhs = disc.weights * bench.dL_dy(disc.x, y)
     exact = LinearizedOperator(q).solve(rhs)
     assert np.linalg.norm(rhs - q @ exact) <= PCG_RTOL * np.linalg.norm(rhs)
@@ -469,7 +470,7 @@ def test_operator_positive_definite_for_admissible_controls(bench):
     disc = Discretization(bench, mesh)
     u = np.full(disc.n_nodes, bench.alpha)
     y = disc.solve_state(u).y
-    q = disc.linearized_matrix(u, y).toarray()
+    q = linearized_matrix(disc, u, y).toarray()
     eigs = np.linalg.eigvalsh(q)
     assert eigs[0] > 0.0
 
@@ -480,7 +481,7 @@ def test_symmetric_mode_factor_is_sparse_and_accurate(bench):
     disc = Discretization(bench, build_uniform_mesh(6))
     u = np.zeros(disc.n_nodes)
     y = disc.solve_state(u).y
-    q = disc.linearized_matrix(u, y)
+    q = linearized_matrix(disc, u, y)
     assert q.format == "csc"
     op = LinearizedOperator(q)
     assert op._lu.L.nnz + op._lu.U.nnz <= 140_000

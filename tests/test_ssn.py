@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import linearized_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -1000,17 +1001,29 @@ def test_coarse_levels_are_dropped_before_the_fine_state_solve(bench, monkeypatc
     assert alive == {4: 0, 5: 0, 6: 0, 7: 0}
 
 
-def test_run_releases_its_last_factorization(bench):
+@pytest.mark.parametrize(
+    "level, cfg, stop",
+    [(3, SSNConfig(), None), (5, SSNConfig(max_outer=1), (4, "budget"))],
+    ids=["converged", "budget"],
+)
+def test_run_releases_its_last_factorization(bench, monkeypatch, level, cfg, stop):
+    # every level's LU dies with its level, also that of a level that fails
     made = []
+    factor = Discretization._factor
 
-    class Recording(Discretization):
-        def _factor(self, matrix):
-            op = super()._factor(matrix)
-            made.append(weakref.ref(op))
-            return op
+    def recorded(self, matrix):
+        op = factor(self, matrix)
+        made.append(weakref.ref(op))
+        return op
 
-    disc = Recording(bench, build_uniform_mesh(3))
-    run_ssn(disc)
+    monkeypatch.setattr(Discretization, "_factor", recorded)
+    disc = Discretization(bench, build_uniform_mesh(level))
+    stopped = None
+    try:
+        run_ssn(disc, cfg)
+    except SolverError as exc:
+        stopped = exc.history[-1].level, exc.history[-1].stop_reason
+    assert stopped == stop
     assert len(made) == disc.factor_count >= 2
     assert all(ref() is None for ref in made)
 
@@ -1052,7 +1065,7 @@ def test_final_objective_is_that_of_the_exact_state(ladder_runs):
     for spec, disc, u, y, _, records, _ in ladder_runs.values():
         exact = y.copy()
         for _ in range(3):
-            step = LinearizedOperator(disc.linearized_matrix(u, exact)).solve(
+            step = LinearizedOperator(linearized_matrix(disc, u, exact)).solve(
                 disc.state_residual(u, exact)
             )
             exact -= step

@@ -22,7 +22,6 @@ Newton steps of the state solves must match the result's newton_count.
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
     cli,
+    objective,
     run_ssn,
     ssn,
     verification,
@@ -40,9 +40,6 @@ from ssnbilinear import (
 from ssnbilinear.pde import LinearizedOperator
 from ssnbilinear.ssn import COARSE_START_LEVEL
 from ssnbilinear.verification import CURV_STEPS, GRAD_STEPS, VerifySettings
-
-# the package re-exports a function named objective over the submodule
-objective = sys.modules["ssnbilinear.objective"]
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
