@@ -8,7 +8,7 @@ the PDE solve:
 With lumped quadrature throughout, the discrete gradient has the exact
 pointwise representation  grad(u) = nu*u - y*phi  (phi the adjoint state),
 and a Hessian-vector product costs one linearized state solve plus one
-linearized adjoint solve:
+linearized adjoint solve, the pair Discretization.hessian_term makes:
 
     H v = nu*v - (phi*z_v + y*eta_v).
 
@@ -57,21 +57,11 @@ def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(disc.weights * integrand))
 
 
-def _hessian_term(
-    disc: Discretization, y: np.ndarray, phi: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi*z_v + y*eta_v, z_v, eta_v): the linearized state and adjoint
-    solves for v by disc's kept factor, and the term they make."""
-    z = disc.solve_linearized_state(y, v)
-    eta = disc.solve_linearized_adjoint(y, phi, z, v)
-    return phi * z + y * eta, z, eta
-
-
 def hessian_vec(
     disc: Discretization, y: np.ndarray, phi: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """Apply the reduced Hessian at (y, phi) to v, by disc's kept factor."""
-    return disc.spec.nu * v - _hessian_term(disc, y, phi, v)[0]
+    return disc.spec.nu * v - disc.hessian_term(y, phi, v)[0]
 
 
 def evaluate_reduced(disc: Discretization, u: np.ndarray) -> ReducedEval:

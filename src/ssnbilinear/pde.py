@@ -14,8 +14,9 @@ with K the stiffness matrix and w the lumped mass weights:
 Q is symmetric, and positive definite whenever da_dy + u > 0 at every
 node.  Every solve with Q goes through the Discretization, which keeps
 at most one sparse direct factorization of it.  The linearized state and
-adjoint solves (the Hessian products of the outer loop's CG and of
-`verify`) are solved by the kept factor, whatever Q it was made for; a
+adjoint solves come in pairs, one pair per reduced Hessian product (of
+the outer loop's CG and of `verify`), and Discretization.hessian_term
+makes each pair by the kept factor, whatever Q it was made for; a
 caller that wants the Q at (u, y) releases the factor and makes one
 solve at (u, y), which factors that Q.  The outer loop does so only in
 its first steps and keeps the factor through the later ones, and on a
@@ -227,12 +228,13 @@ class Discretization:
     instance, which the outer loop keeps alive for its whole run.
 
     The instance keeps its most recent factorization, which solves the
-    linearized state and adjoint and preconditions one-off solves (at most
-    one is kept; release_factorization drops it).  It counts the
-    factorizations it makes in factor_count, the preconditioner
-    applications of its PCG solves in pcg_count, the state Newton steps in
-    newton_count, and those accepted after every halving failed in
-    halvings_exhausted.
+    linearized state and adjoint of hessian_term and preconditions one-off
+    solves (at most one is kept; release_factorization drops it).
+    hessian_term and _solve_once are the only code that solves with it.
+    It counts the factorizations it makes in factor_count, the
+    preconditioner applications of its PCG solves in pcg_count, the state
+    Newton steps in newton_count, and those accepted after every halving
+    failed in halvings_exhausted.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -342,7 +344,6 @@ class Discretization:
         u: np.ndarray,
         y_init: np.ndarray | None = None,
         tol: float = DEFAULT_TOL,
-        max_newton: int = MAX_NEWTON,
     ) -> StateSolveReport:
         """Inexact damped Newton iteration on the state equation.
 
@@ -367,9 +368,9 @@ class Discretization:
                 )
             if rnorm <= tol:
                 break
-            if iters >= max_newton:
+            if iters >= MAX_NEWTON:
                 raise SolverError(
-                    f"state solve: no convergence in {max_newton} Newton "
+                    f"state solve: no convergence in {MAX_NEWTON} Newton "
                     f"iterations (residual {rnorm:.3e}, tol {tol:.3e})",
                     history=history,
                 )
@@ -412,20 +413,18 @@ class Discretization:
         rhs = self.weights * nodal(self.spec.dL_dy, self.x, y)
         return self._solve_once(u, y, rhs, x0=phi_init)
 
-    def _kept(self) -> LinearizedOperator:
-        if self._last_factor is None:
+    def hessian_term(
+        self, y: np.ndarray, phi: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phi*z + y*eta, z, eta): the linearized state z and adjoint eta
+        of the direction v (see the module docstring), solved by the kept
+        factor, and the term the reduced Hessian subtracts from nu*v."""
+        factor = self._last_factor
+        if factor is None:
             raise SolverError("linearized solve: no factorization is kept")
-        return self._last_factor
-
-    def solve_linearized_state(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Q z = -w * y * v, by the kept factor."""
-        return self._kept().solve(-(self.weights * y * v))
-
-    def solve_linearized_adjoint(
-        self, y: np.ndarray, phi: np.ndarray, z: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
-        """Q eta = w * ((d2L_dy2 - phi*d2a_dy2)*z - phi*v), by the kept factor."""
+        z = factor.solve(-(self.weights * y * v))
         curv = nodal(self.spec.d2L_dy2, self.x, y) - phi * nodal(
             self.spec.d2a_dy2, self.x, y
         )
-        return self._kept().solve(self.weights * (curv * z - phi * v))
+        eta = factor.solve(self.weights * (curv * z - phi * v))
+        return phi * z + y * eta, z, eta

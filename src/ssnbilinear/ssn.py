@@ -14,13 +14,13 @@ with inner = Discretization.inner, the routine the one-off PDE solves
 run too.  Its typed failures reach the caller: NegativeCurvatureError
 when the reduced Hessian is not positive definite on the inactive set,
 SolverError on a nonfinite value or an exhausted max_cg budget, each
-with the table rows made so far.  One CG operator application costs two
-linear PDE solves with the factorization of the operator Q(u, y) of the
-linearized equations that the Discretization keeps (see pde): the
-linearized state z and adjoint eta of its direction.  The right-hand
-side costs two more for the correction w_A on the active sets, and none
-when w_A is zero, as it is once the active nodes sit on their bounds
-(Q^-1 0 = 0).
+with the table rows made so far.  One CG operator application is one
+Discretization.hessian_term: two linear PDE solves with the
+factorization of the operator Q(u, y) of the linearized equations that
+the Discretization keeps (see pde), the linearized state z and adjoint
+eta of its direction.  The right-hand side costs one more, two solves,
+for the correction w_A on the active sets, and none when w_A is zero, as
+it is once the active nodes sit on their bounds (Q^-1 0 = 0).
 
 Q(u_j, y_j) is factored afresh only at j = 0 and after a scaled step
 delta_{j-1} of at least REFACTOR_STEP.  Once the steps are small u hardly
@@ -133,7 +133,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .mesh import build_uniform_mesh, prolong
-from .objective import _hessian_term, _objective
+from .objective import _objective
 from .pde import DEFAULT_TOL, Discretization, cg_solve, forcing_term
 from .problem import ProblemSpec, validate
 
@@ -215,8 +215,9 @@ class SSNConfig:
     adjoint is within 1.2e-14 relative of the exact one, and F at the
     exact adjoint reads the same.  inner_tol is
     the tolerance of the state solves and the smallest relative tolerance
-    of the outer CG.  max_outer and max_cg hold per level; max_cg = None
-    means "number of nodes".  u0 is the constant control that the first
+    of the outer CG; both are positive and finite.  max_outer and max_cg
+    hold per level, each at least 1; max_cg = None means "number of
+    nodes".  u0 is the constant control that the first
     level a run solves starts from, a finite real.
     """
 
@@ -227,10 +228,12 @@ class SSNConfig:
     u0: float = 0.0
 
     def __post_init__(self):
-        if not self.outer_tol > 0 or not self.inner_tol > 0:
-            raise ConfigurationError("tolerances must be positive")
+        if not (0 < self.outer_tol < np.inf and 0 < self.inner_tol < np.inf):
+            raise ConfigurationError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ConfigurationError("max_outer must be at least 1")
+        if self.max_cg is not None and self.max_cg < 1:
+            raise ConfigurationError("max_cg must be at least 1")
         if not isinstance(self.u0, Real) or not np.isfinite(self.u0):
             raise ConfigurationError(f"u0 must be a finite real, got {self.u0!r}")
 
@@ -259,28 +262,6 @@ def classify(spec: ProblemSpec, y: np.ndarray, phi: np.ndarray) -> ActiveSets:
     upper = yphi >= spec.nu * spec.beta
     lower = yphi <= spec.nu * spec.alpha
     return ActiveSets(upper=upper, lower=lower, inactive=~(upper | lower))
-
-
-def apply_Mj(
-    disc: Discretization,
-    y: np.ndarray,
-    phi: np.ndarray,
-    sets: ActiveSets,
-    v: np.ndarray,
-    solved: list | None = None,
-) -> np.ndarray:
-    """CG operator: (1/nu) * reduced Hessian restricted to the inactive set.
-
-    v is masked to the inactive set, z and eta are solved with load
-    chi_I*v by disc's kept factor, and the result
-    chi_I*(v - (phi*z + eta*y)/nu) is returned.
-    A list passed as solved is set to [z, eta].
-    """
-    vi = np.where(sets.inactive, v, 0.0)
-    term, z, eta = _hessian_term(disc, y, phi, vi)
-    if solved is not None:
-        solved[:] = z, eta
-    return np.where(sets.inactive, vi - term / disc.spec.nu, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,21 +323,26 @@ def _step(
     y, phi, sets, w = it.y, it.phi, it.sets, it.w
     w_active = np.where(sets.inactive, 0.0, w)
     if w_active.any():
-        term, z_v, eta_v = _hessian_term(disc, y, phi, w_active)
+        term, z_v, eta_v = disc.hessian_term(y, phi, w_active)
         rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
     else:  # Q^-1 0 = 0: no solves, and w + 0 / nu = w
         z_v, eta_v = disc.zeros(), disc.zeros()
         rhs = np.where(sets.inactive, w, 0.0)
-    solved: list[np.ndarray] = []
+    z_p = eta_p = None
 
     def apply(p):
-        return apply_Mj(disc, y, phi, sets, p, solved)
+        # (1/nu) * the reduced Hessian on the inactive set: chi_I*(p_I -
+        # (phi*z + y*eta)/nu), z and eta those of p_I = chi_I*p
+        nonlocal z_p, eta_p
+        vi = np.where(sets.inactive, p, 0.0)
+        term, z_p, eta_p = disc.hessian_term(y, phi, vi)
+        return np.where(sets.inactive, vi - term / spec.nu, 0.0)
 
     def add_solves(step):
         # z and eta are linear in v: CG's x += step * p adds step times p's
         nonlocal z_v, eta_v
-        z_v += step * solved[0]
-        eta_v += step * solved[1]
+        z_v += step * z_p
+        eta_v += step * eta_p
 
     v_inactive, cg_iters = cg_solve(
         apply, rhs, eta, max_cg, inner=disc.inner, on_step=add_solves

@@ -59,6 +59,8 @@ class VerifySettings:
             raise ConfigurationError(f"level {self.level} outside [1, {MAX_LEVEL}]")
         if self.directions < 1:
             raise ConfigurationError("directions must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

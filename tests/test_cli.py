@@ -369,6 +369,18 @@ def test_verify_verb(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[problem]\npreset = benchmark\n\n[mesh]\nlevels = 2\n\n"
+        "[verify]\nlevel = 2\nseed = -1\n",
+    )
+    assert main(["verify", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "[verify] seed must be nonnegative, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_config_is_usage_error(capsys):
     assert main(["run", "/nonexistent.cfg"]) == 1
     assert "not found" in capsys.readouterr().err

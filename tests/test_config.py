@@ -185,12 +185,16 @@ def test_ssn_overrides(tmp_path):
     "extra, fragment",
     [
         ("[ssn]\nouter_tol = 0\n", "positive"),
+        ("[ssn]\nouter_tol = inf\n", r"\[ssn\] tolerances must be positive and finite"),
+        ("[ssn]\ninner_tol = inf\n", r"\[ssn\] tolerances must be positive and finite"),
+        ("[ssn]\nmax_cg = 0\n", r"\[ssn\] max_cg must be at least 1"),
         ("[ssn]\nmax_outer = 0\n", "at least 1"),
         ("[ssn]\nmax_outer = soon\n", "integer"),
         ("[ssn]\nu0 = nan\n", r"\[ssn\] u0 must be a finite real"),
         ("[ssn]\nu0 = inf\n", r"\[ssn\] u0 must be a finite real"),
         ("[verify]\nlevel = 0\n", "outside"),
         ("[verify]\ndirections = 0\n", "at least 1"),
+        ("[verify]\nseed = -1\n", r"\[verify\] seed must be nonnegative, got -1"),
         ("[output]\nwrite_fields = maybe\n", "on/off"),
     ],
 )

@@ -67,6 +67,7 @@ def test_check_derivatives_script():
         (("13",), "level 13 outside [1, 12]"),
         (("3", "x"), "invalid literal for int()"),
         (("3", "2", "1", "5"), "positional arguments"),
+        (("2", "1", "-5"), "seed must be nonnegative, got -5"),
     ],
 )
 def test_check_derivatives_script_rejects_bad_arguments(args, message):

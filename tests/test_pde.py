@@ -16,6 +16,7 @@ from ssnbilinear import (
     benchmark_instance,
     build_uniform_mesh,
 )
+from ssnbilinear import pde
 from ssnbilinear.pde import (
     DEFAULT_TOL,
     NEWTON_ETA_MAX,
@@ -253,14 +254,15 @@ def test_pcg_never_returns_an_unconverged_iterate():
         )
 
 
-def test_state_solve_iteration_budget():
+def test_state_solve_iteration_budget(monkeypatch):
     disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
+    monkeypatch.setattr(pde, "MAX_NEWTON", 0)
     with pytest.raises(SolverError) as exc:
-        disc.solve_state(disc.zeros(), max_newton=0)
+        disc.solve_state(disc.zeros())
     assert len(exc.value.history) == 1
 
 
-def test_exhausted_halvings_are_counted():
+def test_exhausted_halvings_are_counted(monkeypatch):
     # a step along +Q^-1 r raises the residual at every length, so every
     # halving fails: each such step is still accepted, and counted
     class Uphill(Discretization):
@@ -271,8 +273,9 @@ def test_exhausted_halvings_are_counted():
             return -step if self.uphill else step
 
     disc = Uphill(benchmark_instance(), build_uniform_mesh(2))
-    with pytest.raises(SolverError) as exc:
-        disc.solve_state(disc.zeros(), max_newton=3)
+    with monkeypatch.context() as patched, pytest.raises(SolverError) as exc:
+        patched.setattr(pde, "MAX_NEWTON", 3)
+        disc.solve_state(disc.zeros())
     history = exc.value.history
     stalls = sum(1 for old, new in zip(history, history[1:]) if new >= old)
     assert disc.halvings_exhausted == stalls == 3
@@ -370,9 +373,7 @@ def test_linearized_solves_need_a_kept_factor(bench):
     disc = Discretization(bench, build_uniform_mesh(2))
     y, v = np.ones(disc.n_nodes), np.ones(disc.n_nodes)
     with pytest.raises(SolverError, match="no factorization"):
-        disc.solve_linearized_state(y, v)
-    with pytest.raises(SolverError, match="no factorization"):
-        disc.solve_linearized_adjoint(y, y, v, v)
+        disc.hessian_term(y, y, v)
 
 
 def test_one_off_adjoint_starts_from_phi_init(bench):
@@ -402,29 +403,29 @@ def test_one_off_adjoint_starts_from_phi_init(bench):
 
 
 def test_linearized_state_zero_direction(base_state3, disc3):
-    _, y, _ = base_state3
-    z = disc3.solve_linearized_state(y, disc3.zeros())
-    assert np.max(np.abs(z)) == 0.0
+    _, y, phi = base_state3
+    for out in disc3.hessian_term(y, phi, disc3.zeros()):
+        assert np.max(np.abs(out)) == 0.0
 
 
 def test_linearized_state_linear_in_direction(base_state3, disc3):
-    _, y, _ = base_state3
+    _, y, phi = base_state3
     rng = np.random.default_rng(2)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    z = disc3.solve_linearized_state(y, 2.0 * v1 - 3.0 * v2)
-    z12 = 2.0 * disc3.solve_linearized_state(
-        y, v1
-    ) - 3.0 * disc3.solve_linearized_state(y, v2)
+    z = disc3.hessian_term(y, phi, 2.0 * v1 - 3.0 * v2)[1]
+    z12 = 2.0 * disc3.hessian_term(y, phi, v1)[1] - 3.0 * disc3.hessian_term(
+        y, phi, v2
+    )[1]
     np.testing.assert_allclose(z, z12, rtol=1e-12, atol=1e-15)
 
 
 def test_linearized_state_matches_difference_quotient(base_state3, disc3):
-    u, y, _ = base_state3
+    u, y, phi = base_state3
     rng = np.random.default_rng(5)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(y, v)
+    z = disc3.hessian_term(y, phi, v)[1]
     errs = []
     for t in (1e-2, 1e-3):
         yp = disc3.solve_state(u + t * v).y
@@ -439,8 +440,7 @@ def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
     rng = np.random.default_rng(6)
     v = rng.standard_normal(disc3.n_nodes)
     v /= disc3.norm(v)
-    z = disc3.solve_linearized_state(y, v)
-    eta = disc3.solve_linearized_adjoint(y, phi, z, v)
+    _, _, eta = disc3.hessian_term(y, phi, v)
     errs = []
     for t in (1e-2, 1e-3):
         php = disc3.solve_adjoint(u + t * v, disc3.solve_state(u + t * v).y)
@@ -452,13 +452,13 @@ def test_linearized_adjoint_matches_difference_quotient(base_state3, disc3):
 
 def test_linearized_solve_transpose_identity(base_state3, disc3):
     # z_v = Q^{-1}(-W y v) makes (W y w)^T z_v symmetric in v and w
-    _, y, _ = base_state3
+    _, y, phi = base_state3
     rng = np.random.default_rng(9)
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         w = rng.standard_normal(disc3.n_nodes)
-        zv = disc3.solve_linearized_state(y, v)
-        zw = disc3.solve_linearized_state(y, w)
+        zv = disc3.hessian_term(y, phi, v)[1]
+        zw = disc3.hessian_term(y, phi, w)[1]
         lhs = float(np.sum(disc3.weights * y * w * zv))
         rhs = float(np.sum(disc3.weights * y * v * zw))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-14)

@@ -31,7 +31,7 @@ from ssnbilinear import pde, ssn
 from ssnbilinear.expressions import Expression
 from ssnbilinear.objective import _objective, hessian_vec
 from ssnbilinear.pde import MAX_NEWTON, LinearizedOperator, cg_solve, forcing_term
-from ssnbilinear.ssn import _linearize, _step, apply_Mj, classify, step_floor
+from ssnbilinear.ssn import _linearize, _step, classify, step_floor
 from ssnbilinear.verification import VerifySettings
 
 finite_fields = hnp.arrays(
@@ -203,47 +203,68 @@ def test_negative_curvature_is_solver_error():
 # --- CG operator ---------------------------------------------------------
 
 
-def test_apply_Mj_vanishes_on_active_set(bench, base_state3, disc3):
+def step_operator(disc, it, monkeypatch, eta=SSNConfig().inner_tol):
+    """The operator and right-hand side that _step from it hands to
+    ssn.cg_solve, and the step's results; disc keeps the step's factor."""
+    handed = []
+    solve = ssn.cg_solve
+
+    def recorded(apply, rhs, *args, **kwargs):
+        handed.append((apply, rhs))
+        return solve(apply, rhs, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ssn, "cg_solve", recorded)
+        result = _step(disc, 0, it, eta, disc.n_nodes, 0)
+    ((apply, rhs),) = handed
+    return apply, rhs, result
+
+
+def test_cg_operator_vanishes_on_active_set(base_state3, disc3, monkeypatch):
     u, y, phi = base_state3
-    sets = classify(bench, y, phi)
+    it = _linearize(disc3, u, y, phi)
+    apply, _, _ = step_operator(disc3, it, monkeypatch)
+    sets = it.sets
+    assert (~sets.inactive).any()
     rng = np.random.default_rng(21)
     v = rng.standard_normal(disc3.n_nodes)
-    out = apply_Mj(disc3, y, phi, sets, v)
+    out = apply(v)
     assert np.max(np.abs(out[~sets.inactive])) == 0.0
     # masking the input first changes nothing
     vi = np.where(sets.inactive, v, 0.0)
-    out2 = apply_Mj(disc3, y, phi, sets, vi)
+    out2 = apply(vi)
     np.testing.assert_array_equal(out, out2)
 
 
-def test_apply_Mj_self_adjoint(bench, base_state3, disc3):
+def test_cg_operator_self_adjoint(base_state3, disc3, monkeypatch):
     u, y, phi = base_state3
-    sets = classify(bench, y, phi)
+    it = _linearize(disc3, u, y, phi)
+    apply, _, _ = step_operator(disc3, it, monkeypatch)
     rng = np.random.default_rng(22)
     for _ in range(3):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        a1 = apply_Mj(disc3, y, phi, sets, v1)
-        a2 = apply_Mj(disc3, y, phi, sets, v2)
+        a1 = apply(v1)
+        a2 = apply(v2)
         lhs = disc3.inner(a1, v2)
         rhs = disc3.inner(v1, a2)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-def test_apply_Mj_scales_hessian_when_nothing_is_active():
+def test_cg_operator_scales_hessian_when_nothing_is_active(monkeypatch):
     # with bounds far away the operator is the reduced Hessian over nu
     spec = dataclasses.replace(benchmark_instance(), alpha=-100.0, beta=100.0)
     disc = Discretization(spec, build_uniform_mesh(2))
     u = np.zeros(disc.n_nodes)
     y = disc.solve_state(u).y
     disc.release_factorization()
-    phi = disc.solve_adjoint(u, y)
-    sets = classify(spec, y, phi)
-    assert np.all(sets.inactive)
+    it = _linearize(disc, u, y)
+    assert np.all(it.sets.inactive)
+    apply, _, _ = step_operator(disc, it, monkeypatch)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(disc.n_nodes)
-    av = apply_Mj(disc, y, phi, sets, v)
-    hv = hessian_vec(disc, y, phi, v)
+    av = apply(v)
+    hv = hessian_vec(disc, it.y, it.phi, v)
     np.testing.assert_allclose(spec.nu * av, hv, atol=1e-13)
 
 
@@ -278,22 +299,21 @@ def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
     assert sum(record.measures) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_step_solves_reduced_system_to_tolerance(bench, disc3, base_state3):
-    u, y, phi = base_state3
-    sets = classify(bench, y, phi)
-    w = y * phi / bench.nu - u
-    w[sets.upper] = bench.beta - u[sets.upper]
-    w[sets.lower] = bench.alpha - u[sets.lower]
-    w_active = np.where(sets.inactive, 0.0, w)
-    u_next, _ = one_step(disc3, u)
-    # the Hessian at the base point again, in place of the step's factor
+def test_step_solves_reduced_system_to_tolerance(bench, disc3, monkeypatch):
+    cfg = SSNConfig()
+    u = disc3.zeros()
+    state = disc3.solve_state(u, tol=cfg.inner_tol)
     disc3.release_factorization()
-    disc3.solve_adjoint(u, y)
-    z_a = disc3.solve_linearized_state(y, w_active)
-    eta_a = disc3.solve_linearized_adjoint(y, phi, z_a, w_active)
-    rhs = np.where(sets.inactive, w + (z_a * phi + y * eta_a) / bench.nu, 0.0)
+    it = _linearize(disc3, u, state.y)
+    sets = it.sets
+    apply, rhs, (u_next, _, _, _) = step_operator(disc3, it, monkeypatch)
+    # the right-hand side from the Hessian term of w_A by the step's factor
+    w_active = np.where(sets.inactive, 0.0, it.w)
+    term = disc3.hessian_term(it.y, it.phi, w_active)[0]
+    expected = np.where(sets.inactive, it.w + term / bench.nu, 0.0)
+    np.testing.assert_array_equal(rhs, expected)
     vi = np.where(sets.inactive, u_next - u, 0.0)
-    resid = apply_Mj(disc3, y, phi, sets, vi) - rhs
+    resid = apply(vi) - rhs
     assert disc3.norm(resid) <= 1e-12 * disc3.norm(rhs)
 
 
@@ -318,6 +338,8 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     # rounding, and the step makes only those solves
     cfg = SSNConfig()
     u = disc3.zeros()
+    # no factor of an earlier test preconditions the state solve
+    disc3.release_factorization()
     state = disc3.solve_state(u, tol=cfg.inner_tol)
     disc3.release_factorization()
     it = _linearize(disc3, u, state.y)
@@ -328,8 +350,7 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     )
     assert len(solves) == 2 * record.cg_iters + 2
     v = u_next  # u = 0
-    z = disc3.solve_linearized_state(it.y, v)
-    eta = disc3.solve_linearized_adjoint(it.y, it.phi, z, v)
+    _, z, eta = disc3.hessian_term(it.y, it.phi, v)
     assert np.max(np.abs(y_next - (it.y + z))) <= 1e-14 * np.max(np.abs(z))
     assert np.max(np.abs(phi_next - (it.phi + eta))) <= 1e-14 * np.max(np.abs(eta))
 
@@ -347,18 +368,17 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     w_active = np.where(sets.inactive, 0.0, w)
     assert (~sets.inactive).any() and not w_active.any()
     solves = _counting_solves(monkeypatch)
-    u_next, _, _, record = _step(disc3, 0, it, 1e-12, disc3.n_nodes, 0)
+    apply, rhs, (u_next, _, _, record) = step_operator(
+        disc3, it, monkeypatch, eta=1e-12
+    )
     assert len(solves) == 2 * record.cg_iters
-    # the step with the two solves of w_A made: the same bits
-    z_a = disc3.solve_linearized_state(it.y, w_active)
-    eta_a = disc3.solve_linearized_adjoint(it.y, it.phi, z_a, w_active)
-    rhs = np.where(sets.inactive, w + (it.phi * z_a + it.y * eta_a) / bench.nu, 0.0)
+    # the system with the two solves of w_A made: the same bits
+    term = disc3.hessian_term(it.y, it.phi, w_active)[0]
+    np.testing.assert_array_equal(
+        rhs, np.where(sets.inactive, w + term / bench.nu, 0.0)
+    )
     v_inactive, cg_iters = cg_solve(
-        lambda p: apply_Mj(disc3, it.y, it.phi, sets, p),
-        rhs,
-        1e-12,
-        disc3.n_nodes,
-        inner=disc3.inner,
+        apply, rhs, 1e-12, disc3.n_nodes, inner=disc3.inner
     )
     assert len(solves) == 4 * record.cg_iters + 2
     v = np.where(sets.inactive, v_inactive, w)
@@ -1115,6 +1135,13 @@ def test_ssn_config_validation():
         SSNConfig(inner_tol=-1e-10)
     with pytest.raises(ConfigurationError):
         SSNConfig(max_outer=0)
+    for tols in ({"outer_tol": np.inf}, {"inner_tol": np.inf}, {"outer_tol": np.nan}):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            SSNConfig(**tols)
+    for max_cg in (0, -3):
+        with pytest.raises(ConfigurationError, match="max_cg must be at least 1"):
+            SSNConfig(max_cg=max_cg)
+    assert SSNConfig(max_cg=1).max_cg == 1
     for u0 in (np.nan, np.inf, np.zeros(3), None):
         with pytest.raises(ConfigurationError, match="u0 must be a finite real"):
             SSNConfig(u0=u0)
