@@ -60,8 +60,7 @@ def main(argv):
             f"interior {rep.interior:.4f}, sigma {rep.sigma:.2e}, "
             f"||u - Proj(y*phi/nu)||_h {records[-1].residual:.2e} "
             f"(stop: {records[-1].stop_reason}), "
-            f"factorizations {disc.factor_count}, "
-            f"exhausted halvings {disc.halvings_exhausted}, pcg {disc.pcg_count}"
+            f"factorizations {disc.factor_count}, pcg {disc.pcg_count}"
         )
     return 0
 

@@ -26,9 +26,13 @@ solves each level once, and levels = 7 alone solves levels 4-7.  The
 line printed per level counts its own outer iterations.  A run that
 stagnates or exhausts max_outer, on its level or a coarser one, still
 writes its table and stats.json, and hands nothing on; one whose state,
-adjoint or CG solve fails writes its table if it made a row.  Every
-level removes the files of this list from its directory before it runs,
-so none left by an earlier run reads as its own.
+adjoint or CG solve fails writes its table if it made a row.  A later
+level whose run would solve a failed configured level again (it could
+start from that level's solution, see ssn.can_start_from) is skipped
+with one line on stderr: re-runs are byte-identical, so it would fail
+the same way.  Every level removes the files of this list from its
+directory before it runs or is skipped, so none left by an earlier run
+reads as its own.
 """
 
 import argparse
@@ -62,21 +66,28 @@ def _cmd_run(config: RunConfig) -> int:
     status = 0
     # (level, u, y) of the previous configured level, if it converged
     coarse = None
+    failed = []
     for level in config.levels:
-        mesh = build_uniform_mesh(level)
-        disc = Discretization(config.spec, mesh)
         out_dir = os.path.join(config.output_dir, f"level_{level}")
         os.makedirs(out_dir, exist_ok=True)
         for name in _RUN_OUTPUTS:
             path = os.path.join(out_dir, name)
             if os.path.exists(path):
                 os.remove(path)
+        # its run would solve a failed level again, from the same start
+        repeat = [k for k in failed if can_start_from(level, k)]
+        if repeat:
+            print(f"level {level}: skipped: level {repeat[0]} failed", file=sys.stderr)
+            continue
+        mesh = build_uniform_mesh(level)
+        disc = Discretization(config.spec, mesh)
         if coarse is not None and not can_start_from(level, coarse[0]):
             coarse = None
         try:
             u, y, phi, records = run_ssn(disc, config.ssn, coarse=coarse)
         except SolverError as exc:
             coarse = None
+            failed.append(level)
             # history holds the rows made before the failure
             if exc.history:
                 write_convergence_csv(

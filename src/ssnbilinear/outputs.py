@@ -95,7 +95,6 @@ def write_stats(path, records: list[IterationRecord], disc) -> None:
         "cg_iters": sum(r.cg_iters for r in records if r.cg_iters is not None),
         "pcg_count": disc.pcg_count,
         "factor_count": disc.factor_count,
-        "halvings_exhausted": disc.halvings_exhausted,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(json.dumps(stats, indent=2) + "\n")

@@ -67,7 +67,7 @@ J. Numer. Anal. 19 (1982); Eisenstat, Walker, SIAM J. Sci. Comput. 17
 (1996)).  The term c*tol/||r_k||_h stops a step from solving far below
 the absolute target: the lumped weights are at least h^2/6, so the
 linear residual it leaves adds at most sqrt(6)*c*tol < tol/4 in ||.||_h.
-The loop still stops only on ||r||_h <= tol.  A step of length scale
+The loop stops only on ||r||_h <= tol.  A step of length scale
 (1, 1/2, ..., 2^-MAX_HALVINGS) is accepted once it lowers ||r||_h by the
 factor 1 - SUFFICIENT_DECREASE, whatever its length.  Along a Newton
 step ||r||_h falls by about scale * ||r||_h while that is well above
@@ -76,9 +76,11 @@ about 2 * SUFFICIENT_DECREASE pass.  The Armijo factor
 1 - SUFFICIENT_DECREASE * scale would go to 1 with the halvings: at the
 floor, steps of length 2^-7 to 2^-10 lower the computed ||r||_h by
 rounding creep of 1e-6 to 3e-5 relative, which it takes for progress.
-A step that no halving makes lower the residual by the fixed factor is
-accepted all the same, and counted in halvings_exhausted: it made no
-progress.  The adjoint solves are not Newton steps and run to PCG_RTOL.
+A step that no halving makes lower the residual by the fixed factor
+raises SolverError (the line search of Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, ch. 8, fails), so a state
+solve converges or raises; a tol below the floor raises there.  The
+adjoint solves are not Newton steps and run to PCG_RTOL.
 """
 
 from dataclasses import dataclass
@@ -218,7 +220,6 @@ class StateSolveReport:
 
     y: np.ndarray
     newton_iters: int
-    final_residual: float
 
 
 class Discretization:
@@ -232,9 +233,8 @@ class Discretization:
     solves (at most one is kept; release_factorization drops it).
     hessian_term and _solve_once are the only code that solves with it.
     It counts the factorizations it makes in factor_count, the
-    preconditioner applications of its PCG solves in pcg_count, the state
-    Newton steps in newton_count, and those accepted after every halving
-    failed in halvings_exhausted.
+    preconditioner applications of its PCG solves in pcg_count and the
+    accepted state Newton steps in newton_count.
     """
 
     def __init__(self, spec: ProblemSpec, mesh: TriMesh):
@@ -247,7 +247,6 @@ class Discretization:
         self.factor_count = 0
         self.pcg_count = 0
         self.newton_count = 0
-        self.halvings_exhausted = 0
         self._last_factor: LinearizedOperator | None = None
 
     @property
@@ -293,7 +292,6 @@ class Discretization:
         self.factor_count += other.factor_count
         self.pcg_count += other.pcg_count
         self.newton_count += other.newton_count
-        self.halvings_exhausted += other.halvings_exhausted
 
     def release_factorization(self) -> None:
         """Drop the kept factorization; the next one-off solve factors."""
@@ -350,9 +348,9 @@ class Discretization:
         Step k solves Q s = -r_k only to the relative 2-norm residual
         eta_k of the module docstring.  A step that fails the sufficient
         decrease of the lumped-L2 residual norm is halved, up to
-        MAX_HALVINGS times; if no halving passes, the last candidate is
-        accepted and counted in halvings_exhausted, leaving
-        non-convergence to the outer check.
+        MAX_HALVINGS times.  A nonfinite residual, a step that no halving
+        makes pass, or MAX_NEWTON steps without ||r||_h <= tol raise
+        SolverError with the accepted residuals as its history.
         """
         if tol <= 0:
             raise SolverError(f"state solve tolerance must be positive, got {tol}")
@@ -391,12 +389,17 @@ class Discretization:
                     break
                 scale *= 0.5
             else:
-                self.halvings_exhausted += 1
+                raise SolverError(
+                    f"state solve: no step length down to 2^-{MAX_HALVINGS} "
+                    f"lowers the residual in Newton step {iters + 1} "
+                    f"(residual {rnorm:.3e}, tol {tol:.3e})",
+                    history=history,
+                )
             y, r, rnorm = y_new, r_new, rnorm_new
             history.append(rnorm)
             iters += 1
             self.newton_count += 1
-        return StateSolveReport(y=y, newton_iters=iters, final_residual=rnorm)
+        return StateSolveReport(y=y, newton_iters=iters)
 
     def solve_adjoint(
         self,

@@ -186,8 +186,8 @@ class IterationRecord:
     level reports only the objective (corrected for the state residual,
     see run_ssn), the residual and the stop_reason ("residual",
     "stagnation" or "budget") of its control, plus the warm-started
-    Newton count of its state solve; delta, cg_iters, and measures are
-    None there, and stop_reason is None on every other row.
+    Newton count of its state solve; delta and cg_iters are None there,
+    and stop_reason is None on every other row.
     """
 
     level: int
@@ -196,7 +196,6 @@ class IterationRecord:
     delta: float | None
     newton_iters: int
     cg_iters: int | None
-    measures: tuple[float, float, float] | None
     residual: float | None = None
     stop_reason: str | None = None
 
@@ -360,11 +359,6 @@ def _step(
         delta=disc.norm(v) / max(1.0, disc.norm(u_next)),
         newton_iters=newton_iters,
         cg_iters=cg_iters,
-        measures=(
-            disc.measure(sets.upper),
-            disc.measure(sets.lower),
-            disc.measure(sets.inactive),
-        ),
         residual=it.residual,
     )
     return u_next, y_next, phi_next, record
@@ -434,7 +428,6 @@ def _solve_level(
             delta=None,
             newton_iters=state.newton_iters,
             cg_iters=None,
-            measures=None,
             residual=it.residual,
             stop_reason=reason,
         )

@@ -2,15 +2,23 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ssnbilinear import NegativeCurvatureError, ssn
+from ssnbilinear import (
+    Discretization,
+    IterationRecord,
+    NegativeCurvatureError,
+    benchmark_instance,
+    build_uniform_mesh,
+    ssn,
+)
 from ssnbilinear.cli import _RUN_OUTPUTS, main
-from ssnbilinear.outputs import CSV_HEADER
+from ssnbilinear.outputs import CSV_HEADER, write_stats
 
 
 def write_cfg(tmp_path, body):
@@ -93,7 +101,15 @@ def test_run_writes_its_stats(tmp_path):
     assert stats["cg_iters"] == sum(int(row["cg_iters"]) for row in full)
     assert stats["newton_iters"] == sum(int(row["newton_iters"]) for row in rows)
     assert stats["factor_count"] >= 1 and stats["pcg_count"] >= 1
-    assert stats["halvings_exhausted"] == 0
+    assert list(stats) == [
+        "stop_reason",
+        "residual",
+        "outer_iters",
+        "newton_iters",
+        "cg_iters",
+        "pcg_count",
+        "factor_count",
+    ]
     # no timings: a re-run writes the same bytes
     assert main(["run", cfg]) == 0
     assert (level_dir / "stats.json").read_bytes() == first
@@ -138,9 +154,10 @@ def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
 
 @pytest.mark.parametrize("level", [2, 5])
 def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
-    # below rounding the state solve runs out of Newton steps, on the run's
-    # mesh (level 2) or on the coarser one (level 5); no row was made, so
-    # no table is written
+    # below rounding a state Newton step finds no step length that lowers
+    # the residual, on the run's mesh (level 2) or on the coarser one
+    # (level 5), well within MAX_NEWTON; no row was made, so no table is
+    # written
     out_dir = str(tmp_path / "results")
     cfg = write_cfg(
         tmp_path,
@@ -148,14 +165,18 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
         f"[output]\ndirectory = {out_dir}\n\n[ssn]\ninner_tol = 1e-30\n",
     )
     assert main(["run", cfg]) == 2
-    assert "no convergence in 50 Newton" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    match = re.search(r"lowers the residual in Newton step (\d+) ", err)
+    # the step that raises is the first not accepted: fewer than 15 were
+    assert match and int(match[1]) <= 15
     assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
 
 
 def test_run_failure_on_a_coarser_level_writes_its_rows(tmp_path, capsys):
     # level 5 first solves level 4, whose budget of one outer iteration
     # runs out: its two rows are written, and level 5 makes none.  Level 6
-    # is handed nothing, so it solves level 4 itself and fails the same way
+    # would solve levels 4 and 5 again and fail the same way: it is skipped
+    # and writes nothing
     out_dir = str(tmp_path / "results")
     cfg = write_cfg(
         tmp_path,
@@ -165,21 +186,19 @@ def test_run_failure_on_a_coarser_level_writes_its_rows(tmp_path, capsys):
     assert ssn.COARSE_START_LEVEL == 5
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
-    for level in (5, 6):
-        assert f"level {level}: solver error" in err
-        level_dir = Path(out_dir, f"level_{level}")
-        rows = read_rows(level_dir / "convergence.csv")
-        assert [(row["level"], row["j"]) for row in rows] == [("4", "0"), ("4", "1")]
-        assert rows[1]["delta"] == ""
-        stats = json.loads((level_dir / "stats.json").read_text())
-        assert stats["stop_reason"] == "budget"
-        assert stats["outer_iters"] == 1
-        assert stats["factor_count"] >= 1
-        assert not (level_dir / "complementarity.txt").exists()
-    assert err.count("at level 4") == 2
-    assert Path(out_dir, "level_5", "convergence.csv").read_bytes() == Path(
-        out_dir, "level_6", "convergence.csv"
-    ).read_bytes()
+    assert "level 5: solver error" in err
+    level_dir = Path(out_dir, "level_5")
+    rows = read_rows(level_dir / "convergence.csv")
+    assert [(row["level"], row["j"]) for row in rows] == [("4", "0"), ("4", "1")]
+    assert rows[1]["delta"] == ""
+    stats = json.loads((level_dir / "stats.json").read_text())
+    assert stats["stop_reason"] == "budget"
+    assert stats["outer_iters"] == 1
+    assert stats["factor_count"] >= 1
+    assert not (level_dir / "complementarity.txt").exists()
+    assert err.count("at level 4") == 1
+    assert err.splitlines()[-1] == "level 6: skipped: level 5 failed"
+    assert list(Path(out_dir, "level_6").iterdir()) == []
 
 
 _FIELDS = ("control.vtk", "state.vtk", "adjoint.vtk", "complementarity.txt")
@@ -316,6 +335,24 @@ def test_readme_output_list_is_the_run_outputs():
     block = section.split("```", 2)[1]
     names = [line.split()[0].rsplit("/", 1)[1] for line in block.split("\n")[1:-1]]
     assert tuple(names) == _RUN_OUTPUTS
+
+
+def test_readme_stats_keys_are_the_written_keys(tmp_path):
+    # the stats.json keys README lists are those write_stats writes, in order
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Outputs", 1)[1]
+    block = section.split("`stats.json` holds these keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for line in block.splitlines():
+        assert line.startswith("- ")
+        listed += re.findall(r"`(\w+)`", line[2:].split(":", 1)[0])
+    row = IterationRecord(
+        level=2, j=0, J=0.0, delta=None, newton_iters=0, cg_iters=None,
+        residual=0.0, stop_reason="residual",
+    )
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(1))
+    write_stats(tmp_path / "stats.json", [row], disc)
+    assert listed == list(json.loads((tmp_path / "stats.json").read_text()))
 
 
 # README expression problem with dL_dy and d2L_dy2 both 1% too large: the

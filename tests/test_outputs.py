@@ -18,15 +18,12 @@ def synthetic_records():
     return [
         IterationRecord(
             level=4, j=0, J=2.5, delta=0.125, newton_iters=7, cg_iters=3,
-            measures=(0.25, 0.25, 0.5),
         ),
         IterationRecord(
             level=4, j=1, J=1.0 / 3.0, delta=None, newton_iters=1, cg_iters=None,
-            measures=None,
         ),
         IterationRecord(
             level=5, j=0, J=0.25, delta=None, newton_iters=0, cg_iters=None,
-            measures=None,
         ),
     ]
 

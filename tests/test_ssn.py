@@ -296,7 +296,6 @@ def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
     np.testing.assert_array_equal(v[active], w[active])
     assert record.delta >= 0.0
     assert record.cg_iters >= 1
-    assert sum(record.measures) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_solves_reduced_system_to_tolerance(bench, disc3, monkeypatch):
@@ -405,10 +404,8 @@ def test_run_records_are_well_formed(solved3):
         assert r.delta >= 0.0
         assert r.cg_iters >= 1
         assert r.newton_iters >= 0
-        assert sum(r.measures) == pytest.approx(1.0, abs=1e-12)
     assert final.delta is None
     assert final.cg_iters is None
-    assert final.measures is None
     assert records[0].J >= records[-1].J
 
 
@@ -532,15 +529,17 @@ def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypat
     monkeypatch.setattr(Discretization, "solve_state", logged)
     level = ssn.COARSE_START_LEVEL
     disc = Discretization(bench, build_uniform_mesh(level))
-    # a state tolerance below rounding: the coarsest Newton loop runs out
-    with pytest.raises(SolverError, match="no convergence in 50 Newton") as exc:
+    # a state tolerance below rounding: the coarsest Newton loop reaches the
+    # rounding floor after 11 steps, and no length of its 12th passes
+    with pytest.raises(SolverError, match="no step length down to 2\\^-30") as exc:
         run_ssn(disc, SSNConfig(inner_tol=1e-30))
     assert levels == [level - 1]
+    assert "in Newton step 12 " in str(exc.value)
     # no row was made; the state solve's residuals stay on the cause
     assert exc.value.history == []
-    assert len(exc.value.__cause__.history) == MAX_NEWTON + 1
+    assert len(exc.value.__cause__.history) == 12
     # the failed coarse solve's work is counted on the run's Discretization
-    assert disc.newton_count == MAX_NEWTON
+    assert disc.newton_count == 11 < MAX_NEWTON
 
     # negative curvature in the second outer CG of either level: the rows
     # of the coarser level and those of the failing one so far
@@ -950,12 +949,7 @@ def test_kept_factor_matches_refactoring_every_step(monkeypatch, tracking):
         assert np.max(np.abs(u_kept - u)) <= 1e-12
         assert records_kept[-1].J == pytest.approx(records[-1].J, rel=1e-14)
         for a, b in zip(records_kept[:3], records[:3], strict=True):
-            assert (a.j, a.newton_iters, a.cg_iters, a.measures) == (
-                b.j,
-                b.newton_iters,
-                b.cg_iters,
-                b.measures,
-            )
+            assert (a.j, a.newton_iters, a.cg_iters) == (b.j, b.newton_iters, b.cg_iters)
             assert a.J == pytest.approx(b.J, rel=1e-12)
 
 
