@@ -9,6 +9,8 @@ next, as `ssnbilinear run` does, when that is finer and the solution is
 from level COARSE_START_LEVEL - 1 up; so `5 6 7 8 9` solves levels 4-9
 once each, and `3 5` solves level 4 for level 5.  A level's table, its
 factorization count and its outer line cover the levels solved for it.
+Exit codes as for `ssnbilinear run`: 0 success, 1 bad arguments (checked
+before the first solve), 2 a level's solver error, which ends the run.
 """
 
 import sys
@@ -16,16 +18,25 @@ import time
 
 from ssnbilinear import (
     Discretization,
+    SolverError,
     benchmark_instance,
     build_uniform_mesh,
     complementarity_report,
     run_ssn,
 )
+from ssnbilinear.mesh import MAX_LEVEL
 from ssnbilinear.ssn import can_start_from
 
 
 def main(argv):
-    levels = [int(tok) for tok in argv] or [5, 6, 7]
+    try:
+        levels = [int(tok) for tok in argv] or [5, 6, 7]
+        bad = [level for level in levels if not 1 <= level <= MAX_LEVEL]
+        if bad:
+            raise ValueError(f"mesh level must be in [1, {MAX_LEVEL}], got {bad[0]}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     spec = benchmark_instance()
     coarse = None
     for level in levels:
@@ -34,7 +45,11 @@ def main(argv):
         t1 = time.perf_counter()
         if coarse is not None and not can_start_from(level, coarse[0]):
             coarse = None
-        u, y, phi, records = run_ssn(disc, coarse=coarse)
+        try:
+            u, y, phi, records = run_ssn(disc, coarse=coarse)
+        except SolverError as exc:
+            print(f"level {level}: solver error: {exc}", file=sys.stderr)
+            return 2
         t2 = time.perf_counter()
         coarse = (level, u, y)
 

@@ -11,7 +11,7 @@ non-convergence, 3 verification failure.
 Per level, `run` writes into <output_dir>/level_<k>/:
     convergence.csv     level, j, J, delta, newton_iters, cg_iters per
                         iteration of every level solved for it
-    control.vtk         u* as a legacy-ASCII structured grid
+    control.vtk         u* as legacy-ASCII VTK structured points
     state.vtk           y*
     adjoint.vtk         phi*
     complementarity.txt bound-attainment measures and the sigma estimate

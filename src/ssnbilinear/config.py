@@ -52,14 +52,16 @@ class RunConfig:
     verify: VerifySettings
 
 
-def _parse_bool(raw: str, key: str, errors: list[str]) -> bool:
-    val = raw.strip().lower()
-    if val in ("on", "true", "yes", "1"):
+def _parse_bool(parser, section: str, key: str, errors: list[str]) -> bool:
+    """[section] key as configparser reads a boolean; True if left out."""
+    raw = parser.get(section, key, fallback=None)
+    if raw is None:
         return True
-    if val in ("off", "false", "no", "0"):
-        return False
-    errors.append(f"[{key}] expected on/off, got {raw!r}")
-    return True
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        errors.append(f"[{section}] {key} expected on/off, got {raw!r}")
+        return True
 
 
 def _parse_numbers(section, keys, cast, errors: list[str], label: str) -> dict:
@@ -199,11 +201,7 @@ def parse_config(path: str) -> RunConfig:
 
     out_section = parser["output"] if parser.has_section("output") else {}
     output_dir = out_section.get("directory", "out")
-    write_fields = True
-    if out_section.get("write_fields") is not None:
-        write_fields = _parse_bool(
-            out_section.get("write_fields"), "output] write_fields", errors
-        )
+    write_fields = _parse_bool(parser, "output", "write_fields", errors)
 
     ver_section = parser["verify"] if parser.has_section("verify") else {}
     try:
@@ -214,9 +212,7 @@ def parse_config(path: str) -> RunConfig:
         errors.append(f"[verify] {exc}")
         verify = None
 
-    fd_checks = True
-    if parser.has_section("problem") and parser["problem"].get("fd_check") is not None:
-        fd_checks = _parse_bool(parser["problem"].get("fd_check"), "problem] fd_check", errors)
+    fd_checks = _parse_bool(parser, "problem", "fd_check", errors)
 
     if spec is not None:
         errors.extend(validate(spec, derivative_check=fd_checks))

@@ -13,8 +13,10 @@ class ConfigurationError(Exception):
 class SolverError(Exception):
     """An iterative solver failed to converge.
 
-    Carries the iteration history that was accumulated before the failure
-    so callers can inspect residuals or partial iterates.
+    history is what the failed solve made before the failure: the
+    accepted residual norms ||r||_h from Discretization.solve_state, the
+    IterationRecord rows from ssn.run_ssn, and [] from pde.cg_solve and
+    every other raise.
     """
 
     def __init__(self, message, history=None):

@@ -2,11 +2,10 @@
 
 All numeric output uses %.16e so a run's doubles round-trip exactly, and
 all writers emit fields in the mesh's lexicographic node order, which is
-the point order of a VTK structured grid (first coordinate fastest).
+the point order of VTK structured points (first coordinate fastest).
 """
 
 import json
-import weakref
 
 import numpy as np
 
@@ -31,32 +30,22 @@ def write_convergence_csv(path, records: list[IterationRecord]) -> None:
         handle.write(format_csv(records))
 
 
-# The POINTS block of each mesh, formatted once: every field written on a
-# mesh repeats it, and formatting it is most of a write.
-_POINTS_BLOCKS: "weakref.WeakKeyDictionary[TriMesh, str]" = weakref.WeakKeyDictionary()
-
-
-def _points_block(mesh: TriMesh) -> str:
-    block = _POINTS_BLOCKS.get(mesh)
-    if block is None:
-        block = "\n".join(f"{x1:.16e} {x2:.16e} 0.0" for x1, x2 in mesh.nodes.tolist())
-        _POINTS_BLOCKS[mesh] = block
-    return block
-
-
 def write_structured_vtk(path, mesh: TriMesh, name: str, values: np.ndarray) -> None:
-    """One scalar nodal field as a legacy-ASCII VTK structured grid."""
+    """One scalar nodal field as legacy-ASCII VTK structured points.
+
+    The uniform grid is given by its dimensions, origin and spacing, so no
+    node coordinate is written; h = 2^-level is exact in %.16e.
+    """
     side = mesh.side
-    n = mesh.n_nodes
     lines = [
         "# vtk DataFile Version 2.0",
         f"{name} on a {side}x{side} grid of the unit square",
         "ASCII",
-        "DATASET STRUCTURED_GRID",
+        "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {side} {side} 1",
-        f"POINTS {n} double",
-        _points_block(mesh),
-        f"POINT_DATA {n}",
+        "ORIGIN 0 0 0",
+        f"SPACING {mesh.h:.16e} {mesh.h:.16e} 1",
+        f"POINT_DATA {mesh.n_nodes}",
         f"SCALARS {name} double 1",
         "LOOKUP_TABLE default",
     ]

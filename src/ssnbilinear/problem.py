@@ -154,7 +154,8 @@ def _fd_mismatch(f, df, x: np.ndarray, y: np.ndarray) -> bool:
         fd = (nodal(f, x, y + t) - nodal(f, x, y - t)) / (2.0 * t)
         errs.append(float(np.max(np.abs(fd - d))))
     floor = 1e-8 * scale
-    return errs[1] > max(0.05 * errs[0], floor)
+    # a NaN mismatch fails too
+    return not errs[1] <= max(0.05 * errs[0], floor)
 
 
 def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
@@ -185,7 +186,7 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
     x, y = _sample_points()
     try:
         worst = float(np.min(nodal(spec.da_dy, x, y)))
-        if worst < spec.a0 - 1e-12:
+        if not worst >= spec.a0 - 1e-12:  # a NaN sample fails too
             out.append(
                 f"da_dy must stay >= a0 = {spec.a0}; sampled minimum {worst:.6g}"
             )

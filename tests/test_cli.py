@@ -72,8 +72,9 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert last["delta"] == "" and last["cg_iters"] == ""  # final row carries J only
 
     vtk = Path(level_dir, "state.vtk").read_text()
-    assert "DIMENSIONS 5 5 1" in vtk
-    assert "POINTS 25 double" in vtk
+    assert "DATASET STRUCTURED_POINTS\nDIMENSIONS 5 5 1\n" in vtk
+    assert "\nSPACING 2.5000000000000000e-01 2.5000000000000000e-01 1\n" in vtk
+    assert "\nPOINT_DATA 25\n" in vtk
 
     comp = Path(level_dir, "complementarity.txt").read_text()
     measures = {}
@@ -393,6 +394,18 @@ def test_run_rejects_inconsistent_derivatives_with_fd_check_on(tmp_path, capsys)
     cfg = write_cfg(tmp_path, MISSCALED.format(flag="on", out_dir=out_dir))
     assert main(["run", cfg]) == 1
     assert "derivative consistency failed for dL_dy vs L" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
+def test_run_rejects_a_nan_derivative(tmp_path, capsys):
+    # the README expression problem, its da_dy made NaN at every negative y
+    out_dir = str(tmp_path / "results")
+    text = MISSCALED.format(flag="on", out_dir=out_dir).replace("1.01", "1")
+    cfg = write_cfg(tmp_path, text.replace("abs(y) + 2\n", "abs(y) + 2 + 0 * y^0.5\n"))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "da_dy must stay >= a0 = 2.0; sampled minimum nan" in err
     assert not os.path.exists(out_dir)
 
 

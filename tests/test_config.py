@@ -166,6 +166,16 @@ def test_fd_check_gating(tmp_path):
     assert cfg.spec is not None
 
 
+def test_bad_booleans_name_their_section_and_key(tmp_path):
+    text = MINIMAL.replace("[problem]", "[problem]\nfd_check = perhaps")
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text + "\n[output]\nwrite_fields = Maybe\n"))
+    assert str(exc.value).splitlines()[1:] == [
+        "  [output] write_fields expected on/off, got 'Maybe'",
+        "  [problem] fd_check expected on/off, got 'perhaps'",
+    ]
+
+
 def test_expression_errors_name_the_key(tmp_path):
     text = CUSTOM.replace("L = 0.5 * y^2", "L = 0.5 *")
     with pytest.raises(ConfigurationError, match="L:"):

@@ -1,5 +1,6 @@
 """The helper scripts and the README's library example run as documented."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ssnbilinear import SolverError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +78,38 @@ def test_check_derivatives_script_rejects_bad_arguments(args, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("13",), "mesh level must be in [1, 12], got 13"),
+        (("5", "0"), "mesh level must be in [1, 12], got 0"),
+        (("5", "x"), "invalid literal for int()"),
+    ],
+)
+def test_run_benchmark_script_rejects_bad_arguments(args, message):
+    # a bad last argument is caught before the first level is solved
+    proc = run_script("run_benchmark.py", *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_run_benchmark_script_reports_a_solver_error(monkeypatch, capsys):
+    path = ROOT / "scripts" / "run_benchmark.py"
+    spec = importlib.util.spec_from_file_location("run_benchmark", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fail(disc, coarse=None):
+        raise SolverError("no convergence")
+
+    monkeypatch.setattr(script, "run_ssn", fail)
+    assert script.main(["2", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "level 2: solver error: no convergence\n"
+    assert captured.out == ""
 
 
 def fenced_blocks(text):

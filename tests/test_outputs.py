@@ -1,4 +1,4 @@
-"""File writers: CSV, VTK structured grid, complementarity report."""
+"""File writers: CSV, VTK structured points, complementarity report."""
 
 import numpy as np
 import pytest
@@ -55,25 +55,34 @@ def test_csv_round_trips_doubles(tmp_path):
 
 
 def test_vtk_structure(tmp_path):
-    mesh = build_uniform_mesh(2)
-    values = np.arange(mesh.n_nodes, dtype=float) / 7.0
     path = tmp_path / "state.vtk"
-    write_structured_vtk(path, mesh, "state", values)
-    lines = path.read_text().split("\n")
-    assert lines[0] == "# vtk DataFile Version 2.0"
-    assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET STRUCTURED_GRID"
-    assert lines[4] == "DIMENSIONS 5 5 1"
-    assert lines[5] == "POINTS 25 double"
-    # first node is the origin, second steps in x1: lexicographic point order
-    assert lines[6].split() == ["0.0000000000000000e+00", "0.0000000000000000e+00", "0.0"]
-    x1 = float(lines[7].split()[0])
-    assert x1 == 0.25
-    assert lines[6 + 25] == "POINT_DATA 25"
-    assert lines[7 + 25] == "SCALARS state double 1"
-    assert lines[8 + 25] == "LOOKUP_TABLE default"
-    back = np.array([float(v) for v in lines[9 + 25 : 9 + 50]])
-    np.testing.assert_array_equal(back, values)
+    for level in range(1, 7):
+        mesh = build_uniform_mesh(level)
+        side, n = mesh.side, mesh.n_nodes
+        values = np.arange(n, dtype=float) / 7.0
+        write_structured_vtk(path, mesh, "state", values)
+        lines = path.read_text().split("\n")
+        assert lines[:5] == [
+            "# vtk DataFile Version 2.0",
+            f"state on a {side}x{side} grid of the unit square",
+            "ASCII",
+            "DATASET STRUCTURED_POINTS",
+            f"DIMENSIONS {side} {side} 1",
+        ]
+        assert lines[5].startswith("ORIGIN ") and lines[6].startswith("SPACING ")
+        assert lines[7:10] == [
+            f"POINT_DATA {n}", "SCALARS state double 1", "LOOKUP_TABLE default"
+        ]
+        # point p has grid indices (p % nx, p // nx): the first coordinate is
+        # fastest, as in the mesh's lexicographic node order
+        nx, ny, nz = (int(tok) for tok in lines[4].split()[1:])
+        origin = [float(tok) for tok in lines[5].split()[1:]]
+        spacing = [float(tok) for tok in lines[6].split()[1:]]
+        p = np.arange(nx * ny * nz)
+        index = (p % nx, p // nx % ny)
+        nodes = np.column_stack([origin[k] + index[k] * spacing[k] for k in (0, 1)])
+        assert nodes.tobytes() == mesh.nodes.tobytes()
+        assert lines[10:] == [f"{v:.16e}" for v in values] + [""]
 
 
 def test_complementarity_file(tmp_path):

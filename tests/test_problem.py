@@ -157,12 +157,26 @@ def test_validate_flags_derivative_below_a0():
     assert any("sampled minimum" in m for m in msgs)
 
 
+def test_validate_flags_a_nan_derivative():
+    spec = benchmark_instance()
+    nan_below_zero = lambda x, y: np.where(y < 0, np.nan, spec.da_dy(x, y))
+    msgs = validate(dataclasses.replace(spec, da_dy=nan_below_zero), derivative_check=False)
+    assert msgs == ["da_dy must stay >= a0 = 2.0; sampled minimum nan"]
+
+
 def test_validate_flags_inconsistent_derivative():
     spec = dataclasses.replace(
         benchmark_instance(), da_dy=lambda x, y: 4.0 * y * y * np.abs(y) + 2.5
     )
     msgs = validate(spec)
     assert any("derivative consistency failed for da_dy vs a" in m for m in msgs)
+
+
+def test_validate_flags_a_nan_derivative_pair():
+    spec = benchmark_instance()
+    nan_below_zero = lambda x, y: np.where(y < 0, np.nan, spec.dL_dy(x, y))
+    msgs = validate(dataclasses.replace(spec, dL_dy=nan_below_zero))
+    assert any("derivative consistency failed for dL_dy vs L" in m for m in msgs)
 
 
 def test_validate_derivative_check_can_be_skipped():
