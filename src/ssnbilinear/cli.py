@@ -5,8 +5,9 @@ Verbs:
     verify <config>     finite-difference checks of gradient and Hessian
     mesh-info <level>   print mesh statistics
 
-Exit codes: 0 success, 1 usage or configuration error, 2 solver
-non-convergence, 3 verification failure.
+Exit codes: 0 success, 1 usage, configuration or file-system error
+(an output directory that names a file, say), 2 solver non-convergence,
+3 verification failure.
 
 Per level, `run` writes into <output_dir>/level_<k>/:
     convergence.csv     level, j, J, delta, newton_iters, cg_iters per
@@ -24,15 +25,15 @@ when that is finer and the solution is from level 4 up, so a level is
 solved only from the previous configured level on: levels = 4 5 6 7
 solves each level once, and levels = 7 alone solves levels 4-7.  The
 line printed per level counts its own outer iterations.  A run that
-stagnates or exhausts max_outer, on its level or a coarser one, still
-writes its table and stats.json, and hands nothing on; one whose state,
-adjoint or CG solve fails writes its table if it made a row.  A later
-level whose run would solve a failed configured level again (it could
-start from that level's solution, see ssn.can_start_from) is skipped
-with one line on stderr: re-runs are byte-identical, so it would fail
-the same way.  Every level removes the files of this list from its
-directory before it runs or is skipped, so none left by an earlier run
-reads as its own.
+stagnates or exhausts its budget of ssn.MAX_OUTER outer iterations, on
+its level or a coarser one, still writes its table and stats.json, and
+hands nothing on; one whose state, adjoint or CG solve fails writes its
+table if it made a row.  A later level whose run would solve a failed
+configured level again (it could start from that level's solution, see
+ssn.can_start_from) is skipped with one line on stderr: re-runs are
+byte-identical, so it would fail the same way.  Every level removes the
+files of this list from its directory before it runs or is skipped, so
+none left by an earlier run reads as its own.
 """
 
 import argparse
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return _cmd_run(config)
         return _cmd_verify(config)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

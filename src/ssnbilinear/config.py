@@ -29,12 +29,10 @@ _PROBLEM_FUNCS = ("a", "da_dy", "d2a_dy2", "L", "dL_dy", "d2L_dy2")
 _PROBLEM_REALS = ("alpha", "beta", "nu", "a0")
 # the keys of a problem spelt out by hand, which a preset sets itself
 _PROBLEM_DATA = (*_PROBLEM_FUNCS, "g", *_PROBLEM_REALS)
-_SSN_REALS = ("outer_tol", "inner_tol", "u0")
-_SSN_INTS = ("max_outer", "max_cg")
 _KEYS = {
     "problem": ("preset", "tracking", "fd_check", *_PROBLEM_DATA),
     "mesh": ("levels",),
-    "ssn": _SSN_REALS + _SSN_INTS,
+    "ssn": ("outer_tol", "inner_tol", "u0"),
     "output": ("directory", "write_fields"),
     "verify": ("level", "directions", "seed"),
 }
@@ -166,6 +164,8 @@ def parse_config(path: str) -> RunConfig:
             parser.read_file(handle, source=path)
     except configparser.Error as exc:
         raise ConfigurationError(f"config syntax error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from exc
 
     errors: list[str] = []
     for name in parser.sections():
@@ -191,10 +191,10 @@ def parse_config(path: str) -> RunConfig:
 
     # Keys left out of the file keep the SSNConfig and VerifySettings defaults.
     ssn_section = parser["ssn"] if parser.has_section("ssn") else {}
-    ssn_values = _parse_numbers(ssn_section, _SSN_REALS, float, errors, "ssn")
-    ssn_values.update(_parse_numbers(ssn_section, _SSN_INTS, int, errors, "ssn"))
     try:
-        ssn = SSNConfig(**ssn_values)
+        ssn = SSNConfig(
+            **_parse_numbers(ssn_section, _KEYS["ssn"], float, errors, "ssn")
+        )
     except ConfigurationError as exc:
         errors.append(f"[ssn] {exc}")
         ssn = None

@@ -120,17 +120,16 @@ NEWTON_TOL_SHARE = 0.1
 SUFFICIENT_DECREASE = 1e-4
 
 
-def forcing_term(
-    rate: float, rnorm: float, target: float, eta_min: float, eta_max: float
-) -> float:
+def forcing_term(rate: float, rnorm: float, target: float, eta_max: float) -> float:
     """Relative tolerance of the linear solve in an inexact Newton step.
 
-    eta = max(eta_min, min(eta_max, max(rate, target/rnorm))): rate falls
+    eta = max(PCG_RTOL, min(eta_max, max(rate, target/rnorm))): rate falls
     superlinearly with the nonlinear residual rnorm, which keeps the
     Newton rate; target/rnorm stops a step from leaving a linear residual
     far below target, a share of the nonlinear target that suffices.
+    PCG_RTOL, the tolerance of the one-off solves, is the floor.
     """
-    return max(eta_min, min(eta_max, max(rate, target / rnorm)))
+    return max(PCG_RTOL, min(eta_max, max(rate, target / rnorm)))
 
 
 class LinearizedOperator:
@@ -373,11 +372,7 @@ class Discretization:
                     history=history,
                 )
             eta = forcing_term(
-                (rnorm / rnorm0) ** 2,
-                rnorm,
-                NEWTON_TOL_SHARE * tol,
-                PCG_RTOL,
-                NEWTON_ETA_MAX,
+                (rnorm / rnorm0) ** 2, rnorm, NEWTON_TOL_SHARE * tol, NEWTON_ETA_MAX
             )
             step = self._solve_once(u, y, -r, eta)
             scale = 1.0

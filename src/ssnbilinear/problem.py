@@ -184,29 +184,31 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
         out.append(str(exc))
 
     x, y = _sample_points()
-    try:
-        worst = float(np.min(nodal(spec.da_dy, x, y)))
-        if not worst >= spec.a0 - 1e-12:  # a NaN sample fails too
-            out.append(
-                f"da_dy must stay >= a0 = {spec.a0}; sampled minimum {worst:.6g}"
-            )
-    except Exception as exc:  # user-supplied callables may misbehave
-        out.append(f"da_dy could not be evaluated on the sample grid: {exc}")
+    # a NaN or inf sample is caught below, whatever the warning filter
+    with np.errstate(all="ignore"):
+        try:
+            worst = float(np.min(nodal(spec.da_dy, x, y)))
+            if not worst >= spec.a0 - 1e-12:  # a NaN sample fails too
+                out.append(
+                    f"da_dy must stay >= a0 = {spec.a0}; sampled minimum {worst:.6g}"
+                )
+        except Exception as exc:  # user-supplied callables may misbehave
+            out.append(f"da_dy could not be evaluated on the sample grid: {exc}")
 
-    if derivative_check:
-        pairs = [
-            ("da_dy vs a", spec.a, spec.da_dy),
-            ("d2a_dy2 vs da_dy", spec.da_dy, spec.d2a_dy2),
-            ("dL_dy vs L", spec.L, spec.dL_dy),
-            ("d2L_dy2 vs dL_dy", spec.dL_dy, spec.d2L_dy2),
-        ]
-        for label, f, df in pairs:
-            try:
-                if _fd_mismatch(f, df, x, y):
-                    out.append(
-                        f"derivative consistency failed for {label}: finite "
-                        "differences do not match at second order"
-                    )
-            except Exception as exc:
-                out.append(f"derivative check for {label} could not run: {exc}")
+        if derivative_check:
+            pairs = [
+                ("da_dy vs a", spec.a, spec.da_dy),
+                ("d2a_dy2 vs da_dy", spec.da_dy, spec.d2a_dy2),
+                ("dL_dy vs L", spec.L, spec.dL_dy),
+                ("d2L_dy2 vs dL_dy", spec.dL_dy, spec.d2L_dy2),
+            ]
+            for label, f, df in pairs:
+                try:
+                    if _fd_mismatch(f, df, x, y):
+                        out.append(
+                            f"derivative consistency failed for {label}: finite "
+                            "differences do not match at second order"
+                        )
+                except Exception as exc:
+                    out.append(f"derivative check for {label} could not run: {exc}")
     return out

@@ -13,14 +13,15 @@ conjugate gradient method in the lumped L2 inner product: pde.cg_solve
 with inner = Discretization.inner, the routine the one-off PDE solves
 run too.  Its typed failures reach the caller: NegativeCurvatureError
 when the reduced Hessian is not positive definite on the inactive set,
-SolverError on a nonfinite value or an exhausted max_cg budget, each
-with the table rows made so far.  One CG operator application is one
-Discretization.hessian_term: two linear PDE solves with the
-factorization of the operator Q(u, y) of the linearized equations that
-the Discretization keeps (see pde), the linearized state z and adjoint
-eta of its direction.  The right-hand side costs one more, two solves,
-for the correction w_A on the active sets, and none when w_A is zero, as
-it is once the active nodes sit on their bounds (Q^-1 0 = 0).
+SolverError on a nonfinite value or an exhausted budget of n_nodes
+iterations (CG's exact-arithmetic bound), each with the table rows made
+so far.  One CG operator application is one Discretization.hessian_term:
+two linear PDE solves with the factorization of the operator Q(u, y) of
+the linearized equations that the Discretization keeps (see pde), the
+linearized state z and adjoint eta of its direction.  The right-hand
+side costs one more, two solves, for the correction w_A on the active
+sets, and none when w_A is zero, as it is once the active nodes sit on
+their bounds (Q^-1 0 = 0).
 
 Q(u_j, y_j) is factored afresh only at j = 0 and after a scaled step
 delta_{j-1} of at least REFACTOR_STEP.  Once the steps are small u hardly
@@ -71,13 +72,15 @@ stop of the primal-dual active set method: Hintermueller, Ito, Kunisch,
 SIAM J. Optim. 13 (2002)).  Otherwise CG runs only to the relative
 residual
 
-    eta_j = max(inner_tol, min(CG_ETA_MAX, max(||F_j||^(1+theta), c*outer_tol/||F_j||))),
+    eta_j = max(PCG_RTOL, min(CG_ETA_MAX, max(||F_j||^(1+theta), c*outer_tol/||F_j||))),
     ||F_j|| = ||F(u_j)||_h,  theta = CG_FORCING_THETA,  c = CG_TOL_SHARE,
 
-from pde.forcing_term, the rule of the state Newton steps.  Forcing
-terms that fall to 0 keep the superlinear rate (Ulbrich, above); the
-term c*outer_tol/||F_j|| keeps the last step from solving far below what
-outer_tol needs.
+from pde.forcing_term, the rule of the state Newton steps, with its
+floor pde.PCG_RTOL, which did not bind: on the benchmark (both
+trackings, levels 3, 5 and 7) the min(...) term stayed above 3.6e-12,
+also at outer_tol = 1e-20.  Forcing terms that fall to 0 keep the superlinear rate (Ulbrich,
+above); the term c*outer_tol/||F_j|| keeps the last step from solving
+far below what outer_tol needs.
 
 Step j also returns y_j + z_j and phi_j + eta_j, z_j and eta_j the
 linearized state and adjoint of its step v_j, and costs no solve for
@@ -116,7 +119,7 @@ A scaled step
 below step_floor(n_nodes) = 10*eps*n_nodes is rounding noise: eps times
 a scale of the condition number of Q, which grows like h^-2.  A run
 whose residual is still above outer_tol after such a step stops on
-stagnation, and one that has made max_outer steps stops on its budget;
+stagnation, and one that has made MAX_OUTER steps stops on its budget;
 either raises SolverError with the rows made, the last of which names
 the reason.  Every row records ||F(u_j)||_h in residual, and the final
 row its stop_reason.  A target below rounding (outer_tol = 1e-20) stops
@@ -150,10 +153,10 @@ REFACTOR_STEP = 0.1
 COARSE_START_LEVEL = 5
 # Outer step j runs CG to the relative residual eta_j = forcing_term(
 # ||F_j||^(1 + CG_FORCING_THETA), ||F_j||, CG_TOL_SHARE * outer_tol,
-# inner_tol, CG_ETA_MAX), ||F_j|| = ||F(u_j)||_h (see pde.forcing_term).
+# CG_ETA_MAX), ||F_j|| = ||F(u_j)||_h (see pde.forcing_term).
 # On the benchmark (both trackings, nu in {0.01, 0.05, 0.2}, levels 4-9,
 # each started cold, outer_tol 1e-12) theta = 0.25 keeps every outer count
-# at most that of CG run to inner_tol, and the same at levels 4-9 except
+# at most that of CG run to 5e-14, and the same at levels 4-9 except
 # at level 4 with linear tracking and nu = 0.01; theta = 0.5 also took 3 steps at level 4 with quadratic
 # tracking and nu = 0.05, against 4 at levels 5-9.
 CG_FORCING_THETA = 0.25
@@ -166,6 +169,8 @@ CG_ETA_MAX = 0.1
 # and the sup-norm at most 3.4e-14 at levels 4-7, 1.2e-13 at level 8 and
 # 1.7e-13 at level 9 (see SSNConfig).
 CG_TOL_SHARE = 0.01
+# The outer steps a level may take; on the benchmark a level takes 3-5.
+MAX_OUTER = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,13 +201,13 @@ class IterationRecord:
     delta: float | None
     newton_iters: int
     cg_iters: int | None
-    residual: float | None = None
+    residual: float
     stop_reason: str | None = None
 
 
 @dataclass(frozen=True)
 class SSNConfig:
-    """Tolerances and limits of the outer loop.
+    """Tolerances and start of the outer loop.
 
     outer_tol is the target for ||F(u)||_h on every level.  A nested
     level's steps keep a factor made at its start and contract slowly, so
@@ -212,27 +217,20 @@ class SSNConfig:
     reaches 1.2e-13 at level 8 and 1.7e-13 at level 9 (quadratic, nu =
     0.01), where the last step lands closer to outer_tol: the returned
     adjoint is within 1.2e-14 relative of the exact one, and F at the
-    exact adjoint reads the same.  inner_tol is
-    the tolerance of the state solves and the smallest relative tolerance
-    of the outer CG; both are positive and finite.  max_outer and max_cg
-    hold per level, each at least 1; max_cg = None means "number of
-    nodes".  u0 is the constant control that the first
-    level a run solves starts from, a finite real.
+    exact adjoint reads the same.  inner_tol is the tolerance of the
+    state solves; both are positive and finite.  u0 is the constant
+    control that the first level a run solves starts from, a finite real.
+    The budgets are module constants: MAX_OUTER outer steps per level,
+    and n_nodes iterations per CG.
     """
 
     outer_tol: float = 5e-14
     inner_tol: float = DEFAULT_TOL
-    max_outer: int = 30
-    max_cg: int | None = None
     u0: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.outer_tol < np.inf and 0 < self.inner_tol < np.inf):
             raise ConfigurationError("tolerances must be positive and finite")
-        if self.max_outer < 1:
-            raise ConfigurationError("max_outer must be at least 1")
-        if self.max_cg is not None and self.max_cg < 1:
-            raise ConfigurationError("max_cg must be at least 1")
         if not isinstance(self.u0, Real) or not np.isfinite(self.u0):
             raise ConfigurationError(f"u0 must be a finite real, got {self.u0!r}")
 
@@ -307,14 +305,13 @@ def _step(
     j: int,
     it: Iterate,
     eta: float,
-    max_cg: int,
     newton_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, IterationRecord]:
     """The Newton step of one outer iteration from it.
 
     The reduced system on the inactive set is solved by CG to the
-    relative residual eta, its Hessian products solved by disc's kept
-    factor; newton_iters is the row's Newton count.
+    relative residual eta within n_nodes iterations, its Hessian products
+    solved by disc's kept factor; newton_iters is the row's Newton count.
     Returns u_{j+1}, the state and adjoint predicted there to first
     order, and the row.
     """
@@ -344,7 +341,7 @@ def _step(
         eta_v += step * eta_p
 
     v_inactive, cg_iters = cg_solve(
-        apply, rhs, eta, max_cg, inner=disc.inner, on_step=add_solves
+        apply, rhs, eta, disc.n_nodes, inner=disc.inner, on_step=add_solves
     )
 
     v = np.where(sets.inactive, v_inactive, w)
@@ -383,11 +380,10 @@ def _solve_level(
     level = disc.mesh.level
     cold = y is None
     floor = step_floor(disc.n_nodes)
-    max_cg = cfg.max_cg if cfg.max_cg is not None else disc.n_nodes
     last: IterationRecord | None = None
     phi: np.ndarray | None = None
     reason = None
-    for j in range(cfg.max_outer + 1):
+    for j in range(MAX_OUTER + 1):
         state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
         # a warm level keeps the factor its state solve's first Newton step
         # made; with none kept, the adjoint factors Q itself
@@ -402,7 +398,7 @@ def _solve_level(
             reason = "residual"
         elif last is not None and last.delta < floor:
             reason = "stagnation"
-        elif j == cfg.max_outer:
+        elif j == MAX_OUTER:
             reason = "budget"
         if reason is not None:
             break
@@ -410,10 +406,9 @@ def _solve_level(
             it.residual ** (1.0 + CG_FORCING_THETA),
             it.residual,
             CG_TOL_SHARE * cfg.outer_tol,
-            cfg.inner_tol,
             CG_ETA_MAX,
         )
-        u, y, phi, last = _step(disc, j, it, eta, max_cg, state.newton_iters)
+        u, y, phi, last = _step(disc, j, it, eta, state.newton_iters)
         records.append(last)
         # the next iteration's factorization is a run's memory peak:
         # this iteration's arrays need not be alive for it
@@ -442,7 +437,7 @@ def _solve_level(
             f"outer_tol {cfg.outer_tol:.3e}"
         )
     raise SolverError(
-        f"ssn: no convergence in {cfg.max_outer} outer iterations at level "
+        f"ssn: no convergence in {MAX_OUTER} outer iterations at level "
         f"{level} (||F||_h = {it.residual:.3e}, outer_tol {cfg.outer_tol:.3e})"
     )
 
@@ -484,7 +479,7 @@ def run_ssn(
     coarsest first and disc's own last: per level one full row per outer
     step plus a final row with the objective, ||F||_h and stop_reason of
     its accepted control, which satisfies ||F(u)||_h <= outer_tol.  When a
-    level stagnates or exhausts max_outer the run raises SolverError with
+    level stagnates or exhausts MAX_OUTER the run raises SolverError with
     the records, whose final row names the reason; a SolverError or
     NegativeCurvatureError of a state, adjoint or CG solve on any level
     is raised again as the same class with all the rows made so far.

@@ -135,13 +135,10 @@ def test_rerun_is_byte_identical(tmp_path):
     assert Path(csv_path).read_bytes() == first
 
 
-def test_run_solver_failure_leaves_partial_history(tmp_path, capsys):
+def test_run_solver_failure_leaves_partial_history(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ssn, "MAX_OUTER", 1)
     out_dir = str(tmp_path / "results")
-    cfg = write_cfg(
-        tmp_path,
-        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 2\n\n"
-        f"[output]\ndirectory = {out_dir}\n\n[ssn]\nmax_outer = 1\n",
-    )
+    cfg = benchmark_cfg(tmp_path, out_dir)
     assert main(["run", cfg]) == 2
     assert "solver error" in capsys.readouterr().err
     rows = read_rows(Path(out_dir, "level_2", "convergence.csv"))
@@ -173,17 +170,16 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
     assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
 
 
-def test_run_failure_on_a_coarser_level_writes_its_rows(tmp_path, capsys):
+def test_run_failure_on_a_coarser_level_writes_its_rows(
+    tmp_path, capsys, monkeypatch
+):
     # level 5 first solves level 4, whose budget of one outer iteration
     # runs out: its two rows are written, and level 5 makes none.  Level 6
     # would solve levels 4 and 5 again and fail the same way: it is skipped
     # and writes nothing
+    monkeypatch.setattr(ssn, "MAX_OUTER", 1)
     out_dir = str(tmp_path / "results")
-    cfg = write_cfg(
-        tmp_path,
-        f"[problem]\npreset = benchmark\n\n[mesh]\nlevels = 5 6\n\n"
-        f"[output]\ndirectory = {out_dir}\n\n[ssn]\nmax_outer = 1\n",
-    )
+    cfg = benchmark_cfg(tmp_path, out_dir, levels="5 6")
     assert ssn.COARSE_START_LEVEL == 5
     assert main(["run", cfg]) == 2
     err = capsys.readouterr().err
@@ -402,11 +398,33 @@ def test_run_rejects_a_nan_derivative(tmp_path, capsys):
     out_dir = str(tmp_path / "results")
     text = MISSCALED.format(flag="on", out_dir=out_dir).replace("1.01", "1")
     cfg = write_cfg(tmp_path, text.replace("abs(y) + 2\n", "abs(y) + 2 + 0 * y^0.5\n"))
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert main(["run", cfg]) == 1
+    assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert "da_dy must stay >= a0 = 2.0; sampled minimum nan" in err
+    # no numpy warning with an internal source path
+    assert "RuntimeWarning" not in err and "expressions.py" not in err
     assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, verb):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"# r\xe9sum\xe9\n[problem]\npreset = benchmark\n")
+    assert main([verb, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config file {path} is not UTF-8: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_an_output_directory_that_names_a_file_is_an_error(tmp_path, capsys):
+    out_file = tmp_path / "results"
+    out_file.write_text("not a directory\n")
+    assert main(["run", benchmark_cfg(tmp_path, out_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno ")
+    assert str(out_file) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert out_file.read_text() == "not a directory\n"
 
 
 def test_verify_verb(tmp_path, capsys):

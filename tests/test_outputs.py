@@ -18,12 +18,15 @@ def synthetic_records():
     return [
         IterationRecord(
             level=4, j=0, J=2.5, delta=0.125, newton_iters=7, cg_iters=3,
+            residual=0.5,
         ),
         IterationRecord(
             level=4, j=1, J=1.0 / 3.0, delta=None, newton_iters=1, cg_iters=None,
+            residual=1e-14,
         ),
         IterationRecord(
             level=5, j=0, J=0.25, delta=None, newton_iters=0, cg_iters=None,
+            residual=0.0,
         ),
     ]
 

@@ -306,12 +306,14 @@ def test_a_stall_at_the_rounding_floor_raises(level):
 
 
 def test_forcing_term_clamps_its_two_terms():
-    # the rate term wins far from the target, the target term near it
-    assert forcing_term(1e-6, 1e-3, 1e-15, 1e-13, 1e-2) == 1e-6
-    assert forcing_term(1e-20, 1e-13, 1e-15, 1e-13, 1e-2) == 1e-2
-    assert forcing_term(1e-20, 1e-3, 1e-15, 1e-13, 1e-2) == 1e-12
-    assert forcing_term(1e-20, 1.0, 1e-15, 1e-13, 1e-2) == 1e-13
-    assert forcing_term(0.5, 1.0, 1e-15, 1e-13, 1e-2) == 1e-2
+    # the rate term wins far from the target, the target term near it,
+    # and neither goes below PCG_RTOL
+    assert pde.PCG_RTOL == 1e-13
+    assert forcing_term(1e-6, 1e-3, 1e-15, 1e-2) == 1e-6
+    assert forcing_term(1e-20, 1e-13, 1e-15, 1e-2) == 1e-2
+    assert forcing_term(1e-20, 1e-3, 1e-15, 1e-2) == 1e-12
+    assert forcing_term(1e-20, 1.0, 1e-15, 1e-2) == pde.PCG_RTOL
+    assert forcing_term(0.5, 1.0, 1e-15, 1e-2) == 1e-2
 
 
 def test_state_solve_rejects_bad_tolerance():

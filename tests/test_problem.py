@@ -164,6 +164,15 @@ def test_validate_flags_a_nan_derivative():
     assert msgs == ["da_dy must stay >= a0 = 2.0; sampled minimum nan"]
 
 
+def test_validate_flags_a_nan_expression_whatever_the_warning_filter():
+    # the suite turns warnings into errors; numpy's invalid-value warning
+    # must not turn the NaN verdict into an evaluation failure
+    spec = benchmark_instance()
+    da_dy = compile_expression("4 * y^2 * abs(y) + 2 + 0 * y^0.5", with_y=True)
+    msgs = validate(dataclasses.replace(spec, da_dy=da_dy), derivative_check=False)
+    assert msgs == ["da_dy must stay >= a0 = 2.0; sampled minimum nan"]
+
+
 def test_validate_flags_inconsistent_derivative():
     spec = dataclasses.replace(
         benchmark_instance(), da_dy=lambda x, y: 4.0 * y * y * np.abs(y) + 2.5

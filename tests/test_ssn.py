@@ -203,7 +203,11 @@ def test_negative_curvature_is_solver_error():
 # --- CG operator ---------------------------------------------------------
 
 
-def step_operator(disc, it, monkeypatch, eta=SSNConfig().inner_tol):
+# the relative residual the single-step tests run their CG to
+STEP_RTOL = 5e-14
+
+
+def step_operator(disc, it, monkeypatch, eta=STEP_RTOL):
     """The operator and right-hand side that _step from it hands to
     ssn.cg_solve, and the step's results; disc keeps the step's factor."""
     handed = []
@@ -215,7 +219,7 @@ def step_operator(disc, it, monkeypatch, eta=SSNConfig().inner_tol):
 
     with monkeypatch.context() as patched:
         patched.setattr(ssn, "cg_solve", recorded)
-        result = _step(disc, 0, it, eta, disc.n_nodes, 0)
+        result = _step(disc, 0, it, eta, 0)
     ((apply, rhs),) = handed
     return apply, rhs, result
 
@@ -272,14 +276,11 @@ def test_cg_operator_scales_hessian_when_nothing_is_active(monkeypatch):
 
 
 def one_step(disc, u, y_init=None):
-    """One outer iteration from u, its CG run to inner_tol."""
-    cfg = SSNConfig()
-    state = disc.solve_state(u, y_init=y_init, tol=cfg.inner_tol)
+    """One outer iteration from u, its CG run to STEP_RTOL."""
+    state = disc.solve_state(u, y_init=y_init, tol=SSNConfig().inner_tol)
     disc.release_factorization()
     it = _linearize(disc, u, state.y)
-    u_next, _, _, record = _step(
-        disc, 0, it, cfg.inner_tol, disc.n_nodes, state.newton_iters
-    )
+    u_next, _, _, record = _step(disc, 0, it, STEP_RTOL, state.newton_iters)
     return u_next, record
 
 
@@ -345,7 +346,7 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     assert np.where(it.sets.inactive, 0.0, it.w).any()
     solves = _counting_solves(monkeypatch)
     u_next, y_next, phi_next, record = _step(
-        disc3, 0, it, cfg.inner_tol, disc3.n_nodes, state.newton_iters
+        disc3, 0, it, STEP_RTOL, state.newton_iters
     )
     assert len(solves) == 2 * record.cg_iters + 2
     v = u_next  # u = 0
@@ -691,7 +692,6 @@ def test_outer_cg_runs_to_its_forcing_term(bench, monkeypatch):
             r.residual ** (1.0 + ssn.CG_FORCING_THETA),
             r.residual,
             ssn.CG_TOL_SHARE * cfg.outer_tol,
-            cfg.inner_tol,
             ssn.CG_ETA_MAX,
         )
         for r in full
@@ -700,7 +700,24 @@ def test_outer_cg_runs_to_its_forcing_term(bench, monkeypatch):
     assert tols[0] == ssn.CG_ETA_MAX
     # the last step solves only to a share of outer_tol
     last = full[-1].residual
-    assert tols[-1] == ssn.CG_TOL_SHARE * cfg.outer_tol / last > cfg.inner_tol
+    assert tols[-1] == ssn.CG_TOL_SHARE * cfg.outer_tol / last > pde.PCG_RTOL
+
+
+def test_outer_cg_budget_is_the_node_count(bench, monkeypatch):
+    # CG's exact-arithmetic bound: every outer CG of a nested level-6 run,
+    # on each of levels 4-6, may take as many iterations as its level has
+    # nodes
+    budgets = []
+    solve = ssn.cg_solve
+
+    def recorded(apply, rhs, tol, max_iters, *args, **kwargs):
+        budgets.append((rhs.shape[0], max_iters))
+        return solve(apply, rhs, tol, max_iters, *args, **kwargs)
+
+    monkeypatch.setattr(ssn, "cg_solve", recorded)
+    run_ssn(Discretization(bench, build_uniform_mesh(6)))
+    assert {n for n, _ in budgets} == {(2**k + 1) ** 2 for k in (4, 5, 6)}
+    assert all(max_iters == n for n, max_iters in budgets)
 
 
 def test_state_solves_start_from_the_predicted_state(bench, monkeypatch):
@@ -770,10 +787,11 @@ def test_run_checks_structure_but_not_the_derivative_lint():
     assert records[-1].residual <= SSNConfig().outer_tol
 
 
-def test_run_iteration_budget_carries_history(bench):
+def test_run_iteration_budget_carries_history(bench, monkeypatch):
+    monkeypatch.setattr(ssn, "MAX_OUTER", 1)
     disc = Discretization(bench, build_uniform_mesh(3))
     with pytest.raises(SolverError, match="no convergence in 1 outer") as exc:
-        run_ssn(disc, SSNConfig(max_outer=1))
+        run_ssn(disc)
     # row 0, then the final row of the control it reached
     assert [r.j for r in exc.value.history] == [0, 1]
     final = exc.value.history[-1]
@@ -1016,12 +1034,15 @@ def test_coarse_levels_are_dropped_before_the_fine_state_solve(bench, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "level, cfg, stop",
-    [(3, SSNConfig(), None), (5, SSNConfig(max_outer=1), (4, "budget"))],
+    "level, max_outer, stop",
+    [(3, ssn.MAX_OUTER, None), (5, 1, (4, "budget"))],
     ids=["converged", "budget"],
 )
-def test_run_releases_its_last_factorization(bench, monkeypatch, level, cfg, stop):
+def test_run_releases_its_last_factorization(
+    bench, monkeypatch, level, max_outer, stop
+):
     # every level's LU dies with its level, also that of a level that fails
+    monkeypatch.setattr(ssn, "MAX_OUTER", max_outer)
     made = []
     factor = Discretization._factor
 
@@ -1034,7 +1055,7 @@ def test_run_releases_its_last_factorization(bench, monkeypatch, level, cfg, sto
     disc = Discretization(bench, build_uniform_mesh(level))
     stopped = None
     try:
-        run_ssn(disc, cfg)
+        run_ssn(disc)
     except SolverError as exc:
         stopped = exc.history[-1].level, exc.history[-1].stop_reason
     assert stopped == stop
@@ -1127,21 +1148,17 @@ def test_ssn_config_validation():
         SSNConfig(outer_tol=0.0)
     with pytest.raises(ConfigurationError):
         SSNConfig(inner_tol=-1e-10)
-    with pytest.raises(ConfigurationError):
-        SSNConfig(max_outer=0)
     for tols in ({"outer_tol": np.inf}, {"inner_tol": np.inf}, {"outer_tol": np.nan}):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             SSNConfig(**tols)
-    for max_cg in (0, -3):
-        with pytest.raises(ConfigurationError, match="max_cg must be at least 1"):
-            SSNConfig(max_cg=max_cg)
-    assert SSNConfig(max_cg=1).max_cg == 1
     for u0 in (np.nan, np.inf, np.zeros(3), None):
         with pytest.raises(ConfigurationError, match="u0 must be a finite real"):
             SSNConfig(u0=u0)
     cfg = SSNConfig()
-    assert cfg.outer_tol == 5e-14 and cfg.inner_tol == 5e-14
-    assert cfg.max_outer == 30 and cfg.max_cg is None and cfg.u0 == 0.0
+    assert cfg.outer_tol == 5e-14 and cfg.inner_tol == 5e-14 and cfg.u0 == 0.0
+    # the budgets are module constants, not settings
+    assert [f.name for f in dataclasses.fields(cfg)] == ["outer_tol", "inner_tol", "u0"]
+    assert ssn.MAX_OUTER == 30
 
 
 # --- complementarity -----------------------------------------------------
