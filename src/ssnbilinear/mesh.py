@@ -32,7 +32,7 @@ MAX_LEVEL = 12
 class TriMesh:
     """Immutable triangulation of the unit square.
 
-    nodes  (n, 2) vertex coordinates
+    nodes  (n, 2) vertex coordinates, a read-only array
     h      grid spacing 2^-level
     level  refinement level k
     """
@@ -68,6 +68,8 @@ def build_uniform_mesh(level: int) -> TriMesh:
     side = 2 ** int(level) + 1
     xs = np.arange(side) * h
     nodes = np.column_stack([np.tile(xs, side), np.repeat(xs, side)])
+    # read-only, so an expression may keep values computed from it
+    nodes.flags.writeable = False
     return TriMesh(nodes=nodes, h=h, level=int(level))
 
 

@@ -88,33 +88,60 @@ def _fresh_objective(disc: Discretization, u: np.ndarray, y_init: np.ndarray) ->
     return _objective(disc, u, report.y)
 
 
+def _step_objectives(disc, u, y, v, t, values) -> tuple[float, float]:
+    """J(u + t v) and J(u - t v), each solved only if values lacks it.
+
+    values maps a signed step s to J(u + s v); the new ones are added.
+    """
+    for s in (t, -t):
+        if s not in values:
+            # u + (-t) v is u - t v bit for bit
+            values[s] = _fresh_objective(disc, u + s * v, y)
+    return values[t], values[-t]
+
+
 def fd_gradient_oracle(
-    disc: Discretization, u: np.ndarray, y: np.ndarray, v: np.ndarray, ts
+    disc: Discretization,
+    u: np.ndarray,
+    y: np.ndarray,
+    v: np.ndarray,
+    ts,
+    values: dict[float, float] | None = None,
 ) -> list[float]:
     """Central differences (J(u+tv) - J(u-tv)) / (2t), one per step t in ts.
 
-    y is the state at u; every state solve starts from it.
+    y is the state at u; every state solve starts from it.  values, if
+    given, maps a signed step s to J(u + s v) for this u and v: a control
+    found in it is not solved again, and each one solved is added, so
+    the two oracles can share the steps they have in common.
     """
-    return [
-        (_fresh_objective(disc, u + t * v, y) - _fresh_objective(disc, u - t * v, y))
-        / (2.0 * t)
-        for t in ts
-    ]
+    values = {} if values is None else values
+    out = []
+    for t in ts:
+        jp, jm = _step_objectives(disc, u, y, v, t, values)
+        out.append((jp - jm) / (2.0 * t))
+    return out
 
 
 def fd_curvature_oracle(
-    disc: Discretization, u: np.ndarray, y: np.ndarray, v: np.ndarray, ts
+    disc: Discretization,
+    u: np.ndarray,
+    y: np.ndarray,
+    v: np.ndarray,
+    ts,
+    values: dict[float, float] | None = None,
 ) -> list[float]:
     """Second central differences (J(u+tv) - 2J(u) + J(u-tv)) / t^2 per t in ts.
 
     y is the state at u; every state solve starts from it.  J(u) is
-    solved once and shared by every step.
+    solved once and shared by every step; values is shared as in
+    fd_gradient_oracle.
     """
+    values = {} if values is None else values
     j0 = _fresh_objective(disc, u, y)
     out = []
     for t in ts:
-        jp = _fresh_objective(disc, u + t * v, y)
-        jm = _fresh_objective(disc, u - t * v, y)
+        jp, jm = _step_objectives(disc, u, y, v, t, values)
         out.append((jp - 2.0 * j0 + jm) / (t * t))
     return out
 

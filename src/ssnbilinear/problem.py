@@ -30,9 +30,16 @@ from .errors import ConfigurationError
 
 
 def nodal(fn: Callable, x: np.ndarray, y=None) -> np.ndarray:
-    """Evaluate f(x, y) (or g(x)) and broadcast the result to one value per point."""
+    """Evaluate f(x, y) (or g(x)) and broadcast the result to one value per point.
+
+    A float64 result with one value per point is returned as it is, which
+    may be a read-only array the callback keeps.
+    """
     out = fn(x) if y is None else fn(x, y)
-    return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))
+    shape = (x.shape[0],)
+    if isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape:
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +147,15 @@ def _sample_points() -> tuple[np.ndarray, np.ndarray]:
     return np.tile(x, (ys.size, 1)), np.repeat(ys, x.shape[0])
 
 
+def _boundary_points() -> np.ndarray:
+    """Fixed points on the boundary for spot checks of g: 9 per side."""
+    t = np.linspace(0.0, 1.0, 9)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    return np.column_stack(
+        [np.concatenate([t, t, zero, one]), np.concatenate([zero, one, t, t])]
+    )
+
+
 def _fd_mismatch(f, df, x: np.ndarray, y: np.ndarray) -> bool:
     """True when central differences of f disagree with df at the pairs (x, y).
 
@@ -194,6 +210,13 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
                 )
         except Exception as exc:  # user-supplied callables may misbehave
             out.append(f"da_dy could not be evaluated on the sample grid: {exc}")
+        try:
+            flux = nodal(spec.g, _boundary_points())
+            if not np.isfinite(flux).all():
+                bad = flux[~np.isfinite(flux)][0]
+                out.append(f"g must be finite on the boundary; sampled value {bad}")
+        except Exception as exc:
+            out.append(f"g could not be evaluated on the boundary: {exc}")
 
         if derivative_check:
             pairs = [

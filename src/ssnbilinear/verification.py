@@ -6,11 +6,14 @@ evaluations to second order in the step t.  Hessian route: the quadratic
 form from hessian_vec must agree with a second central difference, again
 to second order, and the Hessian must be symmetric in the lumped inner
 product.  Each fresh evaluation is a state solve to pde.DEFAULT_TOL,
-started from the state at the base control.
+started from the state at the base control; the two ladders of one
+direction share the controls u +- t v they have in common, each solved
+once.
 
 verify_derivatives(spec, VerifySettings(level, directions, seed)) runs
 the check the way run_ssn(disc, SSNConfig) runs the solver: the settings
-object owns the defaults and rejects values out of range.  The probe
+object owns the defaults and rejects values out of range, among them
+more directions than the verify level has nodes.  The probe
 directions are drawn one by one from default_rng(seed).
 
 Observed orders are least-squares slopes on a log-log scale.  Each
@@ -59,6 +62,14 @@ class VerifySettings:
             raise ConfigurationError(f"level {self.level} outside [1, {MAX_LEVEL}]")
         if self.directions < 1:
             raise ConfigurationError("directions must be at least 1")
+        # more directions than the control has entries probe nothing new,
+        # and each costs 15 state solves
+        nodes = (2**self.level + 1) ** 2
+        if self.directions > nodes:
+            raise ConfigurationError(
+                f"directions must be at most {nodes}, the node count of "
+                f"level {self.level}, got {self.directions}"
+            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
 
@@ -128,10 +139,12 @@ def verify_derivatives(
 
     reports: list[DirectionReport] = []
     for v, hv in probes:
+        # J(u + s v) by signed step s: t = 1e-2 is on both ladders
+        values: dict[float, float] = {}
         slope = disc.inner(base.grad, v)
         grad_errors = [
             abs(fd - slope)
-            for fd in fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS)
+            for fd in fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, values)
         ]
         grad_floors = [_FLOOR_FACTOR * eps * jscale / t for t in GRAD_STEPS]
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
@@ -139,7 +152,9 @@ def verify_derivatives(
         quad = disc.inner(hv, v)
         curv_errors = [
             abs(fd2 - quad)
-            for fd2 in fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS)
+            for fd2 in fd_curvature_oracle(
+                disc, base.u, base.y, v, CURV_STEPS, values
+            )
         ]
         curv_floors = [4.0 * _FLOOR_FACTOR * eps * jscale / (t * t) for t in CURV_STEPS]
         curv_order = fit_decay_order(CURV_STEPS, curv_errors, curv_floors)

@@ -15,6 +15,7 @@ from ssnbilinear import (
     NegativeCurvatureError,
     benchmark_instance,
     build_uniform_mesh,
+    cli,
     ssn,
 )
 from ssnbilinear.cli import _RUN_OUTPUTS, main
@@ -404,6 +405,64 @@ def test_run_rejects_a_nan_derivative(tmp_path, capsys):
     # no numpy warning with an internal source path
     assert "RuntimeWarning" not in err and "expressions.py" not in err
     assert not os.path.exists(out_dir)
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a config error must stop the verb before its solver")
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("g       = 0", "g = 0/0", "g must be finite on the boundary; sampled value nan"),
+        ("g       = 0", "g = 10^400", "g must be finite on the boundary; sampled value inf"),
+        (
+            "a       = ",
+            "a = " + "(" * 3000 + "y" + ")" * 3000 + " + ",
+            "[problem] a: expression error at column 101: expression is nested "
+            "deeper than 100 levels",
+        ),
+        (
+            "d2L_dy2 = 1",
+            "d2L_dy2 = " + "-" * 3000 + "1",
+            "[problem] d2L_dy2: expression error at column 101: expression is "
+            "nested deeper than 100 levels",
+        ),
+        (
+            "dL_dy   = ",
+            "dL_dy = " + "y+" * 3000,
+            "[problem] dL_dy: expression error at column 202: expression is "
+            "nested deeper than 100 levels",
+        ),
+        (
+            "levels = 3\n",
+            "levels = 3\n[verify]\ndirections = 100000000000000000000\n",
+            "[verify] directions must be at most 289, the node count of level 4, "
+            "got 100000000000000000000",
+        ),
+    ],
+    ids=[
+        "g-zero-by-zero",
+        "g-overflow",
+        "deep-parentheses",
+        "deep-minus",
+        "long-sum",
+        "directions",
+    ],
+)
+def test_inputs_that_crashed_or_never_ended_are_config_errors(
+    tmp_path, capsys, monkeypatch, verb, old, new, message
+):
+    monkeypatch.setattr(cli, "run_ssn", unreachable)
+    monkeypatch.setattr(cli, "verify_derivatives", unreachable)
+    text = MISSCALED.format(flag="on", out_dir=tmp_path / "results")
+    text = text.replace("1.01", "1").replace(old, new)
+    assert main([verb, write_cfg(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config:\n")
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])

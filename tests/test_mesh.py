@@ -61,6 +61,9 @@ def test_nodes_lexicographic():
         row, col = divmod(i, side)
         np.testing.assert_allclose(mesh.nodes[i], [col * 0.25, row * 0.25])
     np.testing.assert_allclose(mesh.nodes[12], [0.5, 0.5])
+    # expressions keep values computed from read-only points
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.nodes[0, 0] = 1.0
 
 
 @given(levels)

@@ -119,6 +119,35 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
     assert len(calls) == 2 * len(ts)
 
 
+def test_fd_oracles_sharing_values_solve_each_control_once(bench, monkeypatch):
+    disc = Discretization(bench, build_uniform_mesh(2))
+    base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
+    v = np.random.default_rng(50).standard_normal(disc.n_nodes)
+    alone = (
+        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS),
+        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS),
+    )
+    calls = []
+    fresh = objective_module._fresh_objective
+    monkeypatch.setattr(
+        objective_module,
+        "_fresh_objective",
+        lambda *args: calls.append(args[1]) or fresh(*args),
+    )
+    values = {}
+    shared = (
+        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, values),
+        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, values),
+    )
+    # the same differences, bit for bit, from one solve per control
+    assert shared == alone
+    steps = set(GRAD_STEPS) | set(CURV_STEPS)
+    assert len(calls) == 2 * len(steps) + 1
+    assert sorted(values) == sorted([*steps, *(-t for t in steps)])
+    for s, j in values.items():
+        assert j == fresh(disc, base.u + s * v, base.y)
+
+
 def test_fd_oracles_start_every_state_solve_from_the_base_state(bench, monkeypatch):
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))

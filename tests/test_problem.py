@@ -88,6 +88,22 @@ def test_validate_evaluates_each_callback_on_the_whole_sample():
     assert set(sizes) == {25 * 33}
 
 
+@pytest.mark.parametrize(
+    "flux, value",
+    [
+        (lambda x: np.float64(0.0) / 0.0, "nan"),
+        (compile_expression("10^400", with_y=False), "inf"),
+        (compile_expression("1 / x1", with_y=False), "inf"),
+        (compile_expression("x2 - 0/0 * x1", with_y=False), "nan"),
+    ],
+)
+def test_validate_flags_a_flux_that_is_not_finite_on_the_boundary(flux, value):
+    spec = dataclasses.replace(benchmark_instance(), g=flux)
+    with np.errstate(all="raise"):  # the verdict holds under any filter
+        msgs = validate(spec, derivative_check=False)
+    assert msgs == [f"g must be finite on the boundary; sampled value {value}"]
+
+
 def test_linear_tracking_variant():
     spec = benchmark_instance(tracking="linear")
     x = pts((0.5, 0.5))

@@ -47,7 +47,8 @@ def test_verify_draws_the_directions_from_one_seeded_generator(monkeypatch):
     monkeypatch.setattr(
         verification,
         "fd_gradient_oracle",
-        lambda disc, u, y, v, ts: seen.append(v) or oracle(disc, u, y, v, ts),
+        lambda disc, u, y, v, ts, values: seen.append(v)
+        or oracle(disc, u, y, v, ts, values),
     )
     settings = VerifySettings(level=2, directions=3, seed=7)
     verify_derivatives(benchmark_instance(), settings)
@@ -65,12 +66,25 @@ def test_verify_draws_the_directions_from_one_seeded_generator(monkeypatch):
         ({"level": 0}, "level 0 outside [1, 12]"),
         ({"level": 13}, "level 13 outside [1, 12]"),
         ({"directions": 0}, "directions must be at least 1"),
+        (
+            {"level": 2, "directions": 26},
+            "directions must be at most 25, the node count of level 2, got 26",
+        ),
+        (
+            {"directions": 10**20},
+            "directions must be at most 289, the node count of level 4, "
+            "got 100000000000000000000",
+        ),
     ],
 )
 def test_verify_settings_reject_values_out_of_range(kwargs, message):
     with pytest.raises(ConfigurationError) as exc:
         VerifySettings(**kwargs)
     assert str(exc.value) == message
+
+
+def test_verify_settings_take_as_many_directions_as_nodes():
+    assert VerifySettings(level=2, directions=25).directions == 25
 
 
 def test_format_verification_is_readable():
