@@ -4,13 +4,14 @@
 Usage: python3 scripts/run_benchmark.py [level ...]   (default: 5 6 7)
 
 From ssnbilinear.ssn.COARSE_START_LEVEL up, a level starts from the
-solution of the next coarser one.  Each level hands its solution to the
-next, as `ssnbilinear run` does, when that is finer and the solution is
-from level COARSE_START_LEVEL - 1 up; so `5 6 7 8 9` solves levels 4-9
-once each, and `3 5` solves level 4 for level 5.  A level's table, its
-factorization count and its outer line cover the levels solved for it.
-Exit codes as for `ssnbilinear run`: 0 success, 1 bad arguments (checked
-before the first solve), 2 a level's solver error, which ends the run.
+solution of the next coarser one.  Each level hands its run_ssn result to
+the next, as `ssnbilinear run` does, and run_ssn starts above it when the
+next level is finer and the result is from level COARSE_START_LEVEL - 1
+up; so `5 6 7 8 9` solves levels 4-9 once each, and `3 5` solves level 4
+for level 5.  A level's table, its factorization count and its outer
+line cover the levels solved for it.  Exit codes as for `ssnbilinear
+run`: 0 success, 1 bad arguments (checked before the first solve), 2 a
+level's solver error, which ends the run.
 """
 
 import sys
@@ -25,7 +26,6 @@ from ssnbilinear import (
     run_ssn,
 )
 from ssnbilinear.mesh import MAX_LEVEL
-from ssnbilinear.ssn import can_start_from
 
 
 def main(argv):
@@ -43,15 +43,13 @@ def main(argv):
         t0 = time.perf_counter()
         disc = Discretization(spec, build_uniform_mesh(level))
         t1 = time.perf_counter()
-        if coarse is not None and not can_start_from(level, coarse[0]):
-            coarse = None
         try:
-            u, y, phi, records = run_ssn(disc, coarse=coarse)
+            coarse = run_ssn(disc, coarse=coarse)
         except SolverError as exc:
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             return 2
         t2 = time.perf_counter()
-        coarse = (level, u, y)
+        u, y, phi, records = coarse
 
         print(
             f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, "

@@ -20,20 +20,22 @@ Per level, `run` writes into <output_dir>/level_<k>/:
                         the levels solved for it
 
 From level 5 up a level starts from the solution of the next coarser one
-(see ssn.run_ssn).  Each configured level hands its solution to the next
-when that is finer and the solution is from level 4 up, so a level is
+(see ssn.run_ssn).  Each configured level hands its run_ssn result to the
+next as it is, and run_ssn starts above it when it can (ssn.can_start_from:
+the next level is finer and the result is from level 4 up), so a level is
 solved only from the previous configured level on: levels = 4 5 6 7
 solves each level once, and levels = 7 alone solves levels 4-7.  The
-line printed per level counts its own outer iterations.  A run that
-stagnates or exhausts its budget of ssn.MAX_OUTER outer iterations, on
-its level or a coarser one, still writes its table and stats.json, and
-hands nothing on; one whose state, adjoint or CG solve fails writes its
-table if it made a row.  A later level whose run would solve a failed
-configured level again (it could start from that level's solution, see
-ssn.can_start_from) is skipped with one line on stderr: re-runs are
-byte-identical, so it would fail the same way.  Every level removes the
-files of this list from its directory before it runs or is skipped, so
-none left by an earlier run reads as its own.
+line printed per level counts its own outer iterations.  A run whose
+residual is not finite, or that stagnates or exhausts its budget of
+ssn.MAX_OUTER outer iterations, on its level or a coarser one, still
+writes its table and stats.json, and hands nothing on; one whose state,
+adjoint or CG solve fails writes its table if it made a row.  A later
+level whose run would solve a failed configured level again (it could
+start from that level's solution, see ssn.can_start_from) is skipped
+with one line on stderr: re-runs are byte-identical, so it would fail
+the same way.  Every level removes the files of this list from its
+directory before it runs or is skipped, so none left by an earlier run
+reads as its own.
 """
 
 import argparse
@@ -65,7 +67,7 @@ _RUN_OUTPUTS = (
 
 def _cmd_run(config: RunConfig) -> int:
     status = 0
-    # (level, u, y) of the previous configured level, if it converged
+    # the run_ssn result of the previous configured level, if it converged
     coarse = None
     failed = []
     for level in config.levels:
@@ -82,10 +84,8 @@ def _cmd_run(config: RunConfig) -> int:
             continue
         mesh = build_uniform_mesh(level)
         disc = Discretization(config.spec, mesh)
-        if coarse is not None and not can_start_from(level, coarse[0]):
-            coarse = None
         try:
-            u, y, phi, records = run_ssn(disc, config.ssn, coarse=coarse)
+            coarse = run_ssn(disc, config.ssn, coarse=coarse)
         except SolverError as exc:
             coarse = None
             failed.append(level)
@@ -99,7 +99,7 @@ def _cmd_run(config: RunConfig) -> int:
             print(f"level {level}: solver error: {exc}", file=sys.stderr)
             status = 2
             continue
-        coarse = (level, u, y)
+        u, y, phi, records = coarse
         write_convergence_csv(os.path.join(out_dir, "convergence.csv"), records)
         write_stats(os.path.join(out_dir, "stats.json"), records, disc)
         if config.write_fields:

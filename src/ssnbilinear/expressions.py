@@ -12,8 +12,8 @@ than unary minus):
 Variables are x1, x2 (point coordinates) and y (state value); functions
 are sin, cos, exp, abs.  Expressions evaluate vectorized over numpy
 arrays.  Errors carry the offending column so a config file line can be
-repaired without guessing; a parse tree deeper than MAX_DEPTH is an error
-too.
+repaired without guessing, and quote the text around it; a parse tree
+deeper than MAX_DEPTH is an error too.
 
 An expression is compiled once per set of points x (a mesh's nodes):
 every subtree free of y is evaluated then, constants in numpy float64
@@ -53,6 +53,8 @@ _BINARY = {
 # calls, unary minuses and exponents, an expression may have: parsing,
 # compiling and evaluating each recurse once per level.
 MAX_DEPTH = 100
+# An error message quotes the text this far on each side of its column.
+_EXCERPT = 40
 
 
 class _Parser:
@@ -65,9 +67,11 @@ class _Parser:
         self.depths = {}
 
     def error(self, message: str) -> ConfigurationError:
+        start, end = max(0, self.pos - _EXCERPT), self.pos + _EXCERPT
+        cut = "..." * (start > 0), "..." * (end < len(self.text))
         return ConfigurationError(
             f"expression error at column {self.pos + 1}: {message} "
-            f"(in {self.text!r})"
+            f"(in {cut[0]}{self.text[start:end]!r}{cut[1]})"
         )
 
     def skip_ws(self):

@@ -73,12 +73,13 @@ def write_stats(path, records: list[IterationRecord], disc) -> None:
     The totals are those of the CSV's columns, over every level the
     run_ssn call solved (not a coarser level whose solution it was handed),
     as disc's counters are.  No timings are written, so a re-run writes
-    the same bytes.
+    the same bytes.  The file is strict JSON: a residual that is not
+    finite (stop_reason "nonfinite") is written as null.
     """
     final = records[-1]
     stats = {
         "stop_reason": final.stop_reason,
-        "residual": final.residual,
+        "residual": final.residual if np.isfinite(final.residual) else None,
         "outer_iters": sum(1 for r in records if r.delta is not None),
         "newton_iters": sum(r.newton_iters for r in records),
         "cg_iters": sum(r.cg_iters for r in records if r.cg_iters is not None),
@@ -86,4 +87,4 @@ def write_stats(path, records: list[IterationRecord], disc) -> None:
         "factor_count": disc.factor_count,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(stats, indent=2) + "\n")
+        handle.write(json.dumps(stats, indent=2, allow_nan=False) + "\n")

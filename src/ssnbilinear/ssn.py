@@ -59,10 +59,11 @@ stagnation test read only the level's own rows.  A level below k is
 solved on its own Discretization, which lives only for that level's
 solve, and whose work counters are added to the run's; the level loop
 releases each level's last LU when the level ends, whatever its
-outcome.  A caller that has already solved a coarser level of the same
-problem hands its solution to run_ssn as coarse, and the loop starts
-above it from its prolonged control and state, the start the loop would
-have computed itself, so a sweep over levels solves each one once.
+outcome.  A caller may hand run_ssn the result of an earlier run_ssn of
+the same problem as coarse: when the loop would solve that result's
+level, it starts above it from its prolonged control and state, the
+start it would have computed itself, so a sweep over levels solves each
+one once; otherwise the result is ignored.
 
 Outer step j is an inexact semismooth Newton step.  After the state and
 adjoint solves at u_j, w = -F(u_j) at every node, so the residual
@@ -120,8 +121,9 @@ below step_floor(n_nodes) = 10*eps*n_nodes is rounding noise: eps times
 a scale of the condition number of Q, which grows like h^-2.  A run
 whose residual is still above outer_tol after such a step stops on
 stagnation, and one that has made MAX_OUTER steps stops on its budget;
-either raises SolverError with the rows made, the last of which names
-the reason.  Every row records ||F(u_j)||_h in residual, and the final
+a residual that is not finite (u0 = 1e300 overflows it) stops at once.
+Each raises SolverError with the rows made, the last of which names the
+reason.  Every row records ||F(u_j)||_h in residual, and the final
 row its stop_reason.  A target below rounding (outer_tol = 1e-20) stops
 a nested level on stagnation, but a level solved cold reaches
 ||F||_h = 0.0: once its steps are small, its state and adjoint solves
@@ -190,9 +192,9 @@ class IterationRecord:
     that level, from 0.  residual is ||F(u_j)||_h.  The final row of a
     level reports only the objective (corrected for the state residual,
     see run_ssn), the residual and the stop_reason ("residual",
-    "stagnation" or "budget") of its control, plus the warm-started
-    Newton count of its state solve; delta and cg_iters are None there,
-    and stop_reason is None on every other row.
+    "nonfinite", "stagnation" or "budget") of its control, plus the
+    warm-started Newton count of its state solve; delta and cg_iters are
+    None there, and stop_reason is None on every other row.
     """
 
     level: int
@@ -374,8 +376,8 @@ def _solve_level(
     disc keeps no factor on entry (run_ssn releases it), and keeps the
     level's last LU on return, also when the level fails; only an outer
     step that refactors releases one here.  Appends the level's rows to
-    records and returns (u, y, phi) once it meets outer_tol; a stop on
-    stagnation or budget raises SolverError.
+    records and returns (u, y, phi) once it meets outer_tol; a stop on a
+    nonfinite residual, stagnation or budget raises SolverError.
     """
     level = disc.mesh.level
     cold = y is None
@@ -394,7 +396,9 @@ def _solve_level(
             disc.release_factorization()
             phi = None
         it = _linearize(disc, u, state.y, phi)
-        if it.residual <= cfg.outer_tol:
+        if not np.isfinite(it.residual):
+            reason = "nonfinite"
+        elif it.residual <= cfg.outer_tol:
             reason = "residual"
         elif last is not None and last.delta < floor:
             reason = "stagnation"
@@ -430,6 +434,8 @@ def _solve_level(
 
     if reason == "residual":
         return it.u, it.y, it.phi
+    if reason == "nonfinite":
+        raise SolverError(f"ssn: nonfinite ||F||_h = {it.residual} at level {level}")
     if reason == "stagnation":
         raise SolverError(
             f"ssn: stagnation at level {level}: scaled step {last.delta:.3e} "
@@ -447,28 +453,8 @@ def can_start_from(level: int, coarse_level: int) -> bool:
     return COARSE_START_LEVEL - 1 <= coarse_level < level
 
 
-def _check_coarse(
-    disc: Discretization, coarse: tuple[int, np.ndarray, np.ndarray]
-) -> None:
-    level, u, y = coarse
-    if not can_start_from(disc.mesh.level, level):
-        raise ConfigurationError(
-            f"coarse solution of level {level} outside "
-            f"[{COARSE_START_LEVEL - 1}, {disc.mesh.level - 1}] "
-            f"for a level-{disc.mesh.level} run"
-        )
-    n = (2**level + 1) ** 2
-    if np.shape(u) != (n,) or np.shape(y) != (n,):
-        raise ConfigurationError(
-            f"coarse u and y must hold one value per node of level {level} "
-            f"({n}), got shapes {np.shape(u)} and {np.shape(y)}"
-        )
-
-
 def run_ssn(
-    disc: Discretization,
-    cfg: SSNConfig | None = None,
-    coarse: tuple[int, np.ndarray, np.ndarray] | None = None,
+    disc: Discretization, cfg: SSNConfig | None = None, coarse: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[IterationRecord]]:
     """Run the outer loop to convergence; returns (u, y, phi, records).
 
@@ -479,19 +465,21 @@ def run_ssn(
     coarsest first and disc's own last: per level one full row per outer
     step plus a final row with the objective, ||F||_h and stop_reason of
     its accepted control, which satisfies ||F(u)||_h <= outer_tol.  When a
-    level stagnates or exhausts MAX_OUTER the run raises SolverError with
-    the records, whose final row names the reason; a SolverError or
-    NegativeCurvatureError of a state, adjoint or CG solve on any level
-    is raised again as the same class with all the rows made so far.
+    level's ||F||_h is not finite, or it stagnates or exhausts MAX_OUTER,
+    the run raises SolverError with the records, whose final row names
+    the reason; a SolverError or NegativeCurvatureError of a state,
+    adjoint or CG solve on any level is raised again as the same class
+    with all the rows made so far.
 
-    coarse = (level, u, y) is the solution that an earlier run_ssn of the
-    same problem and cfg returned on a coarser level, from
-    COARSE_START_LEVEL - 1 up.  The run then starts from it and solves
-    only the levels above it, each exactly as a run without coarse would,
-    and records, like disc's work counters, hold only theirs; u0 seeds
-    nothing.  A level outside [COARSE_START_LEVEL - 1, disc's level - 1],
-    or arrays with other than one value per node of that level, raise
-    ConfigurationError.
+    coarse is the (u, y, phi, records) that an earlier run_ssn of the
+    same problem and cfg returned; its level is records[-1].level.  When
+    can_start_from(disc's level, that level), the run starts from its u
+    and y and solves only the levels above it, each exactly as a run
+    without coarse would, and records, like disc's work counters, hold
+    only theirs; u0 seeds nothing.  Otherwise the run ignores it, rows,
+    arrays and counters alike: a handed solution only saves work the run
+    would do itself.  u and y with other than one value per node of that
+    level raise ConfigurationError.
 
     The run releases disc's kept factor on entry, so no factor of an
     earlier solve preconditions its own, and releases each level's last
@@ -508,16 +496,22 @@ def run_ssn(
     # a factor kept from an earlier solve on disc preconditions nothing here
     disc.release_factorization()
     cfg = cfg if cfg is not None else SSNConfig()
+    top = disc.mesh.level
+    first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
     if coarse is not None:
-        _check_coarse(disc, coarse)
+        u_c, y_c, _, rows = coarse
+        level = rows[-1].level
+        n = (2**level + 1) ** 2
+        if np.shape(u_c) != (n,) or np.shape(y_c) != (n,):
+            raise ConfigurationError(
+                f"coarse u and y must hold one value per node of level {level} "
+                f"({n}), got shapes {np.shape(u_c)} and {np.shape(y_c)}"
+            )
+        if can_start_from(top, level):
+            first, u, y = level + 1, u_c, y_c
     violations = validate(disc.spec, derivative_check=False)
     if violations:
         raise ConfigurationError("problem data invalid: " + "; ".join(violations))
-    top = disc.mesh.level
-    if coarse is None:
-        first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
-    else:
-        first, u, y = coarse[0] + 1, coarse[1], coarse[2]
     records: list[IterationRecord] = []
     try:
         for level in range(first, top + 1):
@@ -531,7 +525,9 @@ def run_ssn(
                 # nothing of the coarser level is alive for it
                 u, y, phi = prolong(u, level), prolong(y, level), None
             try:
-                u, y, phi = _solve_level(level_disc, cfg, u, y, records)
+                # an overflow ends the level in a typed stop, not a warning
+                with np.errstate(all="ignore"):
+                    u, y, phi = _solve_level(level_disc, cfg, u, y, records)
             finally:
                 # the caller's disc outlives the run; no level's LU need
                 level_disc.release_factorization()

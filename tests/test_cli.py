@@ -171,6 +171,26 @@ def test_run_state_solve_failure_is_a_solver_error(tmp_path, capsys, level):
     assert not os.path.exists(os.path.join(out_dir, f"level_{level}", "convergence.csv"))
 
 
+def test_a_nonfinite_residual_is_its_own_stop(tmp_path, capsys):
+    # u0 = 1e300 overflows ||F||_h: the level stops on it at once, with no
+    # numpy warning, and stats.json stays strict JSON
+    out_dir = tmp_path / "results"
+    cfg = benchmark_cfg(tmp_path, out_dir, extra="\n[ssn]\nu0 = 1e300\n", levels=3)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "level 3: solver error: ssn: nonfinite ||F||_h = inf at level 3\n"
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    level_dir = out_dir / "level_3"
+    stats = json.loads((level_dir / "stats.json").read_text(), parse_constant=reject)
+    assert stats["stop_reason"] == "nonfinite" and stats["residual"] is None
+    assert stats["outer_iters"] == 0
+    rows = read_rows(level_dir / "convergence.csv")
+    assert [(row["j"], row["delta"], row["cg_iters"]) for row in rows] == [("0", "", "")]
+
+
 def test_run_failure_on_a_coarser_level_writes_its_rows(
     tmp_path, capsys, monkeypatch
 ):
@@ -463,6 +483,19 @@ def test_inputs_that_crashed_or_never_ended_are_config_errors(
     assert captured.err.startswith("error: invalid config:\n")
     assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_a_deep_expression_error_quotes_an_excerpt(tmp_path, capsys):
+    # the message quotes the text around the column, not all 6000 characters
+    text = MISSCALED.format(flag="on", out_dir=tmp_path / "results")
+    deep = "(" * 3000 + "y" + ")" * 3000
+    text = text.replace("1.01", "1").replace("a       = ", f"a = {deep} + ")
+    assert main(["run", write_cfg(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(len(line) < 300 for line in err.splitlines())
+    assert "expression error at column 101: " in err
+    assert "(in ...'" + "(" * 80 + "'...)" in err
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ssnbilinear import SolverError
+from ssnbilinear.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,6 +95,35 @@ def test_run_benchmark_script_rejects_bad_arguments(args, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stdout == ""
+
+
+def test_run_benchmark_script_solves_the_levels_run_does(tmp_path):
+    # the script and `ssnbilinear run` hand each level's result to the next
+    # alike, so every level has the same rows: level, j, J, newton, cg
+    proc = run_script("run_benchmark.py", "4", "5", "6")
+    assert proc.returncode == 0, proc.stderr
+    printed = []
+    for line in proc.stdout.splitlines():
+        tokens = line.split()
+        if tokens and tokens[0].isdigit():
+            # a final row prints no delta and no cg
+            level, j, J, *rest = tokens
+            newton, cg = (rest[1], rest[2]) if len(rest) == 3 else (rest[0], "")
+            printed.append((level, j, J, newton, cg))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[problem]\npreset = benchmark\n\n[mesh]\nlevels = 4 5 6\n\n"
+        f"[output]\ndirectory = {tmp_path / 'out'}\nwrite_fields = off\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    written = []
+    for level in (4, 5, 6):
+        csv = (tmp_path / "out" / f"level_{level}" / "convergence.csv").read_text()
+        for line in csv.splitlines()[1:]:
+            level, j, J, _, newton, cg = line.split(",")
+            written.append((level, j, J, newton, cg))
+    assert {row[0] for row in written} == {"4", "5", "6"}
+    assert printed == written
 
 
 def test_run_benchmark_script_reports_a_solver_error(monkeypatch, capsys):

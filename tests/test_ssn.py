@@ -15,6 +15,7 @@ from test_pde import linear_problem
 from ssnbilinear import (
     ConfigurationError,
     Discretization,
+    IterationRecord,
     NegativeCurvatureError,
     ProblemSpec,
     SSNConfig,
@@ -485,15 +486,14 @@ def test_coarse_start_whose_prolonged_state_needs_no_newton_step():
 
 
 def test_a_run_from_a_coarse_solution_solves_only_the_levels_above_it(bench):
-    # the handed level-4 solution is the start the level loop would compute,
+    # the handed level-4 result is the start the level loop would compute,
     # so levels 5 and 6 repeat the lone run's rows and solution bit for bit
     level = ssn.COARSE_START_LEVEL + 1
     lone = Discretization(bench, build_uniform_mesh(level))
     *solution, records = run_ssn(lone)
     below = Discretization(bench, build_uniform_mesh(level - 2))
-    u4, y4, _, _ = run_ssn(below)
     disc = Discretization(bench, lone.mesh)
-    *handed, handed_records = run_ssn(disc, coarse=(level - 2, u4, y4))
+    *handed, handed_records = run_ssn(disc, coarse=run_ssn(below))
     assert handed_records == [r for r in records if r.level > level - 2]
     for a, b in zip(handed, solution):
         assert np.array_equal(a, b)
@@ -513,10 +513,26 @@ def test_a_run_from_a_coarse_solution_solves_only_the_levels_above_it(bench):
 def test_run_rejects_a_coarse_solution_it_cannot_start_from(
     bench, run_level, coarse_level, n
 ):
+    # a handed result only saves work the run would do: one of a level it
+    # cannot start from is ignored, and the rows, arrays and counters are
+    # those of the run without it, bit for bit; arrays that do not hold one
+    # value per node of their level are an error
+    row = IterationRecord(coarse_level, 0, 0.0, None, 0, None, 0.0, "residual")
+    coarse = (np.zeros(n), np.zeros(n), np.zeros(n), [row])
     disc = Discretization(bench, build_uniform_mesh(run_level))
-    with pytest.raises(ConfigurationError, match="coarse"):
-        run_ssn(disc, coarse=(coarse_level, np.zeros(n), np.zeros(n)))
-    assert disc.factor_count == 0
+    if n != (2**coarse_level + 1) ** 2:
+        with pytest.raises(ConfigurationError, match="coarse"):
+            run_ssn(disc, coarse=coarse)
+        assert disc.factor_count == 0
+        return
+    lone = Discretization(bench, disc.mesh)
+    *solution, records = run_ssn(lone)
+    *ignored, ignored_records = run_ssn(disc, coarse=coarse)
+    assert ignored_records == records
+    for a, b in zip(ignored, solution):
+        assert np.array_equal(a, b)
+    assert disc.factor_count == lone.factor_count
+    assert disc.newton_count == lone.newton_count
 
 
 def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypatch):
@@ -1133,14 +1149,25 @@ def test_step_floor_is_the_stagnation_guard(bench):
     # level keeps the factor of its start, so its predictions are off by
     # a share of each step and its solves leave rounding noise in F
     cfg = SSNConfig(outer_tol=1e-20)
-    u, y, _, _ = run_ssn(Discretization(bench, build_uniform_mesh(4)), cfg)
+    coarse = run_ssn(Discretization(bench, build_uniform_mesh(4)), cfg)
     disc = Discretization(bench, build_uniform_mesh(5))
     with pytest.raises(SolverError, match="stagnation") as exc:
-        run_ssn(disc, cfg, coarse=(4, u, y))
+        run_ssn(disc, cfg, coarse=coarse)
     *full, final = exc.value.history
     assert final.stop_reason == "stagnation"
     assert full[-1].delta < step_floor(disc.n_nodes)
     assert all(r.delta >= step_floor(disc.n_nodes) for r in full[:-1])
+
+
+def test_a_nonfinite_residual_stops_the_level_at_once(bench):
+    # ||F||_h of u0 = 1e300 overflows: no CG runs on it, and the final row
+    # of that control names the stop
+    disc = Discretization(bench, build_uniform_mesh(3))
+    with pytest.raises(SolverError, match="nonfinite") as exc:
+        run_ssn(disc, SSNConfig(u0=1e300))
+    (final,) = exc.value.history
+    assert (final.j, final.stop_reason, final.delta) == (0, "nonfinite", None)
+    assert final.residual == np.inf
 
 
 def test_ssn_config_validation():
