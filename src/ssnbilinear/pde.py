@@ -48,12 +48,15 @@ minimum degree on the pattern of Q^T + Q (MMD_AT_PLUS_A), and the pivots
 are taken from the diagonal (diag_pivot_thresh = 0).  Gaussian
 elimination on a symmetric positive definite matrix is stable without
 row interchanges, so the symmetric fill-reducing ordering is kept
-intact.
+intact.  The LU is a run's memory peak, so Q is assembled beside it with
+nothing but its values: a copy of K's data with d added at K's diagonal,
+wrapped as CSC on K's own index arrays (K is exactly symmetric, so its
+CSR arrays are its CSC arrays too).
 
 The nonlinear state equation is solved by an inexact Newton method with
 the exact Jacobian Q and residual-halving damping; the residual is
-measured in the lumped L2 norm.  Step k solves Q s = -r_k by PCG only to
-the relative 2-norm residual
+measured in the lumped L2 norm.  Step k solves Q s = r_k by PCG only to
+the relative 2-norm residual and steps along -s
 
     eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, max(rho_k^2, c*tol/||r_k||_h))),
     rho_k = ||r_k||_h / ||r_0||_h,  c = NEWTON_TOL_SHARE = 0.1,
@@ -135,10 +138,10 @@ def forcing_term(rate: float, rnorm: float, target: float, eta_max: float) -> fl
 class LinearizedOperator:
     """Factorized sparse operator K + diag(w*(da_dy(x,y) + u))."""
 
-    def __init__(self, matrix: sp.spmatrix):
+    def __init__(self, matrix: sp.csc_matrix):
         try:
             self._lu = spla.splu(
-                matrix.tocsc(),
+                matrix,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 panel_size=SPLU_PANEL_SIZE,
@@ -243,6 +246,9 @@ class Discretization:
         self.stiffness = assemble_stiffness(mesh, spec.diffusion)
         self.weights = assemble_lumped_mass(mesh)
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
+        # where K stores its diagonal: one entry per row, never zero
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.stiffness.indptr))
+        self._diagonal = np.flatnonzero(self.stiffness.indices == rows)
         self.factor_count = 0
         self.pcg_count = 0
         self.newton_count = 0
@@ -273,7 +279,17 @@ class Discretization:
         return self.weights * (nodal(self.spec.da_dy, self.x, y) + u)
 
     def _matrix(self, d: np.ndarray) -> sp.csc_matrix:
-        return (self.stiffness + sp.diags(d)).tocsc()
+        """Q = K + diag(d) in CSC, on K's own index arrays.
+
+        K is exactly symmetric, with sorted indices and no stored zeros,
+        so its CSR arrays are its CSC arrays too; Q's data is a copy of
+        K's with d added at the diagonal.  The result is (K +
+        sp.diags(d)).tocsc() bit for bit while every K_ii + d_i is nonzero.
+        """
+        k = self.stiffness
+        data = k.data.copy()
+        data[self._diagonal] += d
+        return sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
 
     @property
     def kept_factor(self) -> LinearizedOperator | None:
@@ -344,8 +360,9 @@ class Discretization:
     ) -> StateSolveReport:
         """Inexact damped Newton iteration on the state equation.
 
-        Step k solves Q s = -r_k only to the relative 2-norm residual
-        eta_k of the module docstring.  A step that fails the sufficient
+        Step k solves Q s = r_k only to the relative 2-norm residual
+        eta_k of the module docstring and moves y to y - scale*s; y_init
+        is never written to.  A step that fails the sufficient
         decrease of the lumped-L2 residual norm is halved, up to
         MAX_HALVINGS times.  A nonfinite residual, a step that no halving
         makes pass, or MAX_NEWTON steps without ||r||_h <= tol raise
@@ -353,7 +370,7 @@ class Discretization:
         """
         if tol <= 0:
             raise SolverError(f"state solve tolerance must be positive, got {tol}")
-        y = self.zeros() if y_init is None else np.array(y_init, dtype=float)
+        y = self.zeros() if y_init is None else np.asarray(y_init, dtype=float)
         r = self.state_residual(u, y)
         rnorm = rnorm0 = self.norm(r)
         history = [rnorm]
@@ -374,10 +391,10 @@ class Discretization:
             eta = forcing_term(
                 (rnorm / rnorm0) ** 2, rnorm, NEWTON_TOL_SHARE * tol, NEWTON_ETA_MAX
             )
-            step = self._solve_once(u, y, -r, eta)
+            step = self._solve_once(u, y, r, eta)
             scale = 1.0
             for _ in range(MAX_HALVINGS + 1):
-                y_new = y + scale * step
+                y_new = y - scale * step
                 r_new = self.state_residual(u, y_new)
                 rnorm_new = self.norm(r_new)
                 if rnorm_new <= (1.0 - SUFFICIENT_DECREASE) * rnorm:

@@ -1,5 +1,7 @@
 """PDE solves: analytic states, Newton behavior, linearized solves."""
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +232,60 @@ def test_warm_state_solve_does_not_assemble_q(bench):
     assert disc.factor_count == 1
 
 
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "diffusion",
+    [np.eye(2), np.diag([1.0, 10.0]), np.array([[2.0, 0.5], [0.5, 1.0]])],
+    ids=["identity", "anisotropic", "full"],
+)
+def test_q_is_assembled_on_k_bit_for_bit(bench, level, diffusion):
+    disc = Discretization(
+        dataclasses.replace(bench, diffusion=diffusion), build_uniform_mesh(level)
+    )
+    rng = np.random.default_rng(level)
+    u = rng.uniform(bench.alpha, bench.beta, disc.n_nodes)
+    y = rng.normal(size=disc.n_nodes)
+    q = disc._matrix(disc._reaction(u, y))
+    ref = linearized_matrix(disc, u, y)
+    assert q.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(q, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+    # Q's index arrays are K's: only the values are allocated
+    assert np.shares_memory(q.indices, disc.stiffness.indices)
+    assert np.shares_memory(q.indptr, disc.stiffness.indptr)
+
+
+def test_a_factoring_solve_allocates_only_q_values_beside_the_lu(bench):
+    """The numpy arrays a factoring one-off solve allocates at level 6: Q's
+    values (a copy of K's data) and a few node vectors at any one time.
+    SuperLU's own allocations, the LU among them, are not traced."""
+    disc = Discretization(bench, build_uniform_mesh(6))
+    u, y = np.full(disc.n_nodes, 0.3), np.full(disc.n_nodes, 0.5)
+    rhs = disc.weights.copy()
+    disc.release_factorization()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        disc._solve_once(u, y, rhs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert disc.factor_count == 1
+    assert peak <= disc.stiffness.data.nbytes + 4 * rhs.nbytes
+
+
+def test_state_solve_never_writes_into_its_start(bench):
+    disc = Discretization(bench, build_uniform_mesh(4))
+    start = np.full(disc.n_nodes, 0.5)
+    start.flags.writeable = False
+    report = disc.solve_state(disc.zeros(), y_init=start)
+    assert report.newton_iters >= 1
+    assert np.all(start == 0.5)
+    assert disc.norm(disc.state_residual(disc.zeros(), report.y)) <= DEFAULT_TOL
+
+
 def test_pcg_never_returns_an_unconverged_iterate():
     rhs = np.ones(4)
     with pytest.raises(NegativeCurvatureError):
@@ -332,7 +388,7 @@ def test_state_solve_detects_nonfinite_residual():
 
 def test_singular_operator_reported():
     with pytest.raises(SolverError, match="singular"):
-        LinearizedOperator(sp.csr_matrix((3, 3)))
+        LinearizedOperator(sp.csc_matrix((3, 3)))
 
 
 # --- adjoint ------------------------------------------------------------
