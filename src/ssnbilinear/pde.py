@@ -135,6 +135,13 @@ def forcing_term(rate: float, rnorm: float, target: float, eta_max: float) -> fl
     return max(PCG_RTOL, min(eta_max, max(rate, target / rnorm)))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The plain dot product a.b, summed in one order whatever the BLAS
+    thread count (OpenBLAS's ddot splits its sum between threads, so
+    np.dot's last digits would depend on OPENBLAS_NUM_THREADS)."""
+    return np.einsum("i,i->", a, b)
+
+
 class LinearizedOperator:
     """Factorized sparse operator K + diag(w*(da_dy(x,y) + u))."""
 
@@ -159,7 +166,7 @@ def cg_solve(
     rhs: np.ndarray,
     tol: float,
     max_iters: int,
-    inner=np.dot,
+    inner=dot,
     precondition=None,
     x0: np.ndarray | None = None,
     on_step=None,
@@ -167,7 +174,7 @@ def cg_solve(
     """Preconditioned conjugate gradients from x0; returns (x, iterations).
 
     apply and precondition must be symmetric positive definite in the
-    inner product inner (by default the plain dot product); without a
+    inner product inner (by default the plain dot product, dot); without a
     preconditioner z = r.  Converged means
     sqrt(inner(r, r)) <= tol * sqrt(inner(rhs, rhs)) for the residual
     r = rhs - apply(x) within max_iters iterations; the target does not

@@ -139,7 +139,7 @@ import numpy as np
 from .errors import ConfigurationError, SolverError
 from .mesh import build_uniform_mesh, prolong
 from .objective import _objective
-from .pde import DEFAULT_TOL, Discretization, cg_solve, forcing_term
+from .pde import DEFAULT_TOL, Discretization, cg_solve, dot, forcing_term
 from .problem import ProblemSpec, validate
 
 # An outer step after a scaled step below this reuses the kept factor of Q.
@@ -423,7 +423,7 @@ def _solve_level(
         IterationRecord(
             level=level,
             j=j,
-            J=_objective(disc, u, it.y) - float(it.phi @ r),
+            J=_objective(disc, u, it.y) - float(dot(it.phi, r)),
             delta=None,
             newton_iters=state.newton_iters,
             cg_iters=None,

@@ -136,6 +136,39 @@ def test_rerun_is_byte_identical(tmp_path):
     assert Path(csv_path).read_bytes() == first
 
 
+def test_run_writes_the_same_bytes_whatever_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product's sum between its threads; no result
+    # may depend on that split
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # the same relative output directory, so stdout names the same path
+        (tmp_path / threads).mkdir()
+        (tmp_path / threads / "run.cfg").write_text(
+            "[problem]\npreset = benchmark\n\n[mesh]\nlevels = 7\n\n"
+            "[output]\ndirectory = out\n"
+        )
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-m", "ssnbilinear", "run", "run.cfg"],
+            stdout=subprocess.PIPE,
+            cwd=tmp_path / threads,
+            env=env,
+        )
+    stdout = {threads: proc.communicate()[0] for threads, proc in procs.items()}
+    assert [proc.returncode for proc in procs.values()] == [0, 0]
+    assert stdout["1"] == stdout["2"]
+    one, two = tmp_path / "1" / "out", tmp_path / "2" / "out"
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert "state.vtk" in {p.name for p in files}
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    for rel in files:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
 def test_run_solver_failure_leaves_partial_history(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ssn, "MAX_OUTER", 1)
     out_dir = str(tmp_path / "results")
