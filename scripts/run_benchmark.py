@@ -9,11 +9,13 @@ the next, as `ssnbilinear run` does, and run_ssn starts above it when the
 next level is finer and the result is from level COARSE_START_LEVEL - 1
 up; so `5 6 7 8 9` solves levels 4-9 once each, and `3 5` solves level 4
 for level 5.  A level's table, its factorization count and its outer
-line cover the levels solved for it.  Exit codes as for `ssnbilinear
-run`: 0 success, 1 bad arguments (checked before the first solve), 2 a
-level's solver error, which ends the run.
+line cover the levels solved for it; the peak RSS in its heading is the
+process's peak so far, in MB (MiB).  Exit codes as for `ssnbilinear run`:
+0 success, 1 bad arguments (checked before the first solve), 2 a level's
+solver error, which ends the run.
 """
 
+import resource
 import sys
 import time
 
@@ -50,10 +52,13 @@ def main(argv):
             return 2
         t2 = time.perf_counter()
         u, y, phi, records = coarse
+        # Linux reports ru_maxrss in KiB
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
         print(
             f"\nlevel {level}  (h = 2^-{level}, {disc.n_nodes} nodes, "
-            f"set-up {t1 - t0:.2f}s, solve {t2 - t1:.2f}s)"
+            f"set-up {t1 - t0:.2f}s, solve {t2 - t1:.2f}s, "
+            f"peak RSS {peak_mb:.1f} MB)"
         )
         print(f"{'level':>5} {'j':>3} {'J':>24} {'delta':>13} {'newton':>7} {'cg':>4}")
         outer = {}

@@ -34,6 +34,11 @@ def test_run_benchmark_script():
     assert proc.stdout.count("measures:") == 2
     assert len(re.findall(r", pcg [1-9][0-9]*\n", proc.stdout)) == 2
     assert "level 3 " in proc.stdout and "level 5 " in proc.stdout
+    # each level's heading gives its times and the process's peak RSS
+    heading = r"\nlevel [35] .*, set-up [0-9.]+s, solve [0-9.]+s, "
+    peaks = re.findall(heading + r"peak RSS ([0-9.]+) MB\)\n", proc.stdout)
+    assert len(peaks) == 2
+    assert 0 < float(peaks[0]) <= float(peaks[1])
     # level 3 starts cold; level 5 solves level 4 first, and both tables
     # list every row with its level
     assert "factorizations 3, " in proc.stdout
