@@ -55,8 +55,8 @@ CSR arrays are its CSC arrays too).
 
 The nonlinear state equation is solved by an inexact Newton method with
 the exact Jacobian Q and residual-halving damping; the residual is
-measured in the lumped L2 norm.  Step k solves Q s = r_k by PCG only to
-the relative 2-norm residual and steps along -s
+measured in the lumped L2 norm.  Step k moves y along -s, where s solves
+Q s = r_k by PCG only to the relative 2-norm residual
 
     eta_k = max(PCG_RTOL, min(NEWTON_ETA_MAX, max(rho_k^2, c*tol/||r_k||_h))),
     rho_k = ||r_k||_h / ||r_0||_h,  c = NEWTON_TOL_SHARE = 0.1,
