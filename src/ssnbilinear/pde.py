@@ -253,9 +253,12 @@ class Discretization:
         self.stiffness = assemble_stiffness(mesh, spec.diffusion)
         self.weights = assemble_lumped_mass(mesh)
         self.boundary_load = assemble_boundary_load(mesh, spec.g)
-        # where K stores its diagonal: one entry per row, never zero
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.stiffness.indptr))
-        self._diagonal = np.flatnonzero(self.stiffness.indices == rows)
+        # where K stores its diagonal (one entry per row, never zero), in
+        # K's index type: it is alive while every Q is factored
+        k = self.stiffness
+        rows = np.arange(self.n_nodes, dtype=k.indices.dtype)
+        rows = np.repeat(rows, np.diff(k.indptr))
+        self._diagonal = np.flatnonzero(k.indices == rows).astype(k.indptr.dtype)
         self.factor_count = 0
         self.pcg_count = 0
         self.newton_count = 0
@@ -357,7 +360,9 @@ class Discretization:
                 # precondition holds the old LU too: let it go before the
                 # new one is built
                 factor = None
-        return self._factor(self._matrix(d)).solve(rhs)
+        matrix = self._matrix(d)
+        del d  # the LU is the memory peak: d need not be alive beside it
+        return self._factor(matrix).solve(rhs)
 
     def solve_state(
         self,
