@@ -14,8 +14,9 @@ settings.load_profile("suite")
 
 
 def linearized_matrix(disc, u, y):
-    """Q(u, y) = K + diag(w*(da_dy(x, y) + u)) in CSC, assembled as disc
-    assembles it, so factors of it match disc's bit for bit."""
+    """Q(u, y) = K + diag(w*(da_dy(x, y) + u)) in CSC by scipy's sum: the
+    arrays disc._matrix builds on K's structure, bit for bit, so factors
+    of it match disc's."""
     d = disc.weights * (nodal(disc.spec.da_dy, disc.x, y) + u)
     return (disc.stiffness + sp.diags(d)).tocsc()
 
