@@ -106,16 +106,15 @@ def fd_gradient_oracle(
     y: np.ndarray,
     v: np.ndarray,
     ts,
-    values: dict[float, float] | None = None,
+    values: dict[float, float],
 ) -> list[float]:
     """Central differences (J(u+tv) - J(u-tv)) / (2t), one per step t in ts.
 
-    y is the state at u; every state solve starts from it.  values, if
-    given, maps a signed step s to J(u + s v) for this u and v: a control
-    found in it is not solved again, and each one solved is added, so
-    the two oracles can share the steps they have in common.
+    y is the state at u; every state solve starts from it.  values maps a
+    signed step s to J(u + s v) for this u and v: a control found in it
+    is not solved again, and each one solved is added, so the two oracles
+    can share the steps they have in common.
     """
-    values = {} if values is None else values
     out = []
     for t in ts:
         jp, jm = _step_objectives(disc, u, y, v, t, values)
@@ -129,7 +128,7 @@ def fd_curvature_oracle(
     y: np.ndarray,
     v: np.ndarray,
     ts,
-    values: dict[float, float] | None = None,
+    values: dict[float, float],
 ) -> list[float]:
     """Second central differences (J(u+tv) - 2J(u) + J(u-tv)) / t^2 per t in ts.
 
@@ -137,7 +136,6 @@ def fd_curvature_oracle(
     solved once and shared by every step; values is shared as in
     fd_gradient_oracle.
     """
-    values = {} if values is None else values
     j0 = _fresh_objective(disc, u, y)
     out = []
     for t in ts:

@@ -4,14 +4,16 @@ The optimality system is the nonsmooth fixed-point equation
 
     F(u) = u - Proj_[alpha, beta]((1/nu) * y_u * phi_u) = 0.
 
-Each outer iteration solves the state and adjoint equations, classifies
-every node as upper-active (y*phi >= nu*beta), lower-active
-(y*phi <= nu*alpha), or inactive, assigns the Newton correction directly
-on the active sets (w = bound - u there), and solves the reduced
-quadratic problem for the inactive components with a matrix-free
-conjugate gradient method in the lumped L2 inner product: pde.cg_solve
-with inner = Discretization.inner, the routine the one-off PDE solves
-run too.  Its typed failures reach the caller: NegativeCurvatureError
+Each outer iteration solves the state and adjoint equations and forms
+the projection P = Proj_[alpha, beta](y*phi/nu) once.  w = P - u is
+-F(u).  The Newton derivative of the projection is the indicator of the
+inactive set, where P lies strictly inside (alpha, beta); a node with P
+on a bound is active.  The Newton correction on the active set is w
+itself, bound - u there, and the step solves the reduced quadratic
+problem for the inactive components with a matrix-free conjugate
+gradient method in the lumped L2 inner product: pde.cg_solve with
+inner = Discretization.inner, the routine the one-off PDE solves run
+too.  Its typed failures reach the caller: NegativeCurvatureError
 when the reduced Hessian is not positive definite on the inactive set,
 SolverError on a nonfinite value or an exhausted budget of n_nodes
 iterations (CG's exact-arithmetic bound), each with the table rows made
@@ -173,15 +175,9 @@ CG_ETA_MAX = 0.1
 CG_TOL_SHARE = 0.01
 # The outer steps a level may take; on the benchmark a level takes 3-5.
 MAX_OUTER = 30
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveSets:
-    """Nodewise partition into upper-active, lower-active, and inactive."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-    inactive: np.ndarray
+# complementarity_report's tolerance for a bound attained and a vanishing
+# gradient.
+TOL_SIGMA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ class SSNConfig:
     0.01), where the last step lands closer to outer_tol: the returned
     adjoint is within 1.2e-14 relative of the exact one, and F at the
     exact adjoint reads the same.  inner_tol is the tolerance of the
-    state solves; both are positive and finite.  u0 is the constant
+    state solves; both are positive and finite reals.  u0 is the constant
     control that the first level a run solves starts from, a finite real.
     The budgets are module constants: MAX_OUTER outer steps per level,
     and n_nodes iterations per CG.
@@ -231,10 +227,15 @@ class SSNConfig:
     u0: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.outer_tol < np.inf and 0 < self.inner_tol < np.inf):
+        tols = {"outer_tol": self.outer_tol, "inner_tol": self.inner_tol}
+        for name, value in tols.items():
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        if not all(0 < value < np.inf for value in tols.values()):
             raise ConfigurationError("tolerances must be positive and finite")
-        if not isinstance(self.u0, Real) or not np.isfinite(self.u0):
-            raise ConfigurationError(f"u0 must be a finite real, got {self.u0!r}")
+        u0 = self.u0
+        if not isinstance(u0, Real) or isinstance(u0, bool) or not np.isfinite(u0):
+            raise ConfigurationError(f"u0 must be a finite real, got {u0!r}")
 
 
 def step_floor(n_nodes: int) -> float:
@@ -248,34 +249,32 @@ def step_floor(n_nodes: int) -> float:
     return 10.0 * float(np.finfo(float).eps) * n_nodes
 
 
+def _projection(spec: ProblemSpec, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Nodewise Proj_[alpha, beta](y*phi/nu)."""
+    return np.clip(y * phi / spec.nu, spec.alpha, spec.beta)
+
+
 def optimality_residual(
     spec: ProblemSpec, u: np.ndarray, y: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """Nodewise F(u) = u - clamp(y*phi/nu, alpha, beta)."""
-    return u - np.clip(y * phi / spec.nu, spec.alpha, spec.beta)
-
-
-def classify(spec: ProblemSpec, y: np.ndarray, phi: np.ndarray) -> ActiveSets:
-    """Partition nodes by y*phi against nu*beta and nu*alpha; ties go active."""
-    yphi = y * phi
-    upper = yphi >= spec.nu * spec.beta
-    lower = yphi <= spec.nu * spec.alpha
-    return ActiveSets(upper=upper, lower=lower, inactive=~(upper | lower))
+    """Nodewise F(u) = u - Proj_[alpha, beta](y*phi/nu)."""
+    return u - _projection(spec, y, phi)
 
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
     """The state, adjoint and Newton data at one control u_j.
 
-    w is the Newton correction on the active sets and -F(u_j) at every
-    node (classify's tie rule decides which bound a node takes), so
-    residual = ||F(u_j)||_h = ||w||_h.
+    w = Proj(y*phi/nu) - u_j is -F(u_j) at every node and the Newton
+    correction on the active set, so residual = ||F(u_j)||_h = ||w||_h.
+    inactive marks the nodes whose projection lies strictly inside
+    (alpha, beta); a node on a bound is active.
     """
 
     u: np.ndarray
     y: np.ndarray
     phi: np.ndarray
-    sets: ActiveSets
+    inactive: np.ndarray
     w: np.ndarray
     residual: float
 
@@ -286,20 +285,21 @@ def _linearize(
     y: np.ndarray,
     phi_init: np.ndarray | None = None,
 ) -> Iterate:
-    """Solve the adjoint at (u, y), classify the nodes and form w = -F(u).
+    """Solve the adjoint at (u, y) and project y*phi/nu onto the bounds.
 
-    The adjoint is a one-off solve against Q(u, y) started from phi_init.
+    The projection P gives w = P - u = -F(u) and the inactive set
+    alpha < P < beta, so F, w and the active sets cannot disagree.  The
+    adjoint is a one-off solve against Q(u, y) started from phi_init.
     It is preconditioned by the factor disc keeps, of an earlier Q; with
     none kept it factors Q(u, y) and solves directly.  The step's Hessian
     solves use the factor kept after it either way.
     """
     spec = disc.spec
     phi = disc.solve_adjoint(u, y, phi_init=phi_init)
-    sets = classify(spec, y, phi)
-    w = y * phi / spec.nu - u
-    w[sets.upper] = spec.beta - u[sets.upper]
-    w[sets.lower] = spec.alpha - u[sets.lower]
-    return Iterate(u, y, phi, sets, w, disc.norm(w))
+    proj = _projection(spec, y, phi)
+    inactive = (spec.alpha < proj) & (proj < spec.beta)
+    w = proj - u
+    return Iterate(u, y, phi, inactive, w, disc.norm(w))
 
 
 def _step(
@@ -318,23 +318,23 @@ def _step(
     order, and the row.
     """
     spec = disc.spec
-    y, phi, sets, w = it.y, it.phi, it.sets, it.w
-    w_active = np.where(sets.inactive, 0.0, w)
+    y, phi, inactive, w = it.y, it.phi, it.inactive, it.w
+    w_active = np.where(inactive, 0.0, w)
     if w_active.any():
         term, z_v, eta_v = disc.hessian_term(y, phi, w_active)
-        rhs = np.where(sets.inactive, w + term / spec.nu, 0.0)
+        rhs = np.where(inactive, w + term / spec.nu, 0.0)
     else:  # Q^-1 0 = 0: no solves, and w + 0 / nu = w
         z_v, eta_v = disc.zeros(), disc.zeros()
-        rhs = np.where(sets.inactive, w, 0.0)
+        rhs = np.where(inactive, w, 0.0)
     z_p = eta_p = None
 
     def apply(p):
         # (1/nu) * the reduced Hessian on the inactive set: chi_I*(p_I -
         # (phi*z + y*eta)/nu), z and eta those of p_I = chi_I*p
         nonlocal z_p, eta_p
-        vi = np.where(sets.inactive, p, 0.0)
+        vi = np.where(inactive, p, 0.0)
         term, z_p, eta_p = disc.hessian_term(y, phi, vi)
-        return np.where(sets.inactive, vi - term / spec.nu, 0.0)
+        return np.where(inactive, vi - term / spec.nu, 0.0)
 
     def add_solves(step):
         # z and eta are linear in v: CG's x += step * p adds step times p's
@@ -346,7 +346,7 @@ def _step(
         apply, rhs, eta, disc.n_nodes, inner=disc.inner, on_step=add_solves
     )
 
-    v = np.where(sets.inactive, v_inactive, w)
+    v = np.where(inactive, v_inactive, w)
     u_next = it.u + v
     # z and eta of v = v_I + w_A: the state and adjoint at u_{j+1} to
     # first order, the starts of the next state and adjoint solves
@@ -500,6 +500,8 @@ def run_ssn(
     first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
     if coarse is not None:
         u_c, y_c, _, rows = coarse
+        if not rows:
+            raise ConfigurationError("coarse records must hold at least one row")
         level = rows[-1].level
         n = (2**level + 1) ** 2
         if np.shape(u_c) != (n,) or np.shape(y_c) != (n,):
@@ -545,8 +547,8 @@ class ComplementarityReport:
     """Discrete measures of the bound-attainment sets of a solution.
 
     sigma is the measure of nodes where a bound is attained while the
-    gradient nu*u - y*phi also vanishes (within tol_sigma); strict
-    complementarity means sigma is (numerically) zero.
+    gradient nu*u - y*phi also vanishes (within tol_sigma, always
+    TOL_SIGMA); strict complementarity means sigma is (numerically) zero.
     """
 
     upper: float
@@ -561,18 +563,17 @@ def complementarity_report(
     u: np.ndarray,
     y: np.ndarray,
     phi: np.ndarray,
-    tol_sigma: float = 1e-8,
 ) -> ComplementarityReport:
     spec = disc.spec
-    at_upper = np.abs(u - spec.beta) <= tol_sigma
-    at_lower = np.abs(u - spec.alpha) <= tol_sigma
+    at_upper = np.abs(u - spec.beta) <= TOL_SIGMA
+    at_lower = np.abs(u - spec.alpha) <= TOL_SIGMA
     interior = ~(at_upper | at_lower)
     grad = spec.nu * u - y * phi
-    sigma = (at_upper | at_lower) & (np.abs(grad) <= tol_sigma)
+    sigma = (at_upper | at_lower) & (np.abs(grad) <= TOL_SIGMA)
     return ComplementarityReport(
         upper=disc.measure(at_upper),
         lower=disc.measure(at_lower),
         interior=disc.measure(interior),
         sigma=disc.measure(sigma),
-        tol_sigma=tol_sigma,
+        tol_sigma=TOL_SIGMA,
     )

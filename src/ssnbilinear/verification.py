@@ -11,10 +11,11 @@ direction share the controls u +- t v they have in common, each solved
 once.
 
 verify_derivatives(spec, VerifySettings(level, directions, seed)) runs
-the check the way run_ssn(disc, SSNConfig) runs the solver: the settings
-object owns the defaults and rejects values out of range, among them
-more directions than the verify level has nodes.  The probe
-directions are drawn one by one from default_rng(seed).
+the check the way run_ssn(disc, SSNConfig) runs the solver: both reject
+a spec that breaks validate's structural invariants, and the settings
+object owns the defaults and rejects values that are not integers or
+are out of range, among them more directions than the verify level has
+nodes.  The probe directions are drawn one by one from default_rng(seed).
 
 Observed orders are least-squares slopes on a log-log scale.  Each
 difference quotient carries a roundoff floor proportional to
@@ -38,7 +39,7 @@ from .objective import (
     hessian_vec,
 )
 from .pde import Discretization
-from .problem import ProblemSpec
+from .problem import ProblemSpec, validate
 
 GRAD_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)
 CURV_STEPS = (1e-1, 3e-2, 1e-2, 3e-3)
@@ -58,6 +59,9 @@ class VerifySettings:
     seed: int = 1234
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.level <= MAX_LEVEL:
             raise ConfigurationError(f"level {self.level} outside [1, {MAX_LEVEL}]")
         if self.directions < 1:
@@ -87,8 +91,6 @@ class DirectionReport:
 @dataclass(frozen=True)
 class VerificationResult:
     settings: VerifySettings
-    grad_steps: tuple[float, ...]
-    curv_steps: tuple[float, ...]
     directions: list[DirectionReport]
     symmetry: list[float]
     passed: bool
@@ -122,7 +124,14 @@ def fit_decay_order(ts, errors, floors) -> float:
 def verify_derivatives(
     spec: ProblemSpec, settings: VerifySettings = VerifySettings()
 ) -> VerificationResult:
-    """Run the full FD check suite at settings.level."""
+    """Run the full FD check suite at settings.level.
+
+    The structural invariants of spec are checked first, as run_ssn
+    checks them: a violation raises ConfigurationError.
+    """
+    violations = validate(spec, derivative_check=False)
+    if violations:
+        raise ConfigurationError("problem data invalid: " + "; ".join(violations))
     disc = Discretization(spec, build_uniform_mesh(settings.level))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     jscale = max(1.0, abs(base.J))
@@ -183,8 +192,6 @@ def verify_derivatives(
     sym_ok = all(s <= MAX_SYMMETRY for s in symmetry)
     return VerificationResult(
         settings=settings,
-        grad_steps=GRAD_STEPS,
-        curv_steps=CURV_STEPS,
         directions=reports,
         symmetry=symmetry,
         passed=orders_ok and sym_ok,
@@ -198,8 +205,8 @@ def format_verification(result: VerificationResult) -> str:
     lines = [
         f"finite-difference verification at level {result.settings.level} "
         f"(seed {result.settings.seed})",
-        f"gradient steps:  {', '.join(f'{t:g}' for t in result.grad_steps)}",
-        f"curvature steps: {', '.join(f'{t:g}' for t in result.curv_steps)}",
+        f"gradient steps:  {', '.join(f'{t:g}' for t in GRAD_STEPS)}",
+        f"curvature steps: {', '.join(f'{t:g}' for t in CURV_STEPS)}",
     ]
     for index, r in enumerate(result.directions):
         g = "floor" if math.isinf(r.grad_order) else f"{r.grad_order:.2f}"

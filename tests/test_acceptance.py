@@ -139,9 +139,8 @@ def test_mesh_independent_outer_counts(cold_runs):
 
 def test_bound_attainment_measures(bench_runs):
     run = bench_runs[7]
-    rep = complementarity_report(
-        run["disc"], run["u"], run["y"], run["phi"], tol_sigma=1e-8
-    )
+    rep = complementarity_report(run["disc"], run["u"], run["y"], run["phi"])
+    assert rep.tol_sigma == 1e-8
     got = (rep.upper, rep.lower, rep.interior)
     devs = [abs(g - r) for g, r in zip(got, REF_MEASURES)]
     ok = max(devs) <= 0.02 and rep.sigma <= 0.005

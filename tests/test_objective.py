@@ -70,7 +70,7 @@ def test_gradient_matches_finite_differences(bench):
         ts = (1e-2, 1e-3)
         errs = {
             t: abs(fd - slope)
-            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, base.y, v, ts))
+            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, base.y, v, ts, {}))
         }
         assert errs[1e-2] <= 1e-7 * jscale
         floor = 2e3 * EPS * jscale / 1e-3
@@ -89,7 +89,7 @@ def test_hessian_quadratic_form_matches_second_differences(bench):
     ts = (1e-1, 3e-2, 1e-2)
     errs = {
         t: abs(fd2 - quad)
-        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, base.y, v, ts))
+        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, base.y, v, ts, {}))
     }
     assert errs[1e-1] <= 1e-6 * jscale
     # second-order decay between steps, up to the 1/t^2 roundoff floor
@@ -103,7 +103,7 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(48).standard_normal(disc.n_nodes)
     ts = (1e-1, 1e-2, 1e-3)
-    singles = [fd_curvature_oracle(disc, base.u, base.y, v, (t,))[0] for t in ts]
+    singles = [fd_curvature_oracle(disc, base.u, base.y, v, (t,), {})[0] for t in ts]
     calls = []
     fresh = objective_module._fresh_objective
     monkeypatch.setattr(
@@ -111,11 +111,11 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
         "_fresh_objective",
         lambda *args: calls.append(args[1]) or fresh(*args),
     )
-    assert fd_curvature_oracle(disc, base.u, base.y, v, ts) == singles
+    assert fd_curvature_oracle(disc, base.u, base.y, v, ts, {}) == singles
     assert len(calls) == 2 * len(ts) + 1
     np.testing.assert_array_equal(calls[0], base.u)
     calls.clear()
-    assert len(fd_gradient_oracle(disc, base.u, base.y, v, ts)) == len(ts)
+    assert len(fd_gradient_oracle(disc, base.u, base.y, v, ts, {})) == len(ts)
     assert len(calls) == 2 * len(ts)
 
 
@@ -124,8 +124,8 @@ def test_fd_oracles_sharing_values_solve_each_control_once(bench, monkeypatch):
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(50).standard_normal(disc.n_nodes)
     alone = (
-        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS),
-        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS),
+        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, {}),
+        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, {}),
     )
     calls = []
     fresh = objective_module._fresh_objective
@@ -157,8 +157,8 @@ def test_fd_oracles_start_every_state_solve_from_the_base_state(bench, monkeypat
     monkeypatch.setattr(
         disc, "solve_state", lambda u, y_init: starts.append(y_init) or solve(u, y_init)
     )
-    fd_curvature_oracle(disc, base.u, base.y, v, (1e-1, 1e-2))
-    fd_gradient_oracle(disc, base.u, base.y, v, (1e-2,))
+    fd_curvature_oracle(disc, base.u, base.y, v, (1e-1, 1e-2), {})
+    fd_gradient_oracle(disc, base.u, base.y, v, (1e-2,), {})
     assert len(starts) == 7
     assert all(start is base.y for start in starts)
 
@@ -183,12 +183,12 @@ def test_warm_and_cold_started_oracles_agree_to_the_roundoff_floor(bench, level)
     for _ in range(5):
         v = rng.standard_normal(disc.n_nodes)
         v /= disc.norm(v)
-        warm_g = fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS)
-        cold_g = fd_gradient_oracle(disc, base.u, cold, v, GRAD_STEPS)
+        warm_g = fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, {})
+        cold_g = fd_gradient_oracle(disc, base.u, cold, v, GRAD_STEPS, {})
         for t, w, c in zip(GRAD_STEPS, warm_g, cold_g):
             assert abs(w - c) <= 2.0 * _FLOOR_FACTOR * EPS * jscale / t
-        warm_c = fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS)
-        cold_c = fd_curvature_oracle(disc, base.u, cold, v, CURV_STEPS)
+        warm_c = fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, {})
+        cold_c = fd_curvature_oracle(disc, base.u, cold, v, CURV_STEPS, {})
         for t, w, c in zip(CURV_STEPS, warm_c, cold_c):
             if t < 0.1:
                 bound = 2.0 * 4.0 * _FLOOR_FACTOR * EPS * jscale / (t * t)

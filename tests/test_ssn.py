@@ -1,4 +1,4 @@
-"""Outer loop: classification, CG subproblem, convergence, reports."""
+"""Outer loop: projection and active sets, CG subproblem, convergence, reports."""
 
 import dataclasses
 import gc
@@ -32,7 +32,7 @@ from ssnbilinear import pde, ssn
 from ssnbilinear.expressions import Expression
 from ssnbilinear.objective import _objective, hessian_vec
 from ssnbilinear.pde import MAX_NEWTON, LinearizedOperator, cg_solve, forcing_term
-from ssnbilinear.ssn import _linearize, _step, classify, step_floor
+from ssnbilinear.ssn import _linearize, _step, step_floor
 from ssnbilinear.verification import VerifySettings
 
 finite_fields = hnp.arrays(
@@ -42,36 +42,80 @@ finite_fields = hnp.arrays(
 )
 
 
-# --- classification ------------------------------------------------------
+# --- projection and active sets -----------------------------------------
 
 
-@given(finite_fields, st.integers(0, 2**31 - 1))
-def test_classify_partitions_nodes(y, seed):
-    spec = benchmark_instance()
+class GivenAdjoint:
+    """A Discretization stand-in whose adjoint solve returns its start, so
+    _linearize runs on a chosen y and phi of any length."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def solve_adjoint(self, u, y, phi_init=None):
+        return phi_init
+
+    def norm(self, f):
+        return float(np.sqrt(np.sum(f * f)))
+
+
+def check_linearization(spec, u, y, phi):
+    """_linearize's w and inactive set against Proj(y*phi/nu)."""
+    it = _linearize(GivenAdjoint(spec), u, y, phi)
+    proj = np.clip(y * phi / spec.nu, spec.alpha, spec.beta)
+    # w is -F(u) bit for bit, so ||w||_h is the residual the loop stops on
+    np.testing.assert_array_equal(it.w, -optimality_residual(spec, u, y, phi))
+    np.testing.assert_array_equal(it.inactive, (spec.alpha < proj) & (proj < spec.beta))
+    # a node whose projection sits on a bound, a tie included, is active
+    on_bound = (proj == spec.alpha) | (proj == spec.beta)
+    assert not it.inactive[on_bound].any()
+    # the active entries of w are exactly bound - u
+    upper = ~it.inactive & (proj >= spec.beta)
+    lower = ~it.inactive & (proj <= spec.alpha)
+    assert np.all(upper | lower | it.inactive)
+    np.testing.assert_array_equal(it.w[upper], spec.beta - u[upper])
+    np.testing.assert_array_equal(it.w[lower], spec.alpha - u[lower])
+    return it
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    finite_fields,
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1.0, np.inf]),
+    st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+)
+def test_linearize_projects_once(y, seed, beta, nu):
+    # random adjoints, with every third node an exact tie phi = nu*bound/y
+    spec = dataclasses.replace(benchmark_instance(), beta=beta, nu=nu)
     rng = np.random.default_rng(seed)
-    phi = rng.standard_normal(y.shape[0])
-    sets = classify(spec, y, phi)
-    total = sets.upper.astype(int) + sets.lower.astype(int) + sets.inactive.astype(int)
-    assert np.all(total == 1)
+    n = y.shape[0]
+    phi = rng.standard_normal(n)
+    u = rng.uniform(-2.0, 2.0, n)
+    bounds = np.where(rng.random(n) < 0.5, spec.alpha, spec.beta)
+    tie = (np.arange(n) % 3 == 0) & (y != 0.0) & np.isfinite(bounds)
+    phi[tie] = spec.nu * bounds[tie] / y[tie]
+    check_linearization(spec, u, y, phi)
 
 
-def test_classify_ties_go_active():
+def test_linearize_ties_go_active():
     spec = benchmark_instance()  # nu = 0.05, bounds [-1, 1]
     y = np.array([1.0, 1.0, 1.0])
     phi = np.array([spec.nu * spec.beta, spec.nu * spec.alpha, 0.0])
-    sets = classify(spec, y, phi)
-    assert sets.upper.tolist() == [True, False, False]
-    assert sets.lower.tolist() == [False, True, False]
-    assert sets.inactive.tolist() == [False, False, True]
+    u = np.array([0.25, 0.5, -0.75])
+    it = check_linearization(spec, u, y, phi)
+    assert it.inactive.tolist() == [False, False, True]
+    assert it.w.tolist() == [0.75, -1.5, 0.75]
 
 
-def test_classify_infinite_upper_bound():
+def test_linearize_infinite_upper_bound():
+    # no node is upper-active: y*phi/nu = 2e17 stays inactive
     spec = dataclasses.replace(benchmark_instance(), beta=np.inf)
     y = np.array([1e8, -1e8, 0.0])
     phi = np.array([1e8, 1e8, 0.0])
-    sets = classify(spec, y, phi)
-    assert not sets.upper.any()
-    assert sets.lower.tolist() == [False, True, False]
+    it = check_linearization(spec, np.zeros(3), y, phi)
+    assert it.inactive.tolist() == [True, False, True]
+    assert it.w.tolist() == [2e17, -1.0, 0.0]
 
 
 def test_optimality_residual_formula():
@@ -229,14 +273,13 @@ def test_cg_operator_vanishes_on_active_set(base_state3, disc3, monkeypatch):
     u, y, phi = base_state3
     it = _linearize(disc3, u, y, phi)
     apply, _, _ = step_operator(disc3, it, monkeypatch)
-    sets = it.sets
-    assert (~sets.inactive).any()
+    assert (~it.inactive).any()
     rng = np.random.default_rng(21)
     v = rng.standard_normal(disc3.n_nodes)
     out = apply(v)
-    assert np.max(np.abs(out[~sets.inactive])) == 0.0
+    assert np.max(np.abs(out[~it.inactive])) == 0.0
     # masking the input first changes nothing
-    vi = np.where(sets.inactive, v, 0.0)
+    vi = np.where(it.inactive, v, 0.0)
     out2 = apply(vi)
     np.testing.assert_array_equal(out, out2)
 
@@ -264,7 +307,7 @@ def test_cg_operator_scales_hessian_when_nothing_is_active(monkeypatch):
     y = disc.solve_state(u).y
     disc.release_factorization()
     it = _linearize(disc, u, y)
-    assert np.all(it.sets.inactive)
+    assert np.all(it.inactive)
     apply, _, _ = step_operator(disc, it, monkeypatch)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(disc.n_nodes)
@@ -287,15 +330,13 @@ def one_step(disc, u, y_init=None):
 
 def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
     u, y, phi = base_state3
-    sets = classify(bench, y, phi)
-    w = y * phi / bench.nu - u
-    w[sets.upper] = bench.beta - u[sets.upper]
-    w[sets.lower] = bench.alpha - u[sets.lower]
+    proj = np.clip(y * phi / bench.nu, bench.alpha, bench.beta)
+    active = (proj == bench.alpha) | (proj == bench.beta)
 
     u_next, record = one_step(disc3, u)
     v = u_next - u  # u = 0, so this is the raw correction
-    active = ~sets.inactive
-    np.testing.assert_array_equal(v[active], w[active])
+    assert active.any()
+    np.testing.assert_array_equal(v[active], proj[active] - u[active])
     assert record.delta >= 0.0
     assert record.cg_iters >= 1
 
@@ -306,14 +347,13 @@ def test_step_solves_reduced_system_to_tolerance(bench, disc3, monkeypatch):
     state = disc3.solve_state(u, tol=cfg.inner_tol)
     disc3.release_factorization()
     it = _linearize(disc3, u, state.y)
-    sets = it.sets
     apply, rhs, (u_next, _, _, _) = step_operator(disc3, it, monkeypatch)
     # the right-hand side from the Hessian term of w_A by the step's factor
-    w_active = np.where(sets.inactive, 0.0, it.w)
+    w_active = np.where(it.inactive, 0.0, it.w)
     term = disc3.hessian_term(it.y, it.phi, w_active)[0]
-    expected = np.where(sets.inactive, it.w + term / bench.nu, 0.0)
+    expected = np.where(it.inactive, it.w + term / bench.nu, 0.0)
     np.testing.assert_array_equal(rhs, expected)
-    vi = np.where(sets.inactive, u_next - u, 0.0)
+    vi = np.where(it.inactive, u_next - u, 0.0)
     resid = apply(vi) - rhs
     assert disc3.norm(resid) <= 1e-12 * disc3.norm(rhs)
 
@@ -344,7 +384,7 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     state = disc3.solve_state(u, tol=cfg.inner_tol)
     disc3.release_factorization()
     it = _linearize(disc3, u, state.y)
-    assert np.where(it.sets.inactive, 0.0, it.w).any()
+    assert np.where(it.inactive, 0.0, it.w).any()
     solves = _counting_solves(monkeypatch)
     u_next, y_next, phi_next, record = _step(
         disc3, 0, it, STEP_RTOL, state.newton_iters
@@ -365,9 +405,9 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     state = disc3.solve_state(u, y_init=y)
     disc3.release_factorization()
     it = _linearize(disc3, u, state.y)
-    sets, w = it.sets, it.w
-    w_active = np.where(sets.inactive, 0.0, w)
-    assert (~sets.inactive).any() and not w_active.any()
+    inactive, w = it.inactive, it.w
+    w_active = np.where(inactive, 0.0, w)
+    assert (~inactive).any() and not w_active.any()
     solves = _counting_solves(monkeypatch)
     apply, rhs, (u_next, _, _, record) = step_operator(
         disc3, it, monkeypatch, eta=1e-12
@@ -376,13 +416,13 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     # the system with the two solves of w_A made: the same bits
     term = disc3.hessian_term(it.y, it.phi, w_active)[0]
     np.testing.assert_array_equal(
-        rhs, np.where(sets.inactive, w + term / bench.nu, 0.0)
+        rhs, np.where(inactive, w + term / bench.nu, 0.0)
     )
     v_inactive, cg_iters = cg_solve(
         apply, rhs, 1e-12, disc3.n_nodes, inner=disc3.inner
     )
     assert len(solves) == 4 * record.cg_iters + 2
-    v = np.where(sets.inactive, v_inactive, w)
+    v = np.where(inactive, v_inactive, w)
     np.testing.assert_array_equal(u_next, u + v)
     assert cg_iters == record.cg_iters
     assert record.delta == disc3.norm(v) / max(1.0, disc3.norm(u + v))
@@ -533,6 +573,15 @@ def test_run_rejects_a_coarse_solution_it_cannot_start_from(
         assert np.array_equal(a, b)
     assert disc.factor_count == lone.factor_count
     assert disc.newton_count == lone.newton_count
+
+
+def test_run_rejects_a_coarse_solution_without_rows(bench):
+    disc = Discretization(bench, build_uniform_mesh(6))
+    n = (2**5 + 1) ** 2
+    coarse = (np.zeros(n), np.zeros(n), np.zeros(n), [])
+    with pytest.raises(ConfigurationError, match="at least one row"):
+        run_ssn(disc, coarse=coarse)
+    assert disc.factor_count == 0
 
 
 def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypatch):
@@ -1178,7 +1227,12 @@ def test_ssn_config_validation():
     for tols in ({"outer_tol": np.inf}, {"inner_tol": np.inf}, {"outer_tol": np.nan}):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             SSNConfig(**tols)
-    for u0 in (np.nan, np.inf, np.zeros(3), None):
+    for name in ("outer_tol", "inner_tol"):
+        for value in ("1e-3", True):
+            with pytest.raises(ConfigurationError) as exc:
+                SSNConfig(**{name: value})
+            assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+    for u0 in (np.nan, np.inf, np.zeros(3), None, True):
         with pytest.raises(ConfigurationError, match="u0 must be a finite real"):
             SSNConfig(u0=u0)
     cfg = SSNConfig()

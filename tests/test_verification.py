@@ -75,12 +75,23 @@ def test_verify_draws_the_directions_from_one_seeded_generator(monkeypatch):
             "directions must be at most 289, the node count of level 4, "
             "got 100000000000000000000",
         ),
+        ({"directions": 2.5}, "directions must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"level": True}, "level must be an integer, got True"),
     ],
 )
 def test_verify_settings_reject_values_out_of_range(kwargs, message):
     with pytest.raises(ConfigurationError) as exc:
         VerifySettings(**kwargs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0])
+def test_verify_rejects_the_problems_run_ssn_rejects(nu):
+    spec = dataclasses.replace(benchmark_instance(), nu=nu)
+    with pytest.raises(ConfigurationError) as exc:
+        verify_derivatives(spec, COARSE)
+    assert str(exc.value) == f"problem data invalid: nu must be positive, got {nu}"
 
 
 def test_verify_settings_take_as_many_directions_as_nodes():
