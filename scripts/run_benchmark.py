@@ -20,6 +20,7 @@ import sys
 import time
 
 from ssnbilinear import (
+    ConfigurationError,
     Discretization,
     SolverError,
     benchmark_instance,
@@ -27,16 +28,13 @@ from ssnbilinear import (
     complementarity_report,
     run_ssn,
 )
-from ssnbilinear.mesh import MAX_LEVEL
+from ssnbilinear.mesh import check_level
 
 
 def main(argv):
     try:
-        levels = [int(tok) for tok in argv] or [5, 6, 7]
-        bad = [level for level in levels if not 1 <= level <= MAX_LEVEL]
-        if bad:
-            raise ValueError(f"mesh level must be in [1, {MAX_LEVEL}], got {bad[0]}")
-    except ValueError as exc:
+        levels = [check_level(int(tok)) for tok in argv] or [5, 6, 7]
+    except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     spec = benchmark_instance()

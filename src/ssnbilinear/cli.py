@@ -2,12 +2,14 @@
 
 Verbs:
     run <config>        solve every configured mesh level, write outputs
-    verify <config>     finite-difference checks of gradient and Hessian
+    verify <config>     finite-difference checks of gradient and Hessian,
+                        at the level, directions and seed of [verify]
     mesh-info <level>   print mesh statistics
 
 Exit codes: 0 success, 1 usage, configuration or file-system error
 (an output directory that names a file, say), 2 solver non-convergence,
-3 verification failure.
+3 verification failure.  An error of exit code 1 prints a message that
+starts with "error: " on stderr; a usage error adds the usage line.
 
 Per level, `run` writes into <output_dir>/level_<k>/:
     convergence.csv     level, j, J, delta, newton_iters, cg_iters per
@@ -132,8 +134,16 @@ def _cmd_mesh_info(level: int) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors read as every other error
+    does: stderr starts with "error: ", and the usage line follows."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ssnbilinear",
         description="Semismooth Newton solver for bilinear elliptic control problems.",
     )

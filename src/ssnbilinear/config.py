@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .expressions import compile_expression
-from .mesh import MAX_LEVEL
+from .mesh import check_level
 from .problem import ProblemSpec, benchmark_instance, validate
 from .ssn import SSNConfig
 from .verification import VerifySettings
@@ -84,12 +84,12 @@ def _parse_levels(raw: str | None, errors: list[str]) -> tuple[int, ...]:
     levels = []
     for tok in raw.replace(",", " ").split():
         try:
-            lev = int(tok)
+            lev = check_level(int(tok))
         except ValueError:
             errors.append(f"[mesh] levels must be integers, got {tok!r}")
             continue
-        if not 1 <= lev <= MAX_LEVEL:
-            errors.append(f"[mesh] level {lev} outside [1, {MAX_LEVEL}]")
+        except ConfigurationError as exc:
+            errors.append(f"[mesh] {exc}")
             continue
         if lev in levels:
             # a second solve would overwrite the level's own outputs
@@ -101,13 +101,6 @@ def _parse_levels(raw: str | None, errors: list[str]) -> tuple[int, ...]:
 
 def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
     preset = section.get("preset")
-    tracking = section.get("tracking", "quadratic").strip()
-    if tracking not in ("quadratic", "linear"):
-        errors.append(
-            f"[problem] tracking must be quadratic or linear, got {tracking!r}"
-        )
-        tracking = "quadratic"
-
     if preset is not None:
         errors.extend(
             f"[problem] {key} is set by the preset; drop one of the two"
@@ -117,7 +110,13 @@ def _problem_from_section(section, errors: list[str]) -> ProblemSpec | None:
         if preset.strip() != "benchmark":
             errors.append(f"[problem] unknown preset {preset!r}")
             return None
-        return benchmark_instance(tracking)
+        # benchmark_instance owns the tracking names and the default
+        tracking = [section["tracking"].strip()] if "tracking" in section else []
+        try:
+            return benchmark_instance(*tracking)
+        except ConfigurationError as exc:
+            errors.append(f"[problem] {exc}")
+            return None
     if "tracking" in section:
         errors.append("[problem] tracking applies only to preset = benchmark")
 
@@ -155,9 +154,10 @@ def parse_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
     # No header names the default section, so [DEFAULT] is a section like
-    # any other (and reported as unknown) instead of being copied into all.
+    # any other (and reported as unknown) instead of being copied into all;
+    # values are taken as written, so a '%' is not interpolation syntax.
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), default_section="\n"
+        inline_comment_prefixes=("#", ";"), default_section="\n", interpolation=None
     )
     try:
         with open(path, encoding="utf-8") as handle:

@@ -13,6 +13,10 @@ stores only its node coordinates: the 2*4^k triangles are the two halves
 (ll, lr, ur) and (ll, ur, ul) of every cell, and the 4*2^k boundary edges
 are the grid segments on the sides of the square.
 
+check_level is the one rule for what a level is, wherever one is given
+(build_uniform_mesh, a config file's [mesh] and [verify] sections, the
+scripts), and node_count the one node count.
+
 Consecutive levels nest: the level-(k-1) nodes are the level-k nodes with
 even row and column, and every coarse triangle is the union of four fine
 ones.  prolong maps nodal values from level k-1 to level k exactly in P1
@@ -56,21 +60,31 @@ class TriMesh:
         return (self.side - 1) ** 2
 
 
+def check_level(level) -> int:
+    """level as an int; raises ConfigurationError unless it is an integer,
+    not a bool, in [1, MAX_LEVEL]."""
+    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
+        raise ConfigurationError(f"level must be an integer, got {level!r}")
+    if not 1 <= level <= MAX_LEVEL:
+        raise ConfigurationError(f"level {level} outside [1, {MAX_LEVEL}]")
+    return int(level)
+
+
+def node_count(level: int) -> int:
+    """Nodes of the level-k mesh, (2^k+1)^2."""
+    return (2**level + 1) ** 2
+
+
 def build_uniform_mesh(level: int) -> TriMesh:
     """Build the level-k triangulation: (2^k+1)^2 nodes, 2*4^k triangles."""
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
-        raise ConfigurationError(f"mesh level must be an integer, got {level!r}")
-    if not 1 <= level <= MAX_LEVEL:
-        raise ConfigurationError(
-            f"mesh level must be in [1, {MAX_LEVEL}], got {level}"
-        )
-    h = 2.0 ** (-int(level))
-    side = 2 ** int(level) + 1
+    level = check_level(level)
+    h = 2.0 ** (-level)
+    side = 2**level + 1
     xs = np.arange(side) * h
     nodes = np.column_stack([np.tile(xs, side), np.repeat(xs, side)])
     # read-only, so an expression may keep values computed from it
     nodes.flags.writeable = False
-    return TriMesh(nodes=nodes, h=h, level=int(level))
+    return TriMesh(nodes=nodes, h=h, level=level)
 
 
 def prolong(coarse: np.ndarray, level: int) -> np.ndarray:

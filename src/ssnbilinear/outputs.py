@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .mesh import TriMesh
-from .ssn import ComplementarityReport, IterationRecord
+from .ssn import TOL_SIGMA, ComplementarityReport, IterationRecord
 
 CSV_HEADER = "level,j,J,delta,newton_iters,cg_iters"
 
@@ -56,7 +56,7 @@ def write_structured_vtk(path, mesh: TriMesh, name: str, values: np.ndarray) -> 
 
 def write_complementarity(path, report: ComplementarityReport) -> None:
     lines = [
-        f"tol_sigma = {report.tol_sigma:.16e}",
+        f"tol_sigma = {TOL_SIGMA:.16e}",
         f"measure_upper = {report.upper:.16e}",
         f"measure_lower = {report.lower:.16e}",
         f"measure_interior = {report.interior:.16e}",

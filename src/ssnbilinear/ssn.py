@@ -139,7 +139,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .mesh import build_uniform_mesh, prolong
+from .mesh import build_uniform_mesh, node_count, prolong
 from .objective import _objective
 from .pde import DEFAULT_TOL, Discretization, cg_solve, dot, forcing_term
 from .problem import ProblemSpec, validate
@@ -478,8 +478,10 @@ def run_ssn(
     without coarse would, and records, like disc's work counters, hold
     only theirs; u0 seeds nothing.  Otherwise the run ignores it, rows,
     arrays and counters alike: a handed solution only saves work the run
-    would do itself.  u and y with other than one value per node of that
-    level raise ConfigurationError.
+    would do itself.  A coarse that is not such a 4-tuple, its records a
+    list of IterationRecord with at least one row, raises
+    ConfigurationError, and so do u and y with other than one value per
+    node of that level.
 
     The run releases disc's kept factor on entry, so no factor of an
     earlier solve preconditions its own, and releases each level's last
@@ -499,11 +501,19 @@ def run_ssn(
     top = disc.mesh.level
     first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
     if coarse is not None:
-        u_c, y_c, _, rows = coarse
-        if not rows:
-            raise ConfigurationError("coarse records must hold at least one row")
+        rows = coarse[3] if isinstance(coarse, tuple) and len(coarse) == 4 else None
+        if not (
+            isinstance(rows, list)
+            and rows
+            and all(isinstance(row, IterationRecord) for row in rows)
+        ):
+            raise ConfigurationError(
+                "coarse must be the (u, y, phi, records) an earlier run_ssn "
+                "returned, records a list of IterationRecord with at least one row"
+            )
+        u_c, y_c = coarse[:2]
         level = rows[-1].level
-        n = (2**level + 1) ** 2
+        n = node_count(level)
         if np.shape(u_c) != (n,) or np.shape(y_c) != (n,):
             raise ConfigurationError(
                 f"coarse u and y must hold one value per node of level {level} "
@@ -546,16 +556,16 @@ def run_ssn(
 class ComplementarityReport:
     """Discrete measures of the bound-attainment sets of a solution.
 
-    sigma is the measure of nodes where a bound is attained while the
-    gradient nu*u - y*phi also vanishes (within tol_sigma, always
-    TOL_SIGMA); strict complementarity means sigma is (numerically) zero.
+    A node attains a bound within TOL_SIGMA.  sigma is the measure of
+    nodes where a bound is attained while the gradient nu*u - y*phi also
+    vanishes (within TOL_SIGMA); strict complementarity means sigma is
+    (numerically) zero.
     """
 
     upper: float
     lower: float
     interior: float
     sigma: float
-    tol_sigma: float
 
 
 def complementarity_report(
@@ -575,5 +585,4 @@ def complementarity_report(
         lower=disc.measure(at_lower),
         interior=disc.measure(interior),
         sigma=disc.measure(sigma),
-        tol_sigma=TOL_SIGMA,
     )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import MAX_LEVEL, build_uniform_mesh
+from .mesh import build_uniform_mesh, check_level, node_count
 from .objective import (
     evaluate_reduced,
     fd_curvature_oracle,
@@ -62,13 +62,12 @@ class VerifySettings:
         for name, value in vars(self).items():
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.level <= MAX_LEVEL:
-            raise ConfigurationError(f"level {self.level} outside [1, {MAX_LEVEL}]")
+        check_level(self.level)
         if self.directions < 1:
             raise ConfigurationError("directions must be at least 1")
         # more directions than the control has entries probe nothing new,
         # and each costs 15 state solves
-        nodes = (2**self.level + 1) ** 2
+        nodes = node_count(self.level)
         if self.directions > nodes:
             raise ConfigurationError(
                 f"directions must be at most {nodes}, the node count of "

@@ -20,6 +20,11 @@ from ssnbilinear import (
 )
 from ssnbilinear.cli import _RUN_OUTPUTS, main
 from ssnbilinear.outputs import CSV_HEADER, write_stats
+from ssnbilinear.verification import (
+    VerifySettings,
+    format_verification,
+    verify_derivatives,
+)
 
 
 def write_cfg(tmp_path, body):
@@ -54,7 +59,7 @@ def test_mesh_info(capsys):
 
 def test_mesh_info_rejects_bad_level(capsys):
     assert main(["mesh-info", "0"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: level 0 outside [1, 12]\n"
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -556,10 +561,21 @@ def test_verify_verb(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         "[problem]\npreset = benchmark\n\n[mesh]\nlevels = 2\n\n"
-        "[verify]\nlevel = 2\ndirections = 2\n",
+        "[verify]\nlevel = 3\ndirections = 2\n",
     )
     assert main(["verify", cfg]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("finite-difference verification at level 3 (seed 1234)\n")
+    assert re.search(
+        r"\nwork: newton [1-9][0-9]*, pcg [1-9][0-9]*, factorizations 2\n"
+        r"verdict: PASS\n$",
+        out,
+    )
+    # the [verify] keys are the library form's settings, and the report is
+    # the library's, byte for byte
+    settings = VerifySettings(level=3, directions=2)
+    result = verify_derivatives(benchmark_instance(), settings)
+    assert out == format_verification(result) + "\n"
 
 
 def test_verify_rejects_a_negative_seed(tmp_path, capsys):
@@ -584,6 +600,25 @@ def test_help_and_usage_exit_codes(capsys):
     capsys.readouterr()
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message, usage",
+    [
+        ([], "the following arguments are required: verb", "ssnbilinear [-h]"),
+        (["frobnicate"], "argument verb: invalid choice: 'frobnicate'", "ssnbilinear [-h]"),
+        (["run"], "the following arguments are required: config", "ssnbilinear run"),
+        (["mesh-info", "x"], "argument level: invalid int value: 'x'", "ssnbilinear mesh-info"),
+    ],
+)
+def test_a_usage_error_reads_as_every_other_error(capsys, argv, message, usage):
+    # stderr starts with "error: ", as for a bad config, and the usage follows
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    first, second = captured.err.splitlines()
+    assert first.startswith(f"error: {message}")
+    assert second.startswith(f"usage: {usage}")
+    assert captured.out == ""
 
 
 def test_module_entry_point():

@@ -242,8 +242,23 @@ def test_linear_tracking_switch(tmp_path):
 
 def test_bad_tracking_value(tmp_path):
     text = MINIMAL.replace("preset = benchmark", "preset = benchmark\ntracking = cubic")
-    with pytest.raises(ConfigurationError, match="tracking"):
+    with pytest.raises(ConfigurationError) as exc:
         parse_config(write_cfg(tmp_path, text))
+    # benchmark_instance's own message, relayed under [problem]
+    assert str(exc.value) == (
+        "invalid config:\n  [problem] tracking must be 'quadratic' or 'linear', "
+        "got 'cubic'"
+    )
+
+
+def test_a_percent_sign_is_taken_as_written(tmp_path):
+    # no interpolation: '%' is a character like any other
+    text = MINIMAL + "\n[output]\ndirectory = out%(x)s/100%\n"
+    assert parse_config(write_cfg(tmp_path, text)).output_dir == "out%(x)s/100%"
+    text = MINIMAL.replace("levels = 3", "levels = 3%")
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(write_cfg(tmp_path, text))
+    assert str(exc.value) == "invalid config:\n  [mesh] levels must be integers, got '3%'"
 
 
 def test_verify_section_reports_only_its_first_violation(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssnbilinear import build_uniform_mesh
-from ssnbilinear.ssn import ComplementarityReport, IterationRecord
+from ssnbilinear.ssn import TOL_SIGMA, ComplementarityReport, IterationRecord
 from ssnbilinear.outputs import (
     CSV_HEADER,
     format_csv,
@@ -89,9 +89,7 @@ def test_vtk_structure(tmp_path):
 
 
 def test_complementarity_file(tmp_path):
-    report = ComplementarityReport(
-        upper=0.459, lower=0.233, interior=0.308, sigma=0.0, tol_sigma=1e-8
-    )
+    report = ComplementarityReport(upper=0.459, lower=0.233, interior=0.308, sigma=0.0)
     path = tmp_path / "complementarity.txt"
     write_complementarity(path, report)
     got = {}
@@ -102,4 +100,4 @@ def test_complementarity_file(tmp_path):
     assert got["measure_lower"] == 0.233
     assert got["measure_interior"] == 0.308
     assert got["measure_sigma"] == 0.0
-    assert got["tol_sigma"] == pytest.approx(1e-8)
+    assert got["tol_sigma"] == TOL_SIGMA == 1e-8

@@ -584,6 +584,28 @@ def test_run_rejects_a_coarse_solution_without_rows(bench):
     assert disc.factor_count == 0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda u, row: (u, u, [row]),  # three entries
+        lambda u, row: (u, u, u, [row, "row"]),  # a row that is no record
+        lambda u, row: (u, u, u, row),  # records that are no list
+        lambda u, row: 5,
+    ],
+    ids=["three-entries", "not-a-record", "not-a-list", "an-int"],
+)
+def test_run_rejects_a_malformed_coarse(bench, make):
+    disc = Discretization(bench, build_uniform_mesh(4))
+    row = IterationRecord(3, 0, 0.0, None, 0, None, 0.0, "residual")
+    with pytest.raises(ConfigurationError) as exc:
+        run_ssn(disc, coarse=make(np.zeros(81), row))
+    assert str(exc.value) == (
+        "coarse must be the (u, y, phi, records) an earlier run_ssn returned, "
+        "records a list of IterationRecord with at least one row"
+    )
+    assert disc.factor_count == 0
+
+
 def test_a_failure_on_any_level_carries_the_rows_of_every_level(bench, monkeypatch):
     levels = []
     solve_state = Discretization.solve_state
@@ -1252,7 +1274,7 @@ def test_complementarity_partition(bench, disc3, solved3):
         1.0, abs=1e-12
     )
     assert report.sigma <= report.upper + report.lower
-    assert report.tol_sigma == 1e-8
+    assert ssn.TOL_SIGMA == 1e-8
 
 
 def test_complementarity_strict_on_benchmark(bench, disc3, solved3):
