@@ -46,7 +46,7 @@ import sys
 
 from .config import RunConfig, parse_config
 from .errors import ConfigurationError, SolverError
-from .mesh import build_uniform_mesh
+from .mesh import build_uniform_mesh, check_level, node_count
 from .outputs import (
     write_complementarity,
     write_convergence_csv,
@@ -125,12 +125,13 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_mesh_info(level: int) -> int:
-    mesh = build_uniform_mesh(level)
-    print(f"level = {mesh.level}")
-    print(f"h = {mesh.h:.16e}")
-    print(f"nodes = {mesh.n_nodes}")
-    print(f"triangles = {2 * mesh.n_cells}")
-    print(f"boundary_edges = {4 * (mesh.side - 1)}")
+    # every count is closed-form in the level: no mesh is built
+    level = check_level(level)
+    print(f"level = {level}")
+    print(f"h = {2.0 ** (-level):.16e}")
+    print(f"nodes = {node_count(level)}")
+    print(f"triangles = {2 * 4**level}")
+    print(f"boundary_edges = {4 * 2**level}")
     return 0
 
 

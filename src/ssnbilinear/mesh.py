@@ -54,11 +54,6 @@ class TriMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def n_cells(self) -> int:
-        """Grid cells, 4^level; each is split into two triangles."""
-        return (self.side - 1) ** 2
-
 
 def check_level(level) -> int:
     """level as an int; raises ConfigurationError unless it is an integer,

@@ -19,13 +19,21 @@ evaluate_reduced leaves it.
 The finite-difference functions are deliberately independent oracles:
 they only ever call the nonlinear state solver and the objective sum, so
 they validate the gradient and Hessian routes rather than sharing code
-with them.  They take the state y at the base control u, which the caller
-has already solved, and start every solve at a perturbed control u + t*v
-from it: that state lies within O(t) of y, so Newton needs one or two
-steps where a start from zero needs about five.  Every solve here still
-stops only on ||r||_h <= pde.DEFAULT_TOL, so the start moves each J only
-within what that tolerance leaves open, and the quantity measured stays
-the same.  The verdict on the differences is verification's.
+with them.  They take the state y at the base control u, which the
+caller has already solved, and the linearized state z = S'(u) v of the
+direction v, which hessian_vec returns with its product, and start the
+solve at a perturbed control u + s*v from the first-order prediction
+y + s*z: the control-to-state map is differentiable, so that state lies
+within O(s^2) of the solution where y alone lies within O(s), and Newton
+needs about half the steps (z = 0 starts from y itself).  The start
+stops at first order.  A second-order term would cost one more
+linearized solve per direction and leave most solves with no Newton step
+at all, so their J would be that of a prediction made from the
+derivatives under test: on the README expression problem at level 6 it
+let a da_dy 1e-6 off pass.  Every solve here still stops only on
+||r||_h <= pde.DEFAULT_TOL for the true a, so a wrong z costs Newton
+steps, not accuracy, and the quantity measured stays the same.  The
+verdict on the differences is verification's.
 """
 
 from dataclasses import dataclass
@@ -59,9 +67,12 @@ def _objective(disc: Discretization, u: np.ndarray, y: np.ndarray) -> float:
 
 def hessian_vec(
     disc: Discretization, y: np.ndarray, phi: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Apply the reduced Hessian at (y, phi) to v, by disc's kept factor."""
-    return disc.spec.nu * v - disc.hessian_term(y, phi, v)[0]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H v, z): the reduced Hessian at (y, phi) applied to v, by disc's
+    kept factor, and the linearized state z = S'(u) v its product solves,
+    the first-order change of the state along v."""
+    term, z, _ = disc.hessian_term(y, phi, v)
+    return disc.spec.nu * v - term, z
 
 
 def evaluate_reduced(disc: Discretization, u: np.ndarray) -> ReducedEval:
@@ -88,15 +99,16 @@ def _fresh_objective(disc: Discretization, u: np.ndarray, y_init: np.ndarray) ->
     return _objective(disc, u, report.y)
 
 
-def _step_objectives(disc, u, y, v, t, values) -> tuple[float, float]:
-    """J(u + t v) and J(u - t v), each solved only if values lacks it.
+def _step_objectives(disc, u, y, v, z, t, values) -> tuple[float, float]:
+    """J(u + t v) and J(u - t v), each solved only if values lacks it,
+    from the predicted state y + s z at step s.
 
     values maps a signed step s to J(u + s v); the new ones are added.
     """
     for s in (t, -t):
         if s not in values:
             # u + (-t) v is u - t v bit for bit
-            values[s] = _fresh_objective(disc, u + s * v, y)
+            values[s] = _fresh_objective(disc, u + s * v, y + s * z)
     return values[t], values[-t]
 
 
@@ -105,19 +117,21 @@ def fd_gradient_oracle(
     u: np.ndarray,
     y: np.ndarray,
     v: np.ndarray,
+    z: np.ndarray,
     ts,
     values: dict[float, float],
 ) -> list[float]:
     """Central differences (J(u+tv) - J(u-tv)) / (2t), one per step t in ts.
 
-    y is the state at u; every state solve starts from it.  values maps a
-    signed step s to J(u + s v) for this u and v: a control found in it
-    is not solved again, and each one solved is added, so the two oracles
-    can share the steps they have in common.
+    y is the state at u and z the linearized state S'(u) v; the solve at
+    u + s v starts from y + s z.  values maps a signed step s to
+    J(u + s v) for this u and v: a control found in it is not solved
+    again, and each one solved is added, so the two oracles can share the
+    steps they have in common.
     """
     out = []
     for t in ts:
-        jp, jm = _step_objectives(disc, u, y, v, t, values)
+        jp, jm = _step_objectives(disc, u, y, v, z, t, values)
         out.append((jp - jm) / (2.0 * t))
     return out
 
@@ -127,19 +141,20 @@ def fd_curvature_oracle(
     u: np.ndarray,
     y: np.ndarray,
     v: np.ndarray,
+    z: np.ndarray,
     ts,
     values: dict[float, float],
 ) -> list[float]:
     """Second central differences (J(u+tv) - 2J(u) + J(u-tv)) / t^2 per t in ts.
 
-    y is the state at u; every state solve starts from it.  J(u) is
-    solved once and shared by every step; values is shared as in
-    fd_gradient_oracle.
+    y is the state at u and z the linearized state S'(u) v; J(u) is
+    solved once from y and shared by every step, and the solve at u + s v
+    starts from y + s z.  values is shared as in fd_gradient_oracle.
     """
     j0 = _fresh_objective(disc, u, y)
     out = []
     for t in ts:
-        jp, jm = _step_objectives(disc, u, y, v, t, values)
+        jp, jm = _step_objectives(disc, u, y, v, z, t, values)
         out.append((jp - 2.0 * j0 + jm) / (t * t))
     return out
 

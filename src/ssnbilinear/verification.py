@@ -5,10 +5,13 @@ field must agree with a central difference of two fresh objective
 evaluations to second order in the step t.  Hessian route: the quadratic
 form from hessian_vec must agree with a second central difference, again
 to second order, and the Hessian must be symmetric in the lumped inner
-product.  Each fresh evaluation is a state solve to pde.DEFAULT_TOL,
-started from the state at the base control; the two ladders of one
-direction share the controls u +- t v they have in common, each solved
-once.
+product.  Each fresh evaluation is a state solve to pde.DEFAULT_TOL.
+The one at u +- t v starts from the first-order prediction y +- t z,
+y the state at the base control u and z = S'(u) v the linearized state
+that the direction's Hessian product solves; objective says why the
+prediction stops at first order.  Every solve still stops only on the
+residual of the true state equation.  The two ladders of one direction
+share the controls u +- t v they have in common, each solved once.
 
 verify_derivatives(spec, VerifySettings(level, directions, seed)) runs
 the check the way run_ssn(disc, SSNConfig) runs the solver: both reject
@@ -137,31 +140,43 @@ def verify_derivatives(
     eps = float(np.finfo(float).eps)
     rng = np.random.default_rng(settings.seed)
 
-    # every Hessian product first, while disc keeps the factor of Q at the
-    # base point: a state solve of the ladders may replace it
-    probes: list[tuple[np.ndarray, np.ndarray]] = []
+    vs = []
     for _ in range(settings.directions):
         v = rng.standard_normal(disc.n_nodes)
-        v = v / disc.norm(v)
-        probes.append((v, hessian_vec(disc, base.y, base.phi, v)))
+        vs.append(v / disc.norm(v))
+
+    # every Hessian product first, while disc keeps the factor of Q at the
+    # base point: a state solve of the ladders may replace it.  H v is used
+    # only in inner products, taken as it is made, so each direction keeps
+    # just v and z through the ladders.  ahead[i] is <H v_i, v_i+1> and
+    # behind[i] <v_i-1, H v_i>, cyclically.
+    probes: list[tuple[np.ndarray, np.ndarray, float]] = []
+    ahead, behind = [], []
+    for i, v in enumerate(vs):
+        hv, z = hessian_vec(disc, base.y, base.phi, v)
+        probes.append((v, z, disc.inner(hv, v)))
+        ahead.append(disc.inner(hv, vs[(i + 1) % len(vs)]))
+        behind.append(disc.inner(vs[i - 1], hv))
+    del hv
 
     reports: list[DirectionReport] = []
-    for v, hv in probes:
+    for v, z, quad in probes:
         # J(u + s v) by signed step s: t = 1e-2 is on both ladders
         values: dict[float, float] = {}
         slope = disc.inner(base.grad, v)
         grad_errors = [
             abs(fd - slope)
-            for fd in fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, values)
+            for fd in fd_gradient_oracle(
+                disc, base.u, base.y, v, z, GRAD_STEPS, values
+            )
         ]
         grad_floors = [_FLOOR_FACTOR * eps * jscale / t for t in GRAD_STEPS]
         grad_order = fit_decay_order(GRAD_STEPS, grad_errors, grad_floors)
 
-        quad = disc.inner(hv, v)
         curv_errors = [
             abs(fd2 - quad)
             for fd2 in fd_curvature_oracle(
-                disc, base.u, base.y, v, CURV_STEPS, values
+                disc, base.u, base.y, v, z, CURV_STEPS, values
             )
         ]
         curv_floors = [4.0 * _FLOOR_FACTOR * eps * jscale / (t * t) for t in CURV_STEPS]
@@ -180,9 +195,8 @@ def verify_derivatives(
     # cyclically; a single direction has no partner.
     symmetry = [
         abs(a - b) / max(abs(a), abs(b), 1e-300)
-        for (v1, hv1), (v2, hv2) in zip(probes, probes[1:] + probes[:1])
-        if len(probes) > 1
-        for a, b in [(disc.inner(hv1, v2), disc.inner(v1, hv2))]
+        for a, b in zip(ahead, behind[1:] + behind[:1])
+        if len(vs) > 1
     ]
 
     orders_ok = all(

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from coo_oracle import connectivity
 
 from ssnbilinear import (
     Discretization,
@@ -18,6 +19,7 @@ from ssnbilinear import (
     cli,
     ssn,
 )
+from ssnbilinear import mesh as mesh_module
 from ssnbilinear.cli import _RUN_OUTPUTS, main
 from ssnbilinear.outputs import CSV_HEADER, write_stats
 from ssnbilinear.verification import (
@@ -55,6 +57,30 @@ def test_mesh_info(capsys):
     assert "triangles = 32" in out
     assert "boundary_edges = 16" in out
     assert "h = 2.5000000000000000e-01" in out
+
+
+def test_mesh_info_prints_the_built_mesh_without_building_it(monkeypatch, capsys):
+    # the counts of a built mesh and of the connectivity it implies
+    expected = {}
+    for level in range(1, 9):
+        mesh = build_uniform_mesh(level)
+        triangles, boundary_edges = connectivity(mesh)
+        expected[level] = (
+            f"level = {mesh.level}\n"
+            f"h = {mesh.h:.16e}\n"
+            f"nodes = {mesh.n_nodes}\n"
+            f"triangles = {len(triangles)}\n"
+            f"boundary_edges = {len(boundary_edges)}\n"
+        )
+
+    def unbuilt(level):
+        raise AssertionError("mesh-info built a mesh")
+
+    monkeypatch.setattr(cli, "build_uniform_mesh", unbuilt)
+    monkeypatch.setattr(mesh_module, "build_uniform_mesh", unbuilt)
+    for level, text in expected.items():
+        assert main(["mesh-info", str(level)]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_mesh_info_rejects_bad_level(capsys):
@@ -576,6 +602,26 @@ def test_verify_verb(tmp_path, capsys):
     settings = VerifySettings(level=3, directions=2)
     result = verify_derivatives(benchmark_instance(), settings)
     assert out == format_verification(result) + "\n"
+
+
+def test_verify_of_the_readme_problem_reports_its_work(tmp_path, capsys):
+    # the README's expression problem at level 6: 15 state solves per
+    # direction and the base point's, each finite-difference solve started
+    # from its first-order prediction (from the base state they took 125
+    # Newton steps and 163 preconditioner applications)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    problem = readme.split("```ini\n[problem]\na       =", 1)[1].split("```", 1)[0]
+    cfg = write_cfg(
+        tmp_path,
+        "[problem]\na       =" + problem
+        + "\n[mesh]\nlevels = 6\n\n[verify]\nlevel = 6\ndirections = 5\nseed = 1\n",
+    )
+    assert main(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("finite-difference verification at level 6 (seed 1)\n")
+    assert out.endswith(
+        "\nwork: newton 65, pcg 83, factorizations 2\nverdict: PASS\n"
+    )
 
 
 def test_verify_rejects_a_negative_seed(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The helper scripts and the README's library example run as documented."""
+"""The helper scripts, the benchmark's self-test and the README's library
+example run as documented."""
 
 import importlib.util
 import os
@@ -116,6 +117,21 @@ def test_run_benchmark_script_reports_a_solver_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "level 2: solver error: no convergence\n"
     assert captured.out == ""
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's tracer hooks solver functions by name and skips a
+    # name it cannot find; its self-test runs a small traced `run` and
+    # `verify` and checks their counts, so a refactor that breaks a hook
+    # fails here, not first in the benchmark
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: PASS"
 
 
 def fenced_blocks(text):

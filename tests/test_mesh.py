@@ -28,7 +28,6 @@ def test_counts_match_level(level):
     assert mesh.h == 2.0 ** (-level)
     assert mesh.side == side
     assert mesh.n_nodes == side * side
-    assert mesh.n_cells == 4**level
     assert len(triangles) == 2 * 4**level
     assert len(boundary_edges) == 4 * 2**level
 

@@ -63,14 +63,17 @@ def test_gradient_matches_finite_differences(bench):
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     jscale = max(1.0, abs(base.J))
     rng = np.random.default_rng(42)
-    for _ in range(3):
-        v = rng.standard_normal(disc.n_nodes)
-        v /= disc.norm(v)
+    vs = [v / disc.norm(v) for v in rng.standard_normal((3, disc.n_nodes))]
+    # each z while disc keeps the factor at the base point
+    zs = [hessian_vec(disc, base.y, base.phi, v)[1] for v in vs]
+    for v, z in zip(vs, zs):
         slope = disc.inner(base.grad, v)
         ts = (1e-2, 1e-3)
         errs = {
             t: abs(fd - slope)
-            for t, fd in zip(ts, fd_gradient_oracle(disc, base.u, base.y, v, ts, {}))
+            for t, fd in zip(
+                ts, fd_gradient_oracle(disc, base.u, base.y, v, z, ts, {})
+            )
         }
         assert errs[1e-2] <= 1e-7 * jscale
         floor = 2e3 * EPS * jscale / 1e-3
@@ -84,12 +87,14 @@ def test_hessian_quadratic_form_matches_second_differences(bench):
     rng = np.random.default_rng(43)
     v = rng.standard_normal(disc.n_nodes)
     v /= disc.norm(v)
-    hv = hessian_vec(disc, base.y, base.phi, v)
+    hv, z = hessian_vec(disc, base.y, base.phi, v)
     quad = disc.inner(hv, v)
     ts = (1e-1, 3e-2, 1e-2)
     errs = {
         t: abs(fd2 - quad)
-        for t, fd2 in zip(ts, fd_curvature_oracle(disc, base.u, base.y, v, ts, {}))
+        for t, fd2 in zip(
+            ts, fd_curvature_oracle(disc, base.u, base.y, v, z, ts, {})
+        )
     }
     assert errs[1e-1] <= 1e-6 * jscale
     # second-order decay between steps, up to the 1/t^2 roundoff floor
@@ -102,8 +107,11 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(48).standard_normal(disc.n_nodes)
+    z = hessian_vec(disc, base.y, base.phi, v)[1]
     ts = (1e-1, 1e-2, 1e-3)
-    singles = [fd_curvature_oracle(disc, base.u, base.y, v, (t,), {})[0] for t in ts]
+    singles = [
+        fd_curvature_oracle(disc, base.u, base.y, v, z, (t,), {})[0] for t in ts
+    ]
     calls = []
     fresh = objective_module._fresh_objective
     monkeypatch.setattr(
@@ -111,11 +119,11 @@ def test_fd_oracles_take_a_ladder_and_solve_the_base_point_once(bench, monkeypat
         "_fresh_objective",
         lambda *args: calls.append(args[1]) or fresh(*args),
     )
-    assert fd_curvature_oracle(disc, base.u, base.y, v, ts, {}) == singles
+    assert fd_curvature_oracle(disc, base.u, base.y, v, z, ts, {}) == singles
     assert len(calls) == 2 * len(ts) + 1
     np.testing.assert_array_equal(calls[0], base.u)
     calls.clear()
-    assert len(fd_gradient_oracle(disc, base.u, base.y, v, ts, {})) == len(ts)
+    assert len(fd_gradient_oracle(disc, base.u, base.y, v, z, ts, {})) == len(ts)
     assert len(calls) == 2 * len(ts)
 
 
@@ -123,9 +131,10 @@ def test_fd_oracles_sharing_values_solve_each_control_once(bench, monkeypatch):
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(50).standard_normal(disc.n_nodes)
+    z = hessian_vec(disc, base.y, base.phi, v)[1]
     alone = (
-        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, {}),
-        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, {}),
+        fd_gradient_oracle(disc, base.u, base.y, v, z, GRAD_STEPS, {}),
+        fd_curvature_oracle(disc, base.u, base.y, v, z, CURV_STEPS, {}),
     )
     calls = []
     fresh = objective_module._fresh_objective
@@ -136,8 +145,8 @@ def test_fd_oracles_sharing_values_solve_each_control_once(bench, monkeypatch):
     )
     values = {}
     shared = (
-        fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, values),
-        fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, values),
+        fd_gradient_oracle(disc, base.u, base.y, v, z, GRAD_STEPS, values),
+        fd_curvature_oracle(disc, base.u, base.y, v, z, CURV_STEPS, values),
     )
     # the same differences, bit for bit, from one solve per control
     assert shared == alone
@@ -145,30 +154,43 @@ def test_fd_oracles_sharing_values_solve_each_control_once(bench, monkeypatch):
     assert len(calls) == 2 * len(steps) + 1
     assert sorted(values) == sorted([*steps, *(-t for t in steps)])
     for s, j in values.items():
-        assert j == fresh(disc, base.u + s * v, base.y)
+        assert j == fresh(disc, base.u + s * v, base.y + s * z)
 
 
-def test_fd_oracles_start_every_state_solve_from_the_base_state(bench, monkeypatch):
+def test_fd_oracles_start_every_state_solve_from_the_first_order_prediction(
+    bench, monkeypatch
+):
+    # J(u) starts from y itself, the solve at u + s v from y + s z, bit
+    # for bit
     disc = Discretization(bench, build_uniform_mesh(2))
     base = evaluate_reduced(disc, np.zeros(disc.n_nodes))
     v = np.random.default_rng(49).standard_normal(disc.n_nodes)
+    z = hessian_vec(disc, base.y, base.phi, v)[1]
+    assert disc.norm(z) > 0
     starts = []
     solve = disc.solve_state
     monkeypatch.setattr(
-        disc, "solve_state", lambda u, y_init: starts.append(y_init) or solve(u, y_init)
+        disc,
+        "solve_state",
+        lambda u, y_init: starts.append((u, y_init)) or solve(u, y_init),
     )
-    fd_curvature_oracle(disc, base.u, base.y, v, (1e-1, 1e-2), {})
-    fd_gradient_oracle(disc, base.u, base.y, v, (1e-2,), {})
-    assert len(starts) == 7
-    assert all(start is base.y for start in starts)
+    fd_curvature_oracle(disc, base.u, base.y, v, z, (1e-1, 1e-2), {})
+    fd_gradient_oracle(disc, base.u, base.y, v, z, (1e-2,), {})
+    steps = [1e-1, -1e-1, 1e-2, -1e-2, 1e-2, -1e-2]
+    assert len(starts) == 1 + len(steps)
+    assert starts[0][1] is base.y
+    for (u, start), s in zip(starts[1:], steps):
+        np.testing.assert_array_equal(u, base.u + s * v)
+        np.testing.assert_array_equal(start, base.y + s * z)
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_warm_and_cold_started_oracles_agree_to_the_roundoff_floor(bench, level):
     # The start moves J(u + t v) only within the state tolerance.  At every
     # gradient step and at the curvature steps below 0.1 the quotients from
-    # the base state and from zero differ by less than twice the roundoff
-    # floor verify_derivatives excludes from its fit.  At t = 0.1 a warm
+    # zero and from each warm start, the base state y and the first-order
+    # prediction y + t z, differ by less than twice the roundoff floor
+    # verify_derivatives excludes from its fit.  At t = 0.1 a warm
     # solve may take its last Newton step to just under tol (level 4: up to
     # 7.6 floors over 30 directions), so there the bound is the tolerance
     # term instead: both J lie within tol * ||phi / sqrt(w)||_2 of the
@@ -180,21 +202,27 @@ def test_warm_and_cold_started_oracles_agree_to_the_roundoff_floor(bench, level)
     jscale = max(1.0, abs(base.J))
     j_noise = DEFAULT_TOL * np.linalg.norm(base.phi / np.sqrt(disc.weights))
     rng = np.random.default_rng(50 + level)
-    for _ in range(5):
-        v = rng.standard_normal(disc.n_nodes)
-        v /= disc.norm(v)
-        warm_g = fd_gradient_oracle(disc, base.u, base.y, v, GRAD_STEPS, {})
-        cold_g = fd_gradient_oracle(disc, base.u, cold, v, GRAD_STEPS, {})
-        for t, w, c in zip(GRAD_STEPS, warm_g, cold_g):
-            assert abs(w - c) <= 2.0 * _FLOOR_FACTOR * EPS * jscale / t
-        warm_c = fd_curvature_oracle(disc, base.u, base.y, v, CURV_STEPS, {})
-        cold_c = fd_curvature_oracle(disc, base.u, cold, v, CURV_STEPS, {})
-        for t, w, c in zip(CURV_STEPS, warm_c, cold_c):
-            if t < 0.1:
-                bound = 2.0 * 4.0 * _FLOOR_FACTOR * EPS * jscale / (t * t)
-            else:
-                bound = 8.0 * j_noise / (t * t)
-            assert abs(w - c) <= bound
+    vs = [v / disc.norm(v) for v in rng.standard_normal((5, disc.n_nodes))]
+    # each z while disc keeps the factor at the base point
+    zs = [hessian_vec(disc, base.y, base.phi, v)[1] for v in vs]
+    for v, z in zip(vs, zs):
+        cold_g = fd_gradient_oracle(disc, base.u, cold, v, cold, GRAD_STEPS, {})
+        cold_c = fd_curvature_oracle(disc, base.u, cold, v, cold, CURV_STEPS, {})
+        for z_start in (cold, z):
+            warm_g = fd_gradient_oracle(
+                disc, base.u, base.y, v, z_start, GRAD_STEPS, {}
+            )
+            for t, w, c in zip(GRAD_STEPS, warm_g, cold_g):
+                assert abs(w - c) <= 2.0 * _FLOOR_FACTOR * EPS * jscale / t
+            warm_c = fd_curvature_oracle(
+                disc, base.u, base.y, v, z_start, CURV_STEPS, {}
+            )
+            for t, w, c in zip(CURV_STEPS, warm_c, cold_c):
+                if t < 0.1:
+                    bound = 2.0 * 4.0 * _FLOOR_FACTOR * EPS * jscale / (t * t)
+                else:
+                    bound = 8.0 * j_noise / (t * t)
+                assert abs(w - c) <= bound
 
 
 def test_hessian_linear_in_direction(bench, base_state3, disc3):
@@ -202,7 +230,7 @@ def test_hessian_linear_in_direction(bench, base_state3, disc3):
     rng = np.random.default_rng(44)
     v1 = rng.standard_normal(disc3.n_nodes)
     v2 = rng.standard_normal(disc3.n_nodes)
-    h = lambda v: hessian_vec(disc3, y, phi, v)
+    h = lambda v: hessian_vec(disc3, y, phi, v)[0]
     np.testing.assert_allclose(
         h(1.5 * v1 - 2.0 * v2), 1.5 * h(v1) - 2.0 * h(v2), rtol=1e-11, atol=1e-14
     )
@@ -214,11 +242,31 @@ def test_hessian_symmetric_in_lumped_inner_product(bench, base_state3, disc3):
     for _ in range(5):
         v1 = rng.standard_normal(disc3.n_nodes)
         v2 = rng.standard_normal(disc3.n_nodes)
-        hv1 = hessian_vec(disc3, y, phi, v1)
-        hv2 = hessian_vec(disc3, y, phi, v2)
+        hv1 = hessian_vec(disc3, y, phi, v1)[0]
+        hv2 = hessian_vec(disc3, y, phi, v2)[0]
         a = disc3.inner(hv1, v2)
         b = disc3.inner(v1, hv2)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+
+
+def test_hessian_vec_returns_the_first_order_change_of_the_state(
+    bench, base_state3, disc3
+):
+    # z = S'(u) v: the state at u + s v is y + s z + O(s^2)
+    u, y, phi = base_state3
+    v = np.random.default_rng(51).standard_normal(disc3.n_nodes)
+    v /= disc3.norm(v)
+    hv, z = hessian_vec(disc3, y, phi, v)
+    term, z_term, _ = disc3.hessian_term(y, phi, v)
+    np.testing.assert_array_equal(z, z_term)
+    np.testing.assert_array_equal(hv, bench.nu * v - term)
+    gaps = []
+    for s in (1e-1, 1e-2):
+        exact = disc3.solve_state(u + s * v, y_init=y).y
+        gaps.append(disc3.norm(exact - (y + s * z)))
+        # y alone is off by O(s)
+        assert disc3.norm(exact - y) > 10.0 * gaps[-1]
+    assert 50.0 < gaps[0] / gaps[1] < 200.0
 
 
 def test_gradient_sensitivity_route(bench, base_state3, disc3):
@@ -243,7 +291,7 @@ def test_hessian_positive_at_solution(bench, disc3, solved3):
     for _ in range(3):
         v = rng.standard_normal(disc3.n_nodes)
         v /= disc3.norm(v)
-        hv = hessian_vec(disc3, y, phi, v)
+        hv = hessian_vec(disc3, y, phi, v)[0]
         assert disc3.inner(hv, v) > 0.0
 
 

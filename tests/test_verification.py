@@ -47,8 +47,8 @@ def test_verify_draws_the_directions_from_one_seeded_generator(monkeypatch):
     monkeypatch.setattr(
         verification,
         "fd_gradient_oracle",
-        lambda disc, u, y, v, ts, values: seen.append(v)
-        or oracle(disc, u, y, v, ts, values),
+        lambda disc, u, y, v, z, ts, values: seen.append(v)
+        or oracle(disc, u, y, v, z, ts, values),
     )
     settings = VerifySettings(level=2, directions=3, seed=7)
     verify_derivatives(benchmark_instance(), settings)
@@ -129,14 +129,24 @@ def scaled(fn, factor):
     return lambda x, y: factor * np.asarray(fn(x, y))
 
 
+LEVEL_6 = VerifySettings(level=6, directions=5, seed=1)
+
+
 @pytest.mark.parametrize(
-    "field,factor",
-    [("dL_dy", 1.0 + 1e-6), ("d2L_dy2", 1.0 + 1e-4), ("d2a_dy2", 1.0 + 1e-4)],
+    "field,factor,settings",
+    [
+        pytest.param("dL_dy", 1.0 + 1e-6, VerifySettings(), id="dL_dy-1.000001"),
+        pytest.param("d2L_dy2", 1.0 + 1e-4, VerifySettings(), id="d2L_dy2-1.0001"),
+        pytest.param("d2a_dy2", 1.0 + 1e-4, VerifySettings(), id="d2a_dy2-1.0001"),
+        # da_dy enters z, and so the start of every finite-difference solve
+        pytest.param("da_dy", 1.0 + 1e-4, LEVEL_6, id="da_dy-1.0001-level6"),
+        pytest.param("da_dy", 1.0 + 1e-6, LEVEL_6, id="da_dy-1.000001-level6"),
+    ],
 )
-def test_verify_fails_on_a_slightly_wrong_derivative(field, factor):
+def test_verify_fails_on_a_slightly_wrong_derivative(field, factor, settings):
     spec = benchmark_instance()
     wrong = dataclasses.replace(spec, **{field: scaled(getattr(spec, field), factor)})
-    assert not verify_derivatives(wrong).passed
+    assert not verify_derivatives(wrong, settings).passed
 
 
 def test_verify_hessian_products_stay_at_the_base_point(monkeypatch):
