@@ -248,7 +248,6 @@ class Expression:
 
     def __init__(self, text: str, with_y: bool):
         self.text = text
-        self.with_y = with_y
         variables = ("x1", "x2", "y") if with_y else ("x1", "x2")
         self._ast = _Parser(text, variables).parse()
         self._points = None

@@ -376,12 +376,15 @@ class Discretization:
         eta_k of the module docstring and moves y to y - scale*s; y_init
         is never written to.  A step that fails the sufficient
         decrease of the lumped-L2 residual norm is halved, up to
-        MAX_HALVINGS times.  A nonfinite residual, a step that no halving
-        makes pass, or MAX_NEWTON steps without ||r||_h <= tol raise
-        SolverError with the accepted residuals as its history.
+        MAX_HALVINGS times.  A tol that is not positive and finite raises
+        SolverError before any work; a nonfinite residual, a step that no
+        halving makes pass, or MAX_NEWTON steps without ||r||_h <= tol
+        raise it with the accepted residuals as its history.
         """
-        if tol <= 0:
-            raise SolverError(f"state solve tolerance must be positive, got {tol}")
+        if not 0 < tol < np.inf:
+            raise SolverError(
+                f"state solve tolerance must be positive and finite, got {tol}"
+            )
         y = self.zeros() if y_init is None else np.asarray(y_init, dtype=float)
         r = self.state_residual(u, y)
         rnorm = rnorm0 = self.norm(r)

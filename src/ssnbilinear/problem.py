@@ -22,6 +22,7 @@ and returns values broadcastable to (k,).  The flux g(x) takes points only.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -178,9 +179,18 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
     """Check all ProblemSpec invariants; returns a list of violations.
 
     An empty list means the instance is usable.  Violations are reported,
-    not raised, so a config loader can show all of them at once.
+    not raised, so a config loader can show all of them at once.  A nu,
+    alpha, beta or a0 that is not a real number (a bool is not) is
+    reported alone: no other check runs, as most compare against these
+    numbers.
     """
     out = []
+    for name in ("nu", "alpha", "beta", "a0"):
+        value = getattr(spec, name)
+        if not isinstance(value, Real) or isinstance(value, bool):
+            out.append(f"{name} must be a real number, got {value!r}")
+    if out:
+        return out
     if not (math.isfinite(spec.nu) and spec.nu > 0):
         out.append(f"nu must be positive, got {spec.nu}")
     if not (math.isfinite(spec.a0) and spec.a0 >= 0):
@@ -189,11 +199,8 @@ def validate(spec: ProblemSpec, derivative_check: bool = True) -> list[str]:
         out.append(f"alpha must be finite, got {spec.alpha}")
     elif not spec.alpha < spec.beta:
         out.append(f"bounds must satisfy alpha < beta, got [{spec.alpha}, {spec.beta}]")
-    if math.isfinite(spec.alpha) and math.isfinite(spec.a0):
-        if not -spec.a0 < spec.alpha:
-            out.append(
-                f"alpha must exceed -a0 = {-spec.a0}, got alpha = {spec.alpha}"
-            )
+    if math.isfinite(spec.alpha) and math.isfinite(spec.a0) and not -spec.a0 < spec.alpha:
+        out.append(f"alpha must exceed -a0 = {-spec.a0}, got alpha = {spec.alpha}")
     try:
         check_spd_2x2(spec.diffusion)
     except ConfigurationError as exc:

@@ -105,15 +105,19 @@ solves its adjoint directly and drops the prediction before the new LU
 is built.
 
 ||F(u_j)||_h is that of the computed state and adjoint, which is what
-the returned (u, y, phi) satisfy.  The final row's objective is
-J* = J(u, y) - phi.r(u, y), r the state residual: the state error Q^-1 r
-moves J by -phi.r to first order, and phi is already solved.  So J* is
-that of the exact state to second order in r, far below inner_tol (at
-level 9 J(u, y) alone was off by 8e-12 relative, J* by 4e-15, against
-the state solved to its rounding floor by exact Newton steps).  The last
-step's CG runs to about CG_TOL_SHARE * outer_tol; with a factor kept from
-a nested level's start the step itself is less exact, and the returned
-point lies anywhere below the target (see SSNConfig).
+the returned (u, y, phi) satisfy.  _solve_level builds every row of the
+table, one per pass of its loop after the projection: a step row from
+what _step returns when no stop applies, otherwise the level's final
+row, which takes no step.  A step row holds J(u_j, y_j); the final
+row's objective is corrected, J* = J(u, y) - phi.r(u, y), r the state
+residual.  The state error Q^-1 r moves J by -phi.r to first order, and
+phi is already solved.  So J* is that of the exact state to second order
+in r, far below inner_tol (at level 9 J(u, y) alone was off by 8e-12
+relative, J* by 4e-15, against the state solved to its rounding floor by
+exact Newton steps).  The last step's CG runs to about CG_TOL_SHARE *
+outer_tol; with a factor kept from a nested level's start the step
+itself is less exact, and the returned point lies anywhere below the
+target (see SSNConfig).
 
 A scaled step
 
@@ -184,10 +188,11 @@ TOL_SIGMA = 1e-8
 class IterationRecord:
     """One row of the convergence table.
 
-    level is the mesh level of the row's outer step and j its index on
-    that level, from 0.  residual is ||F(u_j)||_h.  The final row of a
-    level reports only the objective (corrected for the state residual,
-    see run_ssn), the residual and the stop_reason ("residual",
+    _solve_level builds every row, one per pass of its outer loop.  level
+    is the mesh level of the row's outer step and j its index on that
+    level, from 0.  residual is ||F(u_j)||_h.  The final row of a level
+    reports only the objective (corrected for the state residual, see
+    the module docstring), the residual and the stop_reason ("residual",
     "nonfinite", "stagnation" or "budget") of its control, plus the
     warm-started Newton count of its state solve; delta and cg_iters are
     None there, and stop_reason is None on every other row.
@@ -303,19 +308,15 @@ def _linearize(
 
 
 def _step(
-    disc: Discretization,
-    j: int,
-    it: Iterate,
-    eta: float,
-    newton_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, IterationRecord]:
+    disc: Discretization, it: Iterate, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """The Newton step of one outer iteration from it.
 
     The reduced system on the inactive set is solved by CG to the
     relative residual eta within n_nodes iterations, its Hessian products
-    solved by disc's kept factor; newton_iters is the row's Newton count.
-    Returns u_{j+1}, the state and adjoint predicted there to first
-    order, and the row.
+    solved by disc's kept factor.  Returns u_{j+1}, the state and adjoint
+    predicted there to first order, the scaled step delta_j and CG's
+    iteration count; _solve_level builds the step's row from them.
     """
     spec = disc.spec
     y, phi, inactive, w = it.y, it.phi, it.inactive, it.w
@@ -348,19 +349,10 @@ def _step(
 
     v = np.where(inactive, v_inactive, w)
     u_next = it.u + v
+    delta = disc.norm(v) / max(1.0, disc.norm(u_next))
     # z and eta of v = v_I + w_A: the state and adjoint at u_{j+1} to
     # first order, the starts of the next state and adjoint solves
-    y_next, phi_next = y + z_v, phi + eta_v
-    record = IterationRecord(
-        level=disc.mesh.level,
-        j=j,
-        J=_objective(disc, it.u, y),
-        delta=disc.norm(v) / max(1.0, disc.norm(u_next)),
-        newton_iters=newton_iters,
-        cg_iters=cg_iters,
-        residual=it.residual,
-    )
-    return u_next, y_next, phi_next, record
+    return u_next, y + z_v, phi + eta_v, delta, cg_iters
 
 
 def _solve_level(
@@ -375,62 +367,69 @@ def _solve_level(
     y = None solves the level cold: its state solve starts from zero.
     disc keeps no factor on entry (run_ssn releases it), and keeps the
     level's last LU on return, also when the level fails; only an outer
-    step that refactors releases one here.  Appends the level's rows to
-    records and returns (u, y, phi) once it meets outer_tol; a stop on a
-    nonfinite residual, stagnation or budget raises SolverError.
+    step that refactors releases one here.  Each pass appends one row to
+    records, built here and nowhere else: a step row with _step's delta
+    and CG count, or, once a stop applies, the final row with its
+    corrected J and stop_reason.  Returns (u, y, phi) once it meets
+    outer_tol; a stop on a nonfinite residual, stagnation or budget
+    raises SolverError, the stagnation quoting the last step row's delta.
     """
     level = disc.mesh.level
     cold = y is None
     floor = step_floor(disc.n_nodes)
-    last: IterationRecord | None = None
+    delta: float | None = None  # the level's last scaled step
     phi: np.ndarray | None = None
     reason = None
     for j in range(MAX_OUTER + 1):
         state = disc.solve_state(u, y_init=y, tol=cfg.inner_tol)
         # a warm level keeps the factor its state solve's first Newton step
         # made; with none kept, the adjoint factors Q itself
-        refactor = cold if last is None else last.delta >= REFACTOR_STEP
+        refactor = cold if delta is None else delta >= REFACTOR_STEP
         if refactor:
             # the adjoint factors Q(u, y) and solves directly: neither
             # the old LU nor a start is alive while the new one is built
             disc.release_factorization()
             phi = None
         it = _linearize(disc, u, state.y, phi)
+        J = _objective(disc, u, it.y)
         if not np.isfinite(it.residual):
             reason = "nonfinite"
         elif it.residual <= cfg.outer_tol:
             reason = "residual"
-        elif last is not None and last.delta < floor:
+        elif delta is not None and delta < floor:
             reason = "stagnation"
         elif j == MAX_OUTER:
             reason = "budget"
+        if reason is None:
+            eta = forcing_term(
+                it.residual ** (1.0 + CG_FORCING_THETA),
+                it.residual,
+                CG_TOL_SHARE * cfg.outer_tol,
+                CG_ETA_MAX,
+            )
+            u, y, phi, delta, cg_iters = _step(disc, it, eta)
+        else:
+            # the final row: the state error Q^-1 r moves J by -phi.r to
+            # first order, and no step is taken
+            J -= float(dot(it.phi, disc.state_residual(u, it.y)))
+            delta = cg_iters = None
+        records.append(
+            IterationRecord(
+                level=level,
+                j=j,
+                J=J,
+                delta=delta,
+                newton_iters=state.newton_iters,
+                cg_iters=cg_iters,
+                residual=it.residual,
+                stop_reason=reason,
+            )
+        )
         if reason is not None:
             break
-        eta = forcing_term(
-            it.residual ** (1.0 + CG_FORCING_THETA),
-            it.residual,
-            CG_TOL_SHARE * cfg.outer_tol,
-            CG_ETA_MAX,
-        )
-        u, y, phi, last = _step(disc, j, it, eta, state.newton_iters)
-        records.append(last)
         # the next iteration's factorization is a run's memory peak:
         # this iteration's arrays need not be alive for it
         del it, state
-    # the state error Q^-1 r moves J by -phi.r to first order
-    r = disc.state_residual(u, it.y)
-    records.append(
-        IterationRecord(
-            level=level,
-            j=j,
-            J=_objective(disc, u, it.y) - float(dot(it.phi, r)),
-            delta=None,
-            newton_iters=state.newton_iters,
-            cg_iters=None,
-            residual=it.residual,
-            stop_reason=reason,
-        )
-    )
 
     if reason == "residual":
         return it.u, it.y, it.phi
@@ -438,7 +437,7 @@ def _solve_level(
         raise SolverError(f"ssn: nonfinite ||F||_h = {it.residual} at level {level}")
     if reason == "stagnation":
         raise SolverError(
-            f"ssn: stagnation at level {level}: scaled step {last.delta:.3e} "
+            f"ssn: stagnation at level {level}: scaled step {records[-2].delta:.3e} "
             f"below {floor:.3e} with ||F||_h = {it.residual:.3e} above "
             f"outer_tol {cfg.outer_tol:.3e}"
         )
@@ -481,7 +480,7 @@ def run_ssn(
     would do itself.  A coarse that is not such a 4-tuple, its records a
     list of IterationRecord with at least one row, raises
     ConfigurationError, and so do u and y with other than one value per
-    node of that level.
+    node of that level, and a cfg that is not an SSNConfig.
 
     The run releases disc's kept factor on entry, so no factor of an
     earlier solve preconditions its own, and releases each level's last
@@ -497,7 +496,9 @@ def run_ssn(
     """
     # a factor kept from an earlier solve on disc preconditions nothing here
     disc.release_factorization()
-    cfg = cfg if cfg is not None else SSNConfig()
+    cfg = SSNConfig() if cfg is None else cfg
+    if not isinstance(cfg, SSNConfig):
+        raise ConfigurationError(f"cfg must be an SSNConfig, got {cfg!r}")
     top = disc.mesh.level
     first, u, y = min(top, COARSE_START_LEVEL - 1), None, None
     if coarse is not None:

@@ -373,9 +373,14 @@ def test_forcing_term_clamps_its_two_terms():
 
 
 def test_state_solve_rejects_bad_tolerance():
+    # an infinite tol would accept the unsolved start, a NaN one would run
+    # MAX_NEWTON steps before a misleading line-search failure
     disc = Discretization(linear_problem(), build_uniform_mesh(1))
-    with pytest.raises(SolverError):
-        disc.solve_state(disc.zeros(), tol=-1.0)
+    for tol in (-1.0, np.inf, np.nan):
+        with pytest.raises(SolverError, match="must be positive and finite") as exc:
+            disc.solve_state(disc.zeros(), tol=tol)
+        assert exc.value.history == []
+    assert disc.newton_count == 0
 
 
 def test_state_solve_detects_nonfinite_residual():

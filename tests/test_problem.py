@@ -140,6 +140,33 @@ def test_validate_flags_bad_a0():
     assert any("a0" in m for m in msgs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nu", "0.05"),
+        ("a0", "2"),
+        ("alpha", "-1"),
+        ("beta", None),
+        # a bool would pass as 1.0 or 0.0
+        ("nu", True),
+        ("alpha", False),
+        ("a0", np.True_),
+    ],
+)
+def test_validate_reports_a_number_that_is_not_real(field, value):
+    # reported as a violation, as SSNConfig reports its numbers, not
+    # raised as a TypeError from a comparison
+    spec = dataclasses.replace(benchmark_instance(), **{field: value})
+    assert validate(spec) == [f"{field} must be a real number, got {value!r}"]
+
+
+def test_validate_accepts_numpy_reals_and_an_infinite_beta():
+    spec = dataclasses.replace(
+        benchmark_instance(), nu=np.float64(0.05), a0=np.int64(2), beta=math.inf
+    )
+    assert validate(spec, derivative_check=False) == []
+
+
 def test_validate_flags_infinite_alpha():
     spec = dataclasses.replace(benchmark_instance(), alpha=-math.inf)
     msgs = validate(spec, derivative_check=False)

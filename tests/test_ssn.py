@@ -264,7 +264,7 @@ def step_operator(disc, it, monkeypatch, eta=STEP_RTOL):
 
     with monkeypatch.context() as patched:
         patched.setattr(ssn, "cg_solve", recorded)
-        result = _step(disc, 0, it, eta, 0)
+        result = _step(disc, it, eta)
     ((apply, rhs),) = handed
     return apply, rhs, result
 
@@ -324,8 +324,8 @@ def one_step(disc, u, y_init=None):
     state = disc.solve_state(u, y_init=y_init, tol=SSNConfig().inner_tol)
     disc.release_factorization()
     it = _linearize(disc, u, state.y)
-    u_next, _, _, record = _step(disc, 0, it, STEP_RTOL, state.newton_iters)
-    return u_next, record
+    u_next, _, _, delta, cg_iters = _step(disc, it, STEP_RTOL)
+    return u_next, delta, cg_iters
 
 
 def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
@@ -333,12 +333,12 @@ def test_step_assigns_active_components_exactly(bench, disc3, base_state3):
     proj = np.clip(y * phi / bench.nu, bench.alpha, bench.beta)
     active = (proj == bench.alpha) | (proj == bench.beta)
 
-    u_next, record = one_step(disc3, u)
+    u_next, delta, cg_iters = one_step(disc3, u)
     v = u_next - u  # u = 0, so this is the raw correction
     assert active.any()
     np.testing.assert_array_equal(v[active], proj[active] - u[active])
-    assert record.delta >= 0.0
-    assert record.cg_iters >= 1
+    assert delta >= 0.0
+    assert cg_iters >= 1
 
 
 def test_step_solves_reduced_system_to_tolerance(bench, disc3, monkeypatch):
@@ -347,7 +347,7 @@ def test_step_solves_reduced_system_to_tolerance(bench, disc3, monkeypatch):
     state = disc3.solve_state(u, tol=cfg.inner_tol)
     disc3.release_factorization()
     it = _linearize(disc3, u, state.y)
-    apply, rhs, (u_next, _, _, _) = step_operator(disc3, it, monkeypatch)
+    apply, rhs, (u_next, _, _, _, _) = step_operator(disc3, it, monkeypatch)
     # the right-hand side from the Hessian term of w_A by the step's factor
     w_active = np.where(it.inactive, 0.0, it.w)
     term = disc3.hessian_term(it.y, it.phi, w_active)[0]
@@ -386,10 +386,8 @@ def test_step_predicts_the_state_and_adjoint_without_a_solve(
     it = _linearize(disc3, u, state.y)
     assert np.where(it.inactive, 0.0, it.w).any()
     solves = _counting_solves(monkeypatch)
-    u_next, y_next, phi_next, record = _step(
-        disc3, 0, it, STEP_RTOL, state.newton_iters
-    )
-    assert len(solves) == 2 * record.cg_iters + 2
+    u_next, y_next, phi_next, _, cg_iters = _step(disc3, it, STEP_RTOL)
+    assert len(solves) == 2 * cg_iters + 2
     v = u_next  # u = 0
     _, z, eta = disc3.hessian_term(it.y, it.phi, v)
     assert np.max(np.abs(y_next - (it.y + z))) <= 1e-14 * np.max(np.abs(z))
@@ -409,10 +407,10 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     w_active = np.where(inactive, 0.0, w)
     assert (~inactive).any() and not w_active.any()
     solves = _counting_solves(monkeypatch)
-    apply, rhs, (u_next, _, _, record) = step_operator(
+    apply, rhs, (u_next, _, _, delta, step_iters) = step_operator(
         disc3, it, monkeypatch, eta=1e-12
     )
-    assert len(solves) == 2 * record.cg_iters
+    assert len(solves) == 2 * step_iters
     # the system with the two solves of w_A made: the same bits
     term = disc3.hessian_term(it.y, it.phi, w_active)[0]
     np.testing.assert_array_equal(
@@ -421,18 +419,18 @@ def test_step_with_a_zero_active_correction_makes_no_hessian_solves(
     v_inactive, cg_iters = cg_solve(
         apply, rhs, 1e-12, disc3.n_nodes, inner=disc3.inner
     )
-    assert len(solves) == 4 * record.cg_iters + 2
+    assert len(solves) == 4 * step_iters + 2
     v = np.where(inactive, v_inactive, w)
     np.testing.assert_array_equal(u_next, u + v)
-    assert cg_iters == record.cg_iters
-    assert record.delta == disc3.norm(v) / max(1.0, disc3.norm(u + v))
+    assert cg_iters == step_iters
+    assert delta == disc3.norm(v) / max(1.0, disc3.norm(u + v))
 
 
 def test_step_from_converged_control_is_a_fixed_point(bench, disc3, solved3):
     u, y, _, _ = solved3
-    u_next, record = one_step(disc3, u, y_init=y)
+    u_next, delta, _ = one_step(disc3, u, y_init=y)
     assert disc3.norm(u_next - u) <= 1e-10
-    assert record.delta <= 1e-10
+    assert delta <= 1e-10
 
 
 # --- full runs -----------------------------------------------------------
@@ -860,6 +858,23 @@ def test_run_validates_problem_data():
         run_ssn(Discretization(spec, build_uniform_mesh(2)))
 
 
+@pytest.mark.parametrize("field, value", [("a0", "2"), ("nu", "0.05"), ("alpha", False)])
+def test_run_reports_problem_numbers_that_are_not_real(field, value):
+    spec = dataclasses.replace(benchmark_instance(), **{field: value})
+    with pytest.raises(ConfigurationError) as exc:
+        run_ssn(Discretization(spec, build_uniform_mesh(2)))
+    assert str(exc.value) == (
+        f"problem data invalid: {field} must be a real number, got {value!r}"
+    )
+
+
+def test_run_rejects_a_cfg_that_is_not_an_ssn_config():
+    disc = Discretization(benchmark_instance(), build_uniform_mesh(2))
+    with pytest.raises(ConfigurationError) as exc:
+        run_ssn(disc, cfg="x")
+    assert str(exc.value) == "cfg must be an SSNConfig, got 'x'"
+
+
 def test_run_checks_structure_but_not_the_derivative_lint():
     # alpha = -3 < -a0 makes Q indefinite for admissible controls: rejected
     crossed = dataclasses.replace(benchmark_instance(), alpha=-3.0)
@@ -1228,6 +1243,8 @@ def test_step_floor_is_the_stagnation_guard(bench):
     assert final.stop_reason == "stagnation"
     assert full[-1].delta < step_floor(disc.n_nodes)
     assert all(r.delta >= step_floor(disc.n_nodes) for r in full[:-1])
+    # the message quotes the last step's delta, not the final row's None
+    assert f"scaled step {full[-1].delta:.3e} " in str(exc.value)
 
 
 def test_a_nonfinite_residual_stops_the_level_at_once(bench):

@@ -94,6 +94,16 @@ def test_verify_rejects_the_problems_run_ssn_rejects(nu):
     assert str(exc.value) == f"problem data invalid: nu must be positive, got {nu}"
 
 
+@pytest.mark.parametrize("field, value", [("a0", "2"), ("nu", True)])
+def test_verify_reports_problem_numbers_that_are_not_real(field, value):
+    spec = dataclasses.replace(benchmark_instance(), **{field: value})
+    with pytest.raises(ConfigurationError) as exc:
+        verify_derivatives(spec, COARSE)
+    assert str(exc.value) == (
+        f"problem data invalid: {field} must be a real number, got {value!r}"
+    )
+
+
 def test_verify_settings_take_as_many_directions_as_nodes():
     assert VerifySettings(level=2, directions=25).directions == 25
 
